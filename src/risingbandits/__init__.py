@@ -33,6 +33,7 @@ from .bandit import (
     growth_rate,
     offline_max_run,
     rising_bandit_run,
+    run_policy,
     upper_bound,
 )
 from .curves import (
@@ -41,7 +42,6 @@ from .curves import (
     RewardCurve,
     StaircaseCurve,
     TabulatedCurve,
-    curve_eval,
 )
 from .harness import (
     GammaResult,

@@ -5,11 +5,17 @@ round, brackets each arm's achievable final reward between the last observed
 value (lower) and a linear extrapolation of the growth rate (upper), and
 drops any arm whose upper bound falls below another candidate's lower bound.
 Supports a trial-count horizon and a cost-aware budget horizon.
+
+One engine, :func:`run_policy`, runs the elimination algorithm and the
+baselines alike: each is a :class:`Policy` that selects the next arm and
+observes each pull.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .arms import ArmProcess, ConfigurationError
 from .curves import RewardCurve
@@ -34,7 +40,6 @@ class ArmState:
     growth: float | None = None
     upper: float = 1.0
     lower: float = 0.0
-    active: bool = True
     total_cost: float = 0.0
 
     @property
@@ -159,22 +164,128 @@ def eliminate(candidates: list[int], states: list[ArmState], epsilon: float = DE
     return survivors
 
 
-def _pull_and_update(arm: ArmProcess, state: ArmState, config: BanditConfig) -> tuple[float, float]:
-    reward, cost = arm.pull()
-    state.pulls += 1
-    state.history.append(reward)
-    state.lower = reward
-    state.total_cost += cost
-    if state.pulls >= 2:
-        state.growth = growth_rate(state.history, config.growth, config.smooth_window)
-    return reward, cost
+class Horizon:
+    """A trial count or a spend budget, and how much of it a run has used.
+
+    The only place where the two modes differ: whether the next pull fits,
+    and how much horizon is left for an arm's upper bound.
+    """
+
+    def __init__(self, config: BanditConfig, arms: list[ArmProcess]) -> None:
+        self.trials = config.trials
+        self.budget = config.budget
+        self.arms = arms
+        self.t = 0
+        self.spent = 0.0
+
+    def fits(self, arm_id: int | None = None) -> bool:
+        """Whether one more pull, of ``arm_id`` when given, stays within the horizon."""
+        if self.trials is not None:
+            return self.t < self.trials
+        return arm_id is None or self.spent + self.arms[arm_id - 1].peek_cost() <= self.budget
+
+    def upper(self, state: ArmState) -> float:
+        """Upper bound of ``state`` extrapolated over the horizon left after step t."""
+        if self.trials is not None:
+            return upper_bound(state, self.t, self.trials, state.growth)
+        return cost_aware_upper_bound(state, self.budget - self.spent, state.growth)
 
 
-def _finish_trace(
-    steps: list[StepRecord],
-    states: list[ArmState],
-    candidate_history: list[tuple[int, ...]],
-) -> PolicyTrace:
+class Policy:
+    """An arm-selection policy run by :func:`run_policy`.
+
+    ``select`` names the next arm, or None to end the run.  ``candidates`` is
+    the arm set in force, which only the elimination policy shrinks.
+    """
+
+    name = "policy"
+
+    def reset(self, rng: np.random.Generator) -> None:
+        """Install the run-local RNG stream; deterministic policies ignore it."""
+
+    def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
+        """Begin a run over ``states``."""
+        self.candidates = [st.arm_id for st in states]
+        self.candidate_history = [tuple(self.candidates)]
+
+    def select(self, states: list[ArmState], t: int) -> int | None:
+        raise NotImplementedError
+
+    def observe(self, state: ArmState) -> None:
+        """Called after every pull with the pulled arm's updated state."""
+
+
+class RisingBanditPolicy(Policy):
+    """The elimination algorithm.
+
+    Each round pulls the candidates in id order, skipping those whose next
+    pull does not fit, and ends with a sweep when the next pull is requested:
+    with no pulls left a sweep could only drop arms that tie at equality.  A
+    round with no pull ends the run.
+    """
+
+    name = "rising_bandit"
+
+    def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
+        super().start(states, config, horizon)
+        self._config = config
+        self._horizon = horizon
+        self._next = 0
+        self._round_pulled = False
+
+    def select(self, states: list[ArmState], t: int) -> int | None:
+        while True:
+            while self._next < len(self.candidates):
+                arm_id = self.candidates[self._next]
+                self._next += 1
+                if self._horizon.fits(arm_id):
+                    self._round_pulled = True
+                    return arm_id
+            if not self._round_pulled:
+                return None
+            self.candidates = eliminate(self.candidates, states, self._config.epsilon)
+            self.candidate_history.append(tuple(self.candidates))
+            self._next, self._round_pulled = 0, False
+
+    def observe(self, state: ArmState) -> None:
+        if state.pulls >= 2:
+            state.growth = growth_rate(state.history, self._config.growth, self._config.smooth_window)
+        state.upper = self._horizon.upper(state)
+
+
+def run_policy(policy: Policy, arms: list[ArmProcess], config: BanditConfig) -> PolicyTrace:
+    """Run ``policy`` on ``arms``: the one loop that pulls arms and records pulls.
+
+    The run ends when the horizon is used up, when the policy returns None,
+    or at the first selected pull that does not fit.
+    """
+    k = len(arms)
+    if k == 0:
+        raise ConfigurationError("an instance needs at least one arm")
+    states = [ArmState(arm_id=i) for i in range(1, k + 1)]
+    horizon = Horizon(config, arms)
+    policy.start(states, config, horizon)
+    steps: list[StepRecord] = []
+    while horizon.fits():
+        arm_id = policy.select(states, horizon.t + 1)
+        if arm_id is None:
+            break
+        if not 1 <= arm_id <= k:
+            raise ConfigurationError(f"policy {policy.name!r} selected invalid arm {arm_id}")
+        if not horizon.fits(arm_id):
+            break
+        reward, cost = arms[arm_id - 1].pull()
+        horizon.t += 1
+        horizon.spent += cost
+        st = states[arm_id - 1]
+        st.pulls += 1
+        st.history.append(reward)
+        st.lower = reward
+        st.total_cost += cost
+        steps.append(StepRecord(horizon.t, arm_id, reward, cost, len(policy.candidates)))
+        policy.observe(st)
+    if not steps:
+        raise ConfigurationError("budget too small for a single pull")
     best = max(steps, key=lambda s: s.reward)
     return PolicyTrace(
         steps=steps,
@@ -183,68 +294,13 @@ def _finish_trace(
         best_arm=best.arm,
         best_step=best.t,
         final_j=best.reward,
-        candidate_history=candidate_history,
+        candidate_history=policy.candidate_history,
     )
 
 
 def rising_bandit_run(arms: list[ArmProcess], config: BanditConfig) -> PolicyTrace:
-    """Run the elimination algorithm to the configured horizon.
-
-    Trials mode performs exactly ``config.trials`` pulls, truncating the last
-    round mid-way if needed.  Budget mode skips any pull whose cost would
-    overshoot the remaining budget and stops once no candidate pull fits.
-    Elimination sweeps run at the end of each round.
-    """
-    k = len(arms)
-    if k == 0:
-        raise ConfigurationError("an instance needs at least one arm")
-    states = [ArmState(arm_id=i) for i in range(1, k + 1)]
-    candidates = list(range(1, k + 1))
-    steps: list[StepRecord] = []
-    candidate_history: list[tuple[int, ...]] = [tuple(candidates)]
-    t = 0
-
-    if config.trials is not None:
-        horizon = config.trials
-        while t < horizon:
-            for arm_id in list(candidates):
-                if t >= horizon:
-                    break
-                t += 1
-                st = states[arm_id - 1]
-                reward, cost = _pull_and_update(arms[arm_id - 1], st, config)
-                st.upper = upper_bound(st, t, horizon, st.growth)
-                steps.append(StepRecord(t, arm_id, reward, cost, len(candidates)))
-            if t >= horizon:
-                # No pulls remain, so a final sweep could only mislabel arms
-                # that tie at equality; leave the candidate set as pulled.
-                break
-            candidates = eliminate(candidates, states, config.epsilon)
-            candidate_history.append(tuple(candidates))
-    else:
-        budget = config.budget
-        spent = 0.0
-        while True:
-            pulled_any = False
-            for arm_id in list(candidates):
-                arm = arms[arm_id - 1]
-                if spent + arm.peek_cost() > budget:
-                    continue
-                t += 1
-                st = states[arm_id - 1]
-                reward, cost = _pull_and_update(arm, st, config)
-                spent += cost
-                st.upper = cost_aware_upper_bound(st, budget - spent, st.growth)
-                steps.append(StepRecord(t, arm_id, reward, cost, len(candidates)))
-                pulled_any = True
-            if not pulled_any:
-                break
-            candidates = eliminate(candidates, states, config.epsilon)
-            candidate_history.append(tuple(candidates))
-
-    for st in states:
-        st.active = st.arm_id in candidates
-    return _finish_trace(steps, states, candidate_history)
+    """Run the elimination algorithm to the configured horizon."""
+    return run_policy(RisingBanditPolicy(), arms, config)
 
 
 def offline_max_run(curves: list[RewardCurve], horizon: int) -> tuple[int, float]:

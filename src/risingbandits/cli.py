@@ -69,21 +69,35 @@ def _write_trace(path: str, runs: list[tuple[str, int, PolicyTrace]]) -> None:
                 )
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` runs: ``jobs``, capped by tasks and CPUs."""
+    if jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
 def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int | None = None) -> int:
     config = load_experiment(config_path)
     if seed is None and "RB_SEED" in os.environ:
-        seed = int(os.environ["RB_SEED"])
+        raw = os.environ["RB_SEED"]
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigurationError(f"RB_SEED must be an integer, got {raw!r}") from None
     if seed is not None:
         config.base_seed = seed
-    os.makedirs(output_dir, exist_ok=True)
+    if config.base_seed < 0:
+        raise ConfigurationError(f"base seed must be >= 0, got {config.base_seed}")
 
     tasks = [
         (policy_name, replication)
         for policy_name in config.policy_names
         for replication in range(config.replications)
     ]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(tasks))
+    os.makedirs(output_dir, exist_ok=True)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_run_one, [config] * len(tasks), *zip(*tasks)))
     else:
         traces = [_run_one(config, name, rep) for name, rep in tasks]

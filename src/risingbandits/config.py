@@ -34,6 +34,14 @@ from .bandit import BanditConfig
 from .curves import ExponentialCurve, PowerCurve, StaircaseCurve, TabulatedCurve
 from .policies import POLICY_NAMES, Policy, make_policy
 
+# Optional global key -> (policy, keyword argument of that policy).
+POLICY_PARAMS = {
+    "ucb_coefficient": ("ucb", "exploration_coefficient"),
+    "softmax_temperature": ("softmax", "temperature"),
+    "thompson_alpha": ("thompson", "prior_alpha"),
+    "thompson_beta": ("thompson", "prior_beta"),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -47,19 +55,11 @@ class ExperimentConfig:
     def build_policies(self) -> list[Policy]:
         out = []
         for name in self.policy_names:
-            params = {}
-            if name == "ucb" and "ucb_coefficient" in self.policy_params:
-                params["exploration_coefficient"] = self.policy_params["ucb_coefficient"]
-            if name == "softmax" and "softmax_temperature" in self.policy_params:
-                params["temperature"] = self.policy_params["softmax_temperature"]
-            if name == "thompson":
-                if "thompson_alpha" in self.policy_params:
-                    params["prior_alpha"] = self.policy_params["thompson_alpha"]
-                if "thompson_beta" in self.policy_params:
-                    params["prior_beta"] = self.policy_params["thompson_beta"]
-            if name == "rising_bandit":
-                params["growth"] = self.bandit.growth
-                params["smooth_window"] = self.bandit.smooth_window
+            params = {
+                kwarg: self.policy_params[key]
+                for key, (policy, kwarg) in POLICY_PARAMS.items()
+                if policy == name and key in self.policy_params
+            }
             out.append(make_policy(name, **params))
         return out
 
@@ -192,7 +192,7 @@ def parse_experiment(text: str) -> ExperimentConfig:
     base_seed = int(_parse_scalar("base_seed", global_block.pop("base_seed", "0"), int))
 
     policy_params = {}
-    for key in ("ucb_coefficient", "softmax_temperature", "thompson_alpha", "thompson_beta"):
+    for key in POLICY_PARAMS:
         if key in global_block:
             policy_params[key] = float(_parse_scalar(key, global_block.pop(key), float))
     if global_block:

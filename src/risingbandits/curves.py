@@ -135,8 +135,3 @@ class StaircaseCurve(RewardCurve):
         jumps = (n - 1) // self.plateau_length
         gap = self.limit - self.start
         return self.limit - gap * (1.0 - self.jump_fraction) ** jumps
-
-
-def curve_eval(curve: RewardCurve, n: int) -> float:
-    """Evaluate a curve at pull count n (n >= 1)."""
-    return curve.eval(n)

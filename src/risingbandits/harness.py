@@ -16,18 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arms import ConfigurationError, InstanceSpec, make_instance
-from .bandit import (
-    DEFAULT_EPSILON,
-    ArmState,
-    BanditConfig,
-    PolicyTrace,
-    StepRecord,
-    _finish_trace,
-    offline_max_run,
-    rising_bandit_run,
-)
+from .bandit import DEFAULT_EPSILON, BanditConfig, Policy, PolicyTrace, offline_max_run, run_policy
 from .curves import RewardCurve
-from .policies import Policy, RisingBanditPolicy
 
 BRUTE_FORCE_SEQUENCE_CAP = 10**7
 
@@ -66,47 +56,9 @@ def simulate(
     """
     run_seed = derive_seed(seed, policy.name, replication)
     arms = make_instance(instance, run_seed)
-    if isinstance(policy, RisingBanditPolicy):
-        run_config = config
-        if policy.growth is not None or policy.smooth_window is not None:
-            run_config = BanditConfig(
-                trials=config.trials,
-                budget=config.budget,
-                growth=policy.growth or config.growth,
-                smooth_window=policy.smooth_window or config.smooth_window,
-                epsilon=config.epsilon,
-            )
-        return rising_bandit_run(arms, run_config)
-
     policy_stream = np.random.SeedSequence(entropy=run_seed.entropy, spawn_key=run_seed.spawn_key + (0,))
     policy.reset(np.random.Generator(np.random.PCG64(policy_stream)))
-
-    k = len(arms)
-    states = [ArmState(arm_id=i) for i in range(1, k + 1)]
-    steps: list[StepRecord] = []
-    t = 0
-    spent = 0.0
-    while True:
-        if config.trials is not None and t >= config.trials:
-            break
-        arm_id = policy.select(states, t + 1)
-        if not 1 <= arm_id <= k:
-            raise ConfigurationError(f"policy {policy.name!r} selected invalid arm {arm_id}")
-        arm = arms[arm_id - 1]
-        if config.budget is not None and spent + arm.peek_cost() > config.budget:
-            break
-        t += 1
-        reward, cost = arm.pull()
-        spent += cost
-        st = states[arm_id - 1]
-        st.pulls += 1
-        st.history.append(reward)
-        st.lower = reward
-        st.total_cost += cost
-        steps.append(StepRecord(t, arm_id, reward, cost, k))
-    if not steps:
-        raise ConfigurationError("budget too small for a single pull")
-    return _finish_trace(steps, states, candidate_history=[tuple(range(1, k + 1))])
+    return run_policy(policy, arms, config)
 
 
 @dataclass(frozen=True)

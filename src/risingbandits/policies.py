@@ -1,8 +1,9 @@
-"""Baseline selection policies sharing one interface.
+"""Baseline selection policies sharing one interface with elimination.
 
 A policy maps the observed arm states and the step index to the next arm to
 pull.  Policies only ever see observed histories, never ground-truth curves.
-Ties break towards the lowest arm id.
+Ties break towards the lowest arm id.  ``Policy`` and the elimination
+policy live in :mod:`bandit`, next to the engine that runs them.
 """
 
 from __future__ import annotations
@@ -12,17 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import ArmState
-
-
-class Policy:
-    name = "policy"
-
-    def reset(self, rng: np.random.Generator) -> None:
-        """Install the run-local RNG stream; deterministic policies ignore it."""
-
-    def select(self, states: list[ArmState], t: int) -> int:
-        raise NotImplementedError
+from .bandit import ArmState, Policy, RisingBanditPolicy
 
 
 class AveragePolicy(Policy):
@@ -128,18 +119,6 @@ class ThompsonPolicy(Policy):
             failures = st.pulls - successes
             draws.append(self._rng.beta(self.prior_alpha + successes, self.prior_beta + failures))
         return _argmax(draws)
-
-
-@dataclass
-class RisingBanditPolicy(Policy):
-    """Marker for the elimination algorithm; the harness delegates whole runs.
-
-    ``growth`` / ``smooth_window`` override the run configuration when set.
-    """
-
-    growth: str | None = None
-    smooth_window: int | None = None
-    name = "rising_bandit"
 
 
 POLICY_NAMES = ("average", "ucb", "softmax", "thompson", "rising_bandit")

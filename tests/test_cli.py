@@ -1,9 +1,20 @@
+import hashlib
 import json
 import os
 
 import pytest
 
-from risingbandits.cli import main
+from risingbandits import ConfigurationError
+from risingbandits.cli import main, worker_count
+
+DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.cfg")
+
+# SHA-256 of the demo artifacts at --seed 11, recorded before the pull loops
+# were merged into one engine; any change to them is a behaviour change.
+DEMO_SEED_11_DIGESTS = {
+    "trace.csv": "79f2ecae942002af546fd371821749afb58d20fb71e41f1fdf45e040d917c61d",
+    "report.json": "04ecc0da62dff9fc9872c87ee1e9b26bb53d021af9afea5bc175a32b7e0bccff",
+}
 
 CONFIG = """
 horizon_trials = 10
@@ -98,6 +109,82 @@ class TestRunCommand:
         path = tmp_path / "bad.cfg"
         path.write_text("horizon_trials = 5\n")
         assert main(["run", str(path)]) == 1
+
+
+class TestGoldenArtifacts:
+    def test_demo_seed_11_digests(self, tmp_path, capsys):
+        out = str(tmp_path / "results")
+        assert main(["run", DEMO_CONFIG, "--output", out, "--seed", "11"]) == 0
+        for name, digest in DEMO_SEED_11_DIGESTS.items():
+            with open(os.path.join(out, name), "rb") as handle:
+                assert hashlib.sha256(handle.read()).hexdigest() == digest, name
+
+
+class TestErrorBoundary:
+    """Bad input ends in exit code 1 and one line on stderr, never a traceback."""
+
+    def _one_line_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_elimination_budget_below_every_cost(self, tmp_path, capsys):
+        path = tmp_path / "tiny.cfg"
+        path.write_text(
+            "horizon_budget = 0.5\npolicies = rising_bandit\n"
+            "[arm]\nkind = exponential\nlimit = 0.9\ninitial = 0.5\ndecay = 0.5\n"
+        )
+        err = self._one_line_error(["run", str(path), "--output", str(tmp_path / "out")], capsys)
+        assert "budget too small" in err
+
+    def test_non_integer_seed_env(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RB_SEED", "abc")
+        err = self._one_line_error(["run", config_path, "--output", str(tmp_path / "out")], capsys)
+        assert "RB_SEED" in err
+
+    def test_negative_seed_env(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RB_SEED", "-4")
+        err = self._one_line_error(["run", config_path, "--output", str(tmp_path / "out")], capsys)
+        assert "base seed" in err
+
+    def test_negative_seed_flag(self, config_path, tmp_path, capsys):
+        err = self._one_line_error(
+            ["run", config_path, "--output", str(tmp_path / "out"), "--seed", "-1"], capsys
+        )
+        assert "base seed" in err
+
+    def test_negative_base_seed_in_config(self, tmp_path, capsys):
+        path = tmp_path / "neg.cfg"
+        path.write_text(CONFIG.replace("base_seed = 3", "base_seed = -2"))
+        err = self._one_line_error(["run", str(path), "--output", str(tmp_path / "out")], capsys)
+        assert "base seed" in err
+
+    def test_jobs_below_one(self, config_path, tmp_path, capsys):
+        err = self._one_line_error(
+            ["run", config_path, "--output", str(tmp_path / "out"), "--jobs", "0"], capsys
+        )
+        assert "--jobs" in err
+
+
+class TestWorkerCount:
+    def test_capped_by_tasks_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert worker_count(1000, 15) == 8
+        assert worker_count(3, 15) == 3
+        assert worker_count(4, 2) == 2
+        assert worker_count(1, 15) == 1
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count(16, 15) == 1
+
+    def test_rejects_below_one(self):
+        with pytest.raises(ConfigurationError):
+            worker_count(0, 15)
+        with pytest.raises(ConfigurationError):
+            worker_count(-3, 15)
 
 
 class TestVerifyCommand:

@@ -7,7 +7,6 @@ from risingbandits import (
     PowerCurve,
     StaircaseCurve,
     TabulatedCurve,
-    curve_eval,
 )
 
 
@@ -126,8 +125,3 @@ class TestStaircaseCurve:
             StaircaseCurve(base=base, plateau_length=3, jump_fraction=0.0)
         with pytest.raises(ValueError):
             StaircaseCurve(base=base, plateau_length=3, jump_fraction=1.5)
-
-
-def test_curve_eval_helper():
-    curve = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
-    assert curve_eval(curve, 3) == curve.eval(3)

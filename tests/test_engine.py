@@ -1,0 +1,145 @@
+"""Properties of the one simulation engine, over every policy and both horizons."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from risingbandits import (
+    BanditConfig,
+    ConfigurationError,
+    CurveArmSpec,
+    ExponentialCurve,
+    InstanceSpec,
+    NoisyCurveArmSpec,
+    Policy,
+    PowerCurve,
+    make_instance,
+    make_policy,
+    run_policy,
+    simulate,
+)
+from risingbandits.policies import POLICY_NAMES
+
+ARM = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
+
+
+@st.composite
+def arm_specs(draw):
+    limit = draw(st.floats(0.2, 0.98))
+    initial = draw(st.floats(0.05, 0.95)) * limit
+    if draw(st.booleans()):
+        curve = ExponentialCurve(limit=limit, initial=initial, decay=draw(st.floats(0.2, 0.9)))
+    else:
+        curve = PowerCurve(limit=limit, scale=limit - initial, exponent=draw(st.floats(0.5, 2.0)))
+    cost = draw(st.sampled_from([0.3, 1.0, 2.5, 10.0]))
+    if draw(st.booleans()):
+        return NoisyCurveArmSpec(curve, noise_amplitude=draw(st.floats(0.01, 0.1)), cost=cost)
+    return CurveArmSpec(curve, cost=cost)
+
+
+@st.composite
+def experiments(draw):
+    instance = InstanceSpec(draw(st.lists(arm_specs(), min_size=1, max_size=4)))
+    growth = draw(st.sampled_from(["last", "smooth"]))
+    window = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        config = BanditConfig(trials=draw(st.integers(1, 40)), growth=growth, smooth_window=window)
+    else:
+        # At least the dearest arm's cost, so every policy's first pull fits.
+        most = max(spec.cost for spec in instance.arms)
+        budget = most * draw(st.floats(1.0, 12.0))
+        config = BanditConfig(budget=budget, growth=growth, smooth_window=window)
+    return instance, config, draw(st.integers(0, 2**16))
+
+
+def _rounds(trace):
+    """Index of the elimination round each step belongs to.
+
+    Within a round candidates are pulled in increasing id order, so a step
+    whose arm is not above the previous step's arm opens the next round.
+    """
+    out, r, prev = [], 0, 0
+    for step in trace.steps:
+        if step.arm <= prev:
+            r += 1
+        out.append(r)
+        prev = step.arm
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(experiments())
+def test_engine_invariants(case):
+    instance, config, seed = case
+    for name in POLICY_NAMES:
+        trace = simulate(make_policy(name), instance, config, seed=seed)
+        n = len(trace.steps)
+        if config.trials is not None:
+            assert n == config.trials
+        else:
+            assert trace.total_cost <= config.budget + 1e-12
+        assert sum(trace.pull_counts) == n
+        assert [s.t for s in trace.steps] == list(range(1, n + 1))
+        assert trace.final_j == max(s.reward for s in trace.steps)
+        assert trace.steps[trace.best_step - 1].reward == trace.final_j
+        assert all(s.reward < trace.final_j for s in trace.steps[: trace.best_step - 1])
+
+        history = trace.candidate_history
+        assert history[0] == tuple(range(1, instance.k + 1))
+        for before, after in zip(history, history[1:]):
+            assert set(after) <= set(before)
+        if name != "rising_bandit":
+            assert len(history) == 1
+            assert all(s.candidate_set_size == instance.k for s in trace.steps)
+            continue
+        rounds = _rounds(trace)
+        for step, r in zip(trace.steps, rounds):
+            assert step.arm in history[r]
+            assert step.candidate_set_size == len(history[r])
+        if config.trials is not None:
+            # No sweep follows the round that uses up the trials.
+            assert len(history) == rounds[-1] + 1
+        else:
+            # The run ends only when no candidate's next pull fits.
+            assert len(history) == rounds[-1] + 2
+            left = config.budget - trace.total_cost
+            assert all(instance.arms[a - 1].cost > left - 1e-9 for a in history[-1])
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_budget_below_every_cost_is_a_configuration_error(name):
+    instance = InstanceSpec([CurveArmSpec(ARM, cost=1.0), CurveArmSpec(ARM, cost=2.0)])
+    with pytest.raises(ConfigurationError, match="budget too small"):
+        simulate(make_policy(name), instance, BanditConfig(budget=0.5))
+
+
+def test_invalid_selection_is_a_configuration_error():
+    class OutOfRange(Policy):
+        name = "out_of_range"
+
+        def select(self, states, t):
+            return len(states) + 1
+
+    arms = make_instance(InstanceSpec([CurveArmSpec(ARM)]), 0)
+    with pytest.raises(ConfigurationError, match="invalid arm 2"):
+        run_policy(OutOfRange(), arms, BanditConfig(trials=3))
+
+
+def test_one_select_and_one_observe_per_pull():
+    class Counting(Policy):
+        name = "counting"
+
+        def __init__(self):
+            self.selects = self.observes = 0
+
+        def select(self, states, t):
+            self.selects += 1
+            return 1
+
+        def observe(self, state):
+            self.observes += 1
+
+    policy = Counting()
+    arms = make_instance(InstanceSpec([CurveArmSpec(ARM)]), 0)
+    run_policy(policy, arms, BanditConfig(trials=7))
+    assert (policy.selects, policy.observes) == (7, 7)

@@ -122,11 +122,9 @@ class TestRisingBanditPolicy:
         assert trace.best_arm == 1
         assert trace.final_j == pytest.approx(0.8, abs=1e-12)
 
-    def test_growth_override_applies(self):
-        instance = InstanceSpec([CurveArmSpec(CURVE)])
-        policy = RisingBanditPolicy(growth="smooth", smooth_window=3)
-        trace = simulate(policy, instance, BanditConfig(trials=4))
-        assert trace.pull_counts == [4]
+    def test_takes_no_parameters(self):
+        with pytest.raises(ValueError):
+            make_policy("rising_bandit", growth="smooth")
 
 
 class TestMakePolicy:
