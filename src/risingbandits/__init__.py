@@ -28,7 +28,6 @@ from .bandit import (
     InsufficientHistoryError,
     PolicyTrace,
     StepRecord,
-    cost_aware_upper_bound,
     eliminate,
     growth_rate,
     offline_max_run,

@@ -42,12 +42,6 @@ class ArmState:
     lower: float = 0.0
     total_cost: float = 0.0
 
-    @property
-    def mean_cost(self) -> float:
-        if self.pulls == 0:
-            raise ValueError("mean cost undefined before the first pull")
-        return self.total_cost / self.pulls
-
 
 @dataclass(frozen=True)
 class BanditConfig:
@@ -119,27 +113,17 @@ def growth_rate(history: list[float], mode: str = "last", window: int = DEFAULT_
     raise ValueError(f"growth mode must be one of {GROWTH_MODES}, got {mode!r}")
 
 
-def upper_bound(state: ArmState, t: int, horizon: int, omega: float | None) -> float:
-    """Optimistic final reward: last value plus omega per remaining step, capped at 1.
+def upper_bound(last: float, omega: float | None, pulls_left: float) -> float:
+    """Optimistic final reward: last value plus omega per pull left, capped at 1.
 
     With fewer than two observations omega is unknowable and the only sound
     bound is 1.
     """
-    if t > horizon:
-        raise ValueError(f"step {t} beyond horizon {horizon}")
+    if pulls_left < 0:
+        raise ValueError(f"pulls left must be >= 0, got {pulls_left}")
     if omega is None:
         return 1.0
-    return min(state.history[-1] + omega * (horizon - t), 1.0)
-
-
-def cost_aware_upper_bound(state: ArmState, budget_left: float, omega: float | None) -> float:
-    """Budget variant: the extrapolation horizon is the affordable pull count."""
-    if omega is None:
-        return 1.0
-    mean_cost = state.mean_cost
-    if mean_cost <= 0.0:
-        raise ValueError(f"mean cost must be positive, got {mean_cost}")
-    return min(state.history[-1] + omega * (budget_left / mean_cost), 1.0)
+    return min(last + omega * pulls_left, 1.0)
 
 
 def eliminate(candidates: list[int], states: list[ArmState], epsilon: float = DEFAULT_EPSILON) -> list[int]:
@@ -168,12 +152,15 @@ class Horizon:
     """A trial count or a spend budget, and how much of it a run has used.
 
     The only place where the two modes differ: whether the next pull fits,
-    and how much horizon is left for an arm's upper bound.
+    and how many pulls are left for an arm's upper bound.  A pull fits a
+    budget within ``epsilon``, so float rounding in the running spend cannot
+    refuse a pull that fits exactly.
     """
 
     def __init__(self, config: BanditConfig, arms: list[ArmProcess]) -> None:
         self.trials = config.trials
         self.budget = config.budget
+        self.epsilon = config.epsilon
         self.arms = arms
         self.t = 0
         self.spent = 0.0
@@ -182,13 +169,17 @@ class Horizon:
         """Whether one more pull, of ``arm_id`` when given, stays within the horizon."""
         if self.trials is not None:
             return self.t < self.trials
-        return arm_id is None or self.spent + self.arms[arm_id - 1].peek_cost() <= self.budget
+        return arm_id is None or self.spent + self.arms[arm_id - 1].peek_cost() <= self.budget + self.epsilon
 
     def upper(self, state: ArmState) -> float:
-        """Upper bound of ``state`` extrapolated over the horizon left after step t."""
+        """Upper bound of ``state`` over the pulls left after step t: trials
+        left, or budget left at the arm's mean pull cost so far."""
         if self.trials is not None:
-            return upper_bound(state, self.t, self.trials, state.growth)
-        return cost_aware_upper_bound(state, self.budget - self.spent, state.growth)
+            pulls_left = self.trials - self.t
+        else:
+            # The spend may pass the budget by up to epsilon: no pulls left.
+            pulls_left = max(self.budget - self.spent, 0.0) / (state.total_cost / state.pulls)
+        return upper_bound(state.history[-1], state.growth, pulls_left)
 
 
 class Policy:

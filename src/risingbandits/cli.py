@@ -6,7 +6,8 @@ manifest (seeds, config echo, timestamp).  ``verify`` executes one of the
 named invariant suites.  Outputs are byte-for-byte reproducible for a fixed
 base seed, except for the manifest's timestamp field.
 
-Exit codes: 0 success, 1 configuration error, 2 invariant violation.
+Exit codes: 0 success, 1 configuration, usage or file error, 2 invariant
+violation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from . import __version__
 from .arms import ConfigurationError
 from .bandit import PolicyTrace
-from .config import ExperimentConfig, load_experiment
+from .config import ExperimentConfig, parse_experiment
 from .harness import PolicyResult, build_report, regret, simulate
 from .verify import SUITES, run_suite
 
@@ -77,7 +78,9 @@ def worker_count(jobs: int, tasks: int) -> int:
 
 
 def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int | None = None) -> int:
-    config = load_experiment(config_path)
+    with open(config_path, "r", encoding="utf-8") as handle:
+        config_text = handle.read()
+    config = parse_experiment(config_text)
     if seed is None and "RB_SEED" in os.environ:
         raw = os.environ["RB_SEED"]
         try:
@@ -115,8 +118,6 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
         json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    with open(config_path, "r", encoding="utf-8") as handle:
-        config_echo = handle.read()
     manifest = {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -124,7 +125,7 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
         "seed_scheme": "SeedSequence(base_seed, spawn_key=(crc32(policy), replication, arm))",
         "policies": config.policy_names,
         "replications": config.replications,
-        "config_echo": config_echo,
+        "config_echo": config_text,
     }
     with open(os.path.join(output_dir, "manifest.json"), "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -156,8 +157,17 @@ def run_verify(suite_name: str) -> int:
     return 0 if result.ok else 2
 
 
+class _UsageError(Exception):
+    """A bad command line; ``main`` reports it with exit 1, not argparse's 2."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="rising-bandits",
         description="Elimination-based selection for rising reward processes",
     )
@@ -172,15 +182,15 @@ def main(argv: list[str] | None = None) -> int:
     verify_parser = sub.add_parser("verify", help="run a named invariant suite")
     verify_parser.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
             return run_experiment(args.config, args.output, jobs=args.jobs, seed=args.seed)
         return run_verify(args.suite)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arms import ConfigurationError, InstanceSpec, make_instance
-from .bandit import DEFAULT_EPSILON, BanditConfig, Policy, PolicyTrace, offline_max_run, run_policy
+from .bandit import DEFAULT_EPSILON, BanditConfig, Policy, PolicyTrace, offline_max_run, run_policy, upper_bound
 from .curves import RewardCurve
 
 BRUTE_FORCE_SEQUENCE_CAP = 10**7
@@ -99,7 +99,7 @@ def compute_gamma(
                 omega = curve.eval(n) - curve.eval(n - 1)
                 # Arm k's upper bound is computed at its own pull moment,
                 # global step 2n - 1 in the alternating schedule.
-                u = min(curve.eval(n) + omega * (horizon - (2 * n - 1)), 1.0)
+                u = upper_bound(curve.eval(n), omega, horizon - (2 * n - 1))
                 if u <= star_curve.eval(n) + epsilon:
                     gamma_k = n
                     break
@@ -190,7 +190,7 @@ def least_concave_majorant(observed: list[float], limit: float | None = None) ->
 
 
 def theorem2_condition_check(
-    majorant: RewardCurve | list[float],
+    majorant: list[float],
     observed: list[float],
     window: int,
     horizon: int | None = None,
@@ -206,16 +206,12 @@ def theorem2_condition_check(
     horizon = len(observed) if horizon is None else horizon
     if horizon > len(observed):
         raise ValueError(f"horizon {horizon} beyond observed length {len(observed)}")
-    if isinstance(majorant, RewardCurve):
-        major = [majorant.eval(n) for n in range(1, horizon + 1)]
-    else:
-        major = list(majorant)
     deltas = []
     for n in range(horizon):
-        d = major[n] - observed[n]
+        d = majorant[n] - observed[n]
         if d < -1e-9:
             raise ValueError(
-                f"observed value {observed[n]} at pull {n + 1} exceeds the majorant {major[n]}"
+                f"observed value {observed[n]} at pull {n + 1} exceeds the majorant {majorant[n]}"
             )
         deltas.append(0.0 if d <= zero_tol else d)
     for t in range(window + 1, horizon + 1):

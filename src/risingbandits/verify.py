@@ -23,12 +23,11 @@ from .arms import CurveArmSpec, InstanceSpec
 from .bandit import BanditConfig, PolicyTrace, offline_max_run, rising_bandit_run
 from .curves import ExponentialCurve, PowerCurve, RewardCurve, StaircaseCurve, TabulatedCurve
 from .harness import (
-    GammaResult,
+    PolicyResult,
+    RegretReport,
     brute_force_optimal,
-    compute_gamma,
-    corollary1_check,
+    build_report,
     least_concave_majorant,
-    theorem1_bound,
     theorem2_condition_check,
 )
 
@@ -111,16 +110,10 @@ def random_dominant_instance(rng: np.random.Generator) -> tuple[list[RewardCurve
 
 @dataclass
 class ConcaveCase:
-    curves: list[RewardCurve]
-    horizon: int
-    optimal_arm: int
-    oracle_j: float
+    """One battery instance: the elimination run and the report the CLI would write."""
+
     trace: PolicyTrace
-    regret: float
-    gamma: GammaResult
-    bound: float
-    corollary_condition: bool
-    avg_regret: float
+    report: RegretReport
 
 
 def concave_battery(count: int = CONCAVE_BATTERY_COUNT, seed: int = CONCAVE_BATTERY_SEED) -> list[ConcaveCase]:
@@ -129,27 +122,12 @@ def concave_battery(count: int = CONCAVE_BATTERY_COUNT, seed: int = CONCAVE_BATT
     cases = []
     for _ in range(count):
         curves, horizon, k_star = random_dominant_instance(rng)
-        arms = [CurveArmSpec(c).build(rng) for c in curves]
-        trace = rising_bandit_run(arms, BanditConfig(trials=horizon))
-        oracle_arm, oracle_j = offline_max_run(curves, horizon)
-        gamma = compute_gamma(curves, horizon)
-        bound = theorem1_bound(curves, horizon, gamma.gamma, len(curves))
-        condition, avg_regret = corollary1_check(curves, horizon, len(curves), gamma.gamma)
-        cases.append(
-            ConcaveCase(
-                curves=curves,
-                horizon=horizon,
-                optimal_arm=oracle_arm,
-                oracle_j=oracle_j,
-                trace=trace,
-                regret=oracle_j - trace.final_j,
-                gamma=gamma,
-                bound=bound,
-                corollary_condition=condition,
-                avg_regret=avg_regret,
-            )
-        )
-        assert oracle_arm == k_star
+        instance = InstanceSpec([CurveArmSpec(c) for c in curves])
+        config = BanditConfig(trials=horizon)
+        trace = rising_bandit_run([spec.build(rng) for spec in instance.arms], config)
+        report = build_report(instance, config, {"rising_bandit": PolicyResult([trace.final_j])})
+        cases.append(ConcaveCase(trace=trace, report=report))
+        assert report.oracle_arm == k_star
     return cases
 
 
@@ -173,8 +151,9 @@ def suite_safety(battery: list[ConcaveCase] | None = None) -> SuiteResult:
     battery = concave_battery() if battery is None else battery
     result = SuiteResult(name="safety", total=len(battery))
     for i, case in enumerate(battery):
-        if any(case.optimal_arm not in snapshot for snapshot in case.trace.candidate_history):
-            result.failures.append(f"instance {i}: optimal arm {case.optimal_arm} eliminated")
+        optimal_arm = case.report.oracle_arm
+        if any(optimal_arm not in snapshot for snapshot in case.trace.candidate_history):
+            result.failures.append(f"instance {i}: optimal arm {optimal_arm} eliminated")
     return result
 
 
@@ -183,22 +162,22 @@ def suite_theorem1(battery: list[ConcaveCase] | None = None) -> SuiteResult:
     battery = concave_battery() if battery is None else battery
     result = SuiteResult(name="theorem1", total=len(battery))
     for i, case in enumerate(battery):
-        if case.regret > case.bound + TOLERANCE:
-            result.failures.append(
-                f"instance {i}: regret {case.regret} exceeds bound {case.bound}"
-            )
+        regret, bound = case.report.regrets["rising_bandit"], case.report.theorem1_bound
+        if regret > bound + TOLERANCE:
+            result.failures.append(f"instance {i}: regret {regret} exceeds bound {bound}")
     return result
 
 
 def suite_corollary1(battery: list[ConcaveCase] | None = None) -> SuiteResult:
     """Where the separation condition holds, elimination beats round-robin."""
     battery = concave_battery() if battery is None else battery
-    applicable = [case for case in battery if case.corollary_condition]
+    applicable = [case.report for case in battery if case.report.corollary1_condition_holds]
     result = SuiteResult(name="corollary1", total=len(applicable))
-    for i, case in enumerate(applicable):
-        if case.regret > case.avg_regret + TOLERANCE:
+    for i, report in enumerate(applicable):
+        regret = report.regrets["rising_bandit"]
+        if regret > report.avg_policy_regret + TOLERANCE:
             result.failures.append(
-                f"instance {i}: regret {case.regret} exceeds round-robin regret {case.avg_regret}"
+                f"instance {i}: regret {regret} exceeds round-robin regret {report.avg_policy_regret}"
             )
     return result
 

@@ -11,7 +11,6 @@ from risingbandits import (
     ExponentialCurve,
     InsufficientHistoryError,
     InstanceSpec,
-    cost_aware_upper_bound,
     eliminate,
     growth_rate,
     make_instance,
@@ -19,6 +18,7 @@ from risingbandits import (
     rising_bandit_run,
     upper_bound,
 )
+from risingbandits.bandit import Horizon
 
 ARM1 = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
 ARM2 = ExponentialCurve(limit=0.95, initial=0.3, decay=0.8)
@@ -82,40 +82,57 @@ class TestGrowthRate:
 
 class TestUpperBound:
     def test_linear_extrapolation(self):
-        state = ArmState(arm_id=1, history=[0.5, 0.6])
-        assert upper_bound(state, t=2, horizon=5, omega=0.1) == pytest.approx(0.9)
+        assert upper_bound(0.6, omega=0.1, pulls_left=3) == pytest.approx(0.9)
 
     def test_capped_at_one(self):
-        state = ArmState(arm_id=1, history=[0.5, 0.9])
-        assert upper_bound(state, t=2, horizon=100, omega=0.4) == 1.0
+        assert upper_bound(0.9, omega=0.4, pulls_left=98) == 1.0
 
     def test_zero_growth_pins_upper_to_lower(self):
-        state = ArmState(arm_id=1, history=[0.9, 0.95])
-        assert upper_bound(state, t=3, horizon=500, omega=0.0) == pytest.approx(0.95)
+        assert upper_bound(0.95, omega=0.0, pulls_left=497) == pytest.approx(0.95)
 
     def test_cold_start_returns_one(self):
-        state = ArmState(arm_id=1, history=[0.5])
-        assert upper_bound(state, t=1, horizon=5, omega=None) == 1.0
+        assert upper_bound(0.5, omega=None, pulls_left=4) == 1.0
 
     def test_rejects_step_beyond_horizon(self):
-        state = ArmState(arm_id=1, history=[0.5])
         with pytest.raises(ValueError):
-            upper_bound(state, t=6, horizon=5, omega=0.1)
+            upper_bound(0.5, omega=0.1, pulls_left=-1)
+        horizon = Horizon(BanditConfig(trials=5), _arms(ARM1))
+        horizon.t = 6
+        with pytest.raises(ValueError):
+            horizon.upper(ArmState(arm_id=1, pulls=2, history=[0.5, 0.6], growth=0.1))
+
+    def test_trial_horizon_extrapolates_over_trials_left(self):
+        horizon = Horizon(BanditConfig(trials=5), _arms(ARM1))
+        horizon.t = 2
+        state = ArmState(arm_id=1, pulls=2, history=[0.5, 0.6], growth=0.1)
+        assert horizon.upper(state) == pytest.approx(0.9)
 
 
 class TestCostAwareUpperBound:
+    """The budget-mode bound of ``Horizon.upper``: pulls left are the budget
+    left at the arm's mean pull cost so far."""
+
+    def _upper(self, state, budget, spent=0.0):
+        horizon = Horizon(BanditConfig(budget=budget), _arms(ARM1))
+        horizon.spent = spent
+        return horizon.upper(state)
+
     def test_affordable_pulls_scale_extrapolation(self):
-        state = ArmState(arm_id=1, pulls=2, history=[0.5, 0.6], total_cost=4.0)
+        state = ArmState(arm_id=1, pulls=2, history=[0.5, 0.6], growth=0.05, total_cost=4.0)
         # Mean cost 2, budget 10 -> five affordable pulls of growth 0.05 each.
-        assert cost_aware_upper_bound(state, budget_left=10.0, omega=0.05) == pytest.approx(0.85)
+        assert self._upper(state, budget=14.0, spent=4.0) == pytest.approx(0.85)
 
     def test_capped_at_one(self):
-        state = ArmState(arm_id=1, pulls=1, history=[0.9], total_cost=1.0)
-        assert cost_aware_upper_bound(state, budget_left=100.0, omega=0.5) == 1.0
+        state = ArmState(arm_id=1, pulls=2, history=[0.5, 0.9], growth=0.5, total_cost=2.0)
+        assert self._upper(state, budget=100.0) == 1.0
 
     def test_cold_start_returns_one(self):
         state = ArmState(arm_id=1, pulls=1, history=[0.5], total_cost=1.0)
-        assert cost_aware_upper_bound(state, budget_left=10.0, omega=None) == 1.0
+        assert self._upper(state, budget=10.0) == 1.0
+
+    def test_spend_past_budget_within_epsilon_leaves_no_pulls(self):
+        state = ArmState(arm_id=1, pulls=3, history=[0.5, 0.6, 0.7], growth=0.1, total_cost=3.0)
+        assert self._upper(state, budget=3.0, spent=3.0 + 1e-13) == 0.7
 
 
 class TestEliminate:

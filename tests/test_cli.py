@@ -16,6 +16,43 @@ DEMO_SEED_11_DIGESTS = {
     "report.json": "04ecc0da62dff9fc9872c87ee1e9b26bb53d021af9afea5bc175a32b7e0bccff",
 }
 
+# The same for a budget-mode config: costs 10, 1 and 2.5 (exact in binary, so
+# the budget's epsilon tolerance cannot move a pull), one noisy arm and every
+# policy, recorded before the cost-aware bound moved into Horizon.upper.
+BUDGET_CONFIG = """
+horizon_budget = 115
+policies = rising_bandit, average, ucb, softmax, thompson
+replications = 2
+base_seed = 5
+
+[arm]
+kind = exponential
+limit = 0.9
+initial = 0.4
+decay = 0.8
+cost = 10
+
+[arm]
+kind = power
+limit = 0.85
+scale = 0.4
+exponent = 1.2
+cost = 1
+
+[arm]
+kind = exponential
+limit = 0.7
+initial = 0.3
+decay = 0.6
+noise_amplitude = 0.05
+cost = 2.5
+"""
+
+BUDGET_DIGESTS = {
+    "trace.csv": "a20517ab14aece86d954bcc73bcfc25411a6134f12d47f3690fc80d26c0f942b",
+    "report.json": "3ddf831b38dc7ffc3c4349d512d5b8b92558de15126205a8c273eecaf21c8fa3",
+}
+
 CONFIG = """
 horizon_trials = 10
 policies = rising_bandit, average
@@ -102,6 +139,21 @@ class TestRunCommand:
             == open(os.path.join(parallel, "trace.csv"), "rb").read()
         )
 
+    def test_config_file_read_once(self, config_path, tmp_path, monkeypatch):
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        out = str(tmp_path / "results")
+        assert main(["run", config_path, "--output", out]) == 0
+        assert opened.count(config_path) == 1
+        manifest = json.load(real_open(os.path.join(out, "manifest.json")))
+        assert manifest["config_echo"] == CONFIG
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
 
@@ -112,12 +164,21 @@ class TestRunCommand:
 
 
 class TestGoldenArtifacts:
-    def test_demo_seed_11_digests(self, tmp_path, capsys):
-        out = str(tmp_path / "results")
-        assert main(["run", DEMO_CONFIG, "--output", out, "--seed", "11"]) == 0
-        for name, digest in DEMO_SEED_11_DIGESTS.items():
+    def _check(self, argv, digests):
+        assert main(argv) == 0
+        out = argv[argv.index("--output") + 1]
+        for name, digest in digests.items():
             with open(os.path.join(out, name), "rb") as handle:
                 assert hashlib.sha256(handle.read()).hexdigest() == digest, name
+
+    def test_demo_seed_11_digests(self, tmp_path, capsys):
+        out = str(tmp_path / "results")
+        self._check(["run", DEMO_CONFIG, "--output", out, "--seed", "11"], DEMO_SEED_11_DIGESTS)
+
+    def test_budget_digests(self, tmp_path, capsys):
+        path = tmp_path / "budget.cfg"
+        path.write_text(BUDGET_CONFIG)
+        self._check(["run", str(path), "--output", str(tmp_path / "results")], BUDGET_DIGESTS)
 
 
 class TestErrorBoundary:
@@ -166,6 +227,32 @@ class TestErrorBoundary:
             ["run", config_path, "--output", str(tmp_path / "out"), "--jobs", "0"], capsys
         )
         assert "--jobs" in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(CONFIG.encode() + b"# caf\xe9\n")
+        err = self._one_line_error(["run", str(path), "--output", str(tmp_path / "out")], capsys)
+        assert "utf-8" in err
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        err = self._one_line_error(["run", str(tmp_path), "--output", str(tmp_path / "out")], capsys)
+        assert "directory" in err
+
+    def test_output_below_a_regular_file(self, config_path, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        err = self._one_line_error(["run", config_path, "--output", str(blocker / "out")], capsys)
+        assert "blocker" in err
+
+    def test_non_integer_seed_flag(self, config_path, tmp_path, capsys):
+        err = self._one_line_error(
+            ["run", config_path, "--output", str(tmp_path / "out"), "--seed", "abc"], capsys
+        )
+        assert "--seed" in err
+
+    def test_missing_subcommand(self, capsys):
+        err = self._one_line_error([], capsys)
+        assert "required" in err
 
 
 class TestWorkerCount:

@@ -113,6 +113,14 @@ def test_budget_below_every_cost_is_a_configuration_error(name):
         simulate(make_policy(name), instance, BanditConfig(budget=0.5))
 
 
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_budget_fits_within_epsilon(name):
+    # 0.1 + 0.1 + 0.1 > 0.3 in floating point; the third pull still fits.
+    instance = InstanceSpec([CurveArmSpec(ARM, cost=0.1)])
+    trace = simulate(make_policy(name), instance, BanditConfig(budget=0.3))
+    assert trace.pull_counts == [3]
+
+
 def test_invalid_selection_is_a_configuration_error():
     class OutOfRange(Policy):
         name = "out_of_range"
