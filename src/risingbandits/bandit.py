@@ -13,6 +13,7 @@ observes each pull.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,10 @@ class ArmState:
     upper: float = 1.0
     lower: float = 0.0
     total_cost: float = 0.0
+    # Running sum of ``history``, added left to right as ``sum()`` does on
+    # Python 3.11, so means match ``sum(history)`` exactly there; from 3.12
+    # ``sum()`` compensates float rounding and may differ in the last bit.
+    reward_sum: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -127,21 +132,28 @@ def upper_bound(last: float, omega: float | None, pulls_left: float) -> float:
 
 
 def eliminate(candidates: list[int], states: list[ArmState], epsilon: float = DEFAULT_EPSILON) -> list[int]:
-    """One elimination sweep over the candidate set.
+    """One elimination sweep over the candidate set, in O(|candidates|).
 
     Arm j is dropped iff some other candidate's lower bound reaches j's upper
     bound (within epsilon).  All removals are decided against the set as it
     stood at sweep start; if mutual dominance would empty the set, the
     lowest-numbered candidate survives.
     """
+    # The largest lower bound among the candidates other than j is the top
+    # one, or the runner-up when j holds the top; a tie for the top makes
+    # the two equal.  One pass finds both, a second decides each arm.
+    top = runner_up = -math.inf
+    top_arm = None
+    for i in candidates:
+        lower = states[i - 1].lower
+        if lower > top:
+            top, runner_up, top_arm = lower, top, i
+        elif lower > runner_up:
+            runner_up = lower
     survivors = []
     for j in candidates:
-        dominated = any(
-            states[i - 1].lower >= states[j - 1].upper - epsilon
-            for i in candidates
-            if i != j
-        )
-        if not dominated:
+        best_other = runner_up if j == top_arm else top
+        if not best_other >= states[j - 1].upper - epsilon:
             survivors.append(j)
     if not survivors:
         survivors = [min(candidates)]
@@ -271,6 +283,7 @@ def run_policy(policy: Policy, arms: list[ArmProcess], config: BanditConfig) -> 
         st = states[arm_id - 1]
         st.pulls += 1
         st.history.append(reward)
+        st.reward_sum += reward
         st.lower = reward
         st.total_cost += cost
         steps.append(StepRecord(horizon.t, arm_id, reward, cost, len(policy.candidates)))

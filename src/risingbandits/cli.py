@@ -38,6 +38,8 @@ TRACE_COLUMNS = (
     "best_so_far",
 )
 
+ARTIFACTS = ("trace.csv", "report.json", "manifest.json")
+
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
@@ -106,18 +108,12 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
         traces = [_run_one(config, name, rep) for name, rep in tasks]
     runs = [(name, rep, trace) for (name, rep), trace in zip(tasks, traces)]
 
-    _write_trace(os.path.join(output_dir, "trace.csv"), runs)
-
     results: dict[str, PolicyResult] = {}
     for name, _, trace in runs:
         results.setdefault(name, PolicyResult()).j_values.append(trace.final_j)
     report = build_report(config.instance, config.bandit, results)
     for note in report.interpretation_notes:
         print(f"note: {note}")
-    with open(os.path.join(output_dir, "report.json"), "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
     manifest = {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -127,9 +123,23 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
         "replications": config.replications,
         "config_echo": config_text,
     }
-    with open(os.path.join(output_dir, "manifest.json"), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+
+    # Each artifact goes to a temporary file, and all three move into place
+    # only once all are written: a failed run cannot leave a new trace.csv
+    # next to an old report.json.
+    staged = {name: os.path.join(output_dir, f".{name}.{os.getpid()}.tmp") for name in ARTIFACTS}
+    try:
+        _write_trace(staged["trace.csv"], runs)
+        for name, obj in (("report.json", report.to_dict()), ("manifest.json", manifest)):
+            with open(staged[name], "w", encoding="utf-8") as handle:
+                json.dump(obj, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        for name, path in staged.items():
+            os.replace(path, os.path.join(output_dir, name))
+    finally:
+        for path in staged.values():
+            if os.path.exists(path):
+                os.remove(path)
 
     # Sanity gate: no policy may beat the analytic oracle beyond tolerance.
     if report.j_oracle is not None:

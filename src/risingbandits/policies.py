@@ -26,7 +26,7 @@ class AveragePolicy(Policy):
 
 
 def _mean(state: ArmState) -> float:
-    return sum(state.history) / state.pulls
+    return state.reward_sum / state.pulls
 
 
 def _argmax(scores: list[float]) -> int:
@@ -115,7 +115,7 @@ class ThompsonPolicy(Policy):
     def select(self, states: list[ArmState], t: int) -> int:
         draws = []
         for st in states:
-            successes = sum(st.history)
+            successes = st.reward_sum
             failures = st.pulls - successes
             draws.append(self._rng.beta(self.prior_alpha + successes, self.prior_beta + failures))
         return _argmax(draws)

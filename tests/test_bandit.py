@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risingbandits import (
@@ -135,6 +135,67 @@ class TestCostAwareUpperBound:
         assert self._upper(state, budget=3.0, spent=3.0 + 1e-13) == 0.7
 
 
+def _eliminate_pairwise(candidates, states, epsilon):
+    """The sweep by its definition: compare every candidate with every other, O(K^2)."""
+    survivors = [
+        j
+        for j in candidates
+        if not any(states[i - 1].lower >= states[j - 1].upper - epsilon for i in candidates if i != j)
+    ]
+    return survivors or [min(candidates)]
+
+
+# A few shared values make ties for the top lower bound and mutual dominance
+# likely; negative values stand in for bounds below every reward.
+BOUNDS = st.one_of(st.sampled_from([-1.0, -0.25, 0.0, 0.3, 0.5, 0.7, 1.0]), st.floats(-2.0, 1.0))
+
+
+@st.composite
+def sweeps(draw):
+    """(candidates, per-arm (lower, upper), epsilon) for one sweep."""
+    k = draw(st.integers(1, 40))
+    epsilon = draw(st.sampled_from([0.0, 1e-12]))
+    lowers = draw(st.lists(BOUNDS, min_size=k, max_size=k))
+    uppers = draw(st.lists(BOUNDS, min_size=k, max_size=k))
+    # Put some lower bounds exactly on another arm's upper - epsilon, the
+    # edge where domination starts.
+    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=6)):
+        lowers[i] = uppers[j] - epsilon
+    if draw(st.booleans()):
+        # A tie for the top lower bound.
+        top = max(range(k), key=lowers.__getitem__)
+        lowers[draw(st.integers(0, k - 1))] = lowers[top]
+    order = draw(st.permutations(range(1, k + 1)))
+    candidates = list(order[: draw(st.integers(1, k))])
+    return candidates, list(zip(lowers, uppers)), epsilon
+
+
+class _CountingState(ArmState):
+    """An arm state that counts reads of its lower and upper bounds."""
+
+    def __init__(self, **kwargs):
+        self.reads = {"lower": 0, "upper": 0}
+        super().__init__(**kwargs)
+
+    @property
+    def lower(self):
+        self.reads["lower"] += 1
+        return self._lower
+
+    @lower.setter
+    def lower(self, value):
+        self._lower = value
+
+    @property
+    def upper(self):
+        self.reads["upper"] += 1
+        return self._upper
+
+    @upper.setter
+    def upper(self, value):
+        self._upper = value
+
+
 class TestEliminate:
     def _state(self, arm_id, lower, upper):
         return ArmState(arm_id=arm_id, lower=lower, upper=upper)
@@ -164,6 +225,29 @@ class TestEliminate:
     def test_inactive_candidates_not_consulted(self):
         states = [self._state(1, 0.9, 1.0), self._state(2, 0.1, 0.2)]
         assert eliminate([2], states) == [2]
+
+    @settings(max_examples=400, deadline=None)
+    @given(sweeps())
+    # Mutual dominance empties the set: the lowest id survives.
+    @example(([3, 1, 2], [(0.5, 0.5)] * 3, 0.0))
+    # Two arms tie for the top lower bound; negative upper bounds.
+    @example(([2, 1, 3], [(0.7, 0.9), (0.7, 0.8), (-0.5, -0.25)], 1e-12))
+    def test_matches_pairwise_definition(self, sweep):
+        candidates, bounds, epsilon = sweep
+        states = [self._state(i, lower, upper) for i, (lower, upper) in enumerate(bounds, start=1)]
+        assert eliminate(candidates, states, epsilon) == _eliminate_pairwise(candidates, states, epsilon)
+
+    def test_reads_each_bound_a_constant_number_of_times(self):
+        k = 512
+        rng = np.random.default_rng(3)
+        lowers = rng.uniform(0.0, 0.8, size=k)
+        states = [_CountingState(arm_id=i, lower=lo, upper=lo + 0.15) for i, lo in enumerate(lowers, start=1)]
+        candidates = list(range(1, k + 1))
+        survivors = eliminate(candidates, states)
+        assert 1 < len(survivors) < k
+        assert max(st.reads["lower"] for st in states) <= 2
+        assert max(st.reads["upper"] for st in states) <= 2
+        assert survivors == _eliminate_pairwise(candidates, states, 1e-12)
 
 
 class TestRisingBanditRunTrials:

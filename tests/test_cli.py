@@ -5,6 +5,7 @@ import os
 import pytest
 
 from risingbandits import ConfigurationError
+from risingbandits import cli
 from risingbandits.cli import main, worker_count
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.cfg")
@@ -153,6 +154,31 @@ class TestRunCommand:
         assert opened.count(config_path) == 1
         manifest = json.load(real_open(os.path.join(out, "manifest.json")))
         assert manifest["config_echo"] == CONFIG
+
+    def test_leaves_only_the_artifacts(self, config_path, tmp_path, capsys):
+        out = str(tmp_path / "results")
+        assert main(["run", config_path, "--output", out]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "report.json", "trace.csv"]
+
+    def test_failed_report_keeps_the_previous_artifacts(self, config_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "results"
+        assert main(["run", config_path, "--output", str(out), "--seed", "1"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        real_dump = json.dump
+
+        def failing_dump(obj, handle, **kwargs):
+            if "interpretation_notes" in obj:
+                raise OSError("no space left on device")
+            return real_dump(obj, handle, **kwargs)
+
+        # A longer horizon and another seed, so every new artifact would differ.
+        with open(config_path, "w") as handle:
+            handle.write(CONFIG.replace("horizon_trials = 10", "horizon_trials = 12"))
+        monkeypatch.setattr(cli.json, "dump", failing_dump)
+        assert main(["run", config_path, "--output", str(out), "--seed", "2"]) == 1
+        assert "no space left on device" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1

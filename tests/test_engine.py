@@ -1,5 +1,7 @@
 """Properties of the one simulation engine, over every policy and both horizons."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +106,36 @@ def test_engine_invariants(case):
             assert len(history) == rounds[-1] + 2
             left = config.budget - trace.total_cost
             assert all(instance.arms[a - 1].cost > left - 1e-9 for a in history[-1])
+
+
+def _sum_left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(experiments())
+def test_reward_sums_match_histories(case):
+    instance, config, seed = case
+    for name in POLICY_NAMES:
+        policy = make_policy(name)
+        runs = []
+        start = policy.start
+
+        def capture(states, config, horizon):
+            runs.append(states)
+            start(states, config, horizon)
+
+        policy.start = capture
+        simulate(policy, instance, config, seed=seed)
+        for state in runs[0]:
+            # Up to Python 3.11 sum() adds left to right, as the engine does;
+            # from 3.12 it compensates rounding, so compare with a plain loop.
+            expected = sum(state.history) if sys.version_info < (3, 12) else _sum_left_to_right(state.history)
+            assert state.reward_sum == expected
+            assert len(state.history) == state.pulls
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)

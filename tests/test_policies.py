@@ -23,7 +23,7 @@ CURVE = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
 def _states(*histories):
     out = []
     for i, history in enumerate(histories, start=1):
-        out.append(ArmState(arm_id=i, pulls=len(history), history=list(history)))
+        out.append(ArmState(arm_id=i, pulls=len(history), history=list(history), reward_sum=sum(history)))
     return out
 
 
