@@ -149,8 +149,7 @@ class HpoArm(ArmProcess):
     def _raw_reward(self, n: int) -> float:
         point = hpo.propose(self._state, self.objective, self.strategy, self._search_rng)
         loss = self.objective.loss(point)
-        self._state.points.append(point)
-        self._state.losses.append(loss)
+        self._state.add(point, loss)
         if self._first_loss is None:
             self._first_loss = loss
         self._best_loss = min(self._best_loss, loss)

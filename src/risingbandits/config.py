@@ -55,12 +55,17 @@ class ExperimentConfig:
     def build_policies(self) -> list[Policy]:
         out = []
         for name in self.policy_names:
-            params = {
-                kwarg: self.policy_params[key]
-                for key, (policy, kwarg) in POLICY_PARAMS.items()
+            keys = [
+                key
+                for key, (policy, _) in POLICY_PARAMS.items()
                 if policy == name and key in self.policy_params
-            }
-            out.append(make_policy(name, **params))
+            ]
+            params = {POLICY_PARAMS[key][1]: self.policy_params[key] for key in keys}
+            try:
+                out.append(make_policy(name, **params))
+            except ValueError as exc:
+                given = "".join(f", {key} = {self.policy_params[key]}" for key in keys)
+                raise ConfigurationError(f"policy {name!r}{given}: {exc}") from exc
         return out
 
 
@@ -180,11 +185,15 @@ def parse_experiment(text: str) -> ExperimentConfig:
 
     raw_policies = global_block.pop("policies", "rising_bandit")
     policy_names = [name.strip() for name in raw_policies.split(",") if name.strip()]
-    for name in policy_names:
+    if not policy_names:
+        raise ConfigurationError("field 'policies': names no policy")
+    for i, name in enumerate(policy_names):
         if name not in POLICY_NAMES:
             raise ConfigurationError(
                 f"field 'policies': unknown policy {name!r}, expected one of {POLICY_NAMES}"
             )
+        if name in policy_names[:i]:
+            raise ConfigurationError(f"field 'policies': policy {name!r} is listed twice")
 
     replications = int(_parse_scalar("replications", global_block.pop("replications", "1"), int))
     if replications < 1:
@@ -199,7 +208,7 @@ def parse_experiment(text: str) -> ExperimentConfig:
         raise ConfigurationError(f"unknown global fields {sorted(global_block)}")
 
     instance = InstanceSpec([_build_arm(block, i) for i, block in enumerate(arm_blocks, start=1)])
-    return ExperimentConfig(
+    config = ExperimentConfig(
         instance=instance,
         bandit=bandit,
         policy_names=policy_names,
@@ -207,6 +216,8 @@ def parse_experiment(text: str) -> ExperimentConfig:
         base_seed=base_seed,
         policy_params=policy_params,
     )
+    config.build_policies()  # reject bad policy parameters before any run starts
+    return config
 
 
 def load_experiment(path: str) -> ExperimentConfig:

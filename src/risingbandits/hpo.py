@@ -8,7 +8,8 @@ best-so-far reward shape without any ML dependencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +19,8 @@ SEARCH_STRATEGIES = ("random", "density_estimator")
 # Random exploration before the density model has anything to fit.
 _WARMUP_TRIALS = 8
 _N_CANDIDATES = 24
+# Trials the history buffers hold before they first double.
+_INITIAL_CAPACITY = 64
 
 
 @dataclass
@@ -61,12 +64,44 @@ def make_objective(name: str, dimension: int, rng: np.random.Generator) -> ToyOb
     return obj
 
 
-@dataclass
 class SearchState:
-    """Trial history of one tuning process."""
+    """Trial history of one tuning process.
 
-    points: list = field(default_factory=list)
-    losses: list = field(default_factory=list)
+    ``points`` holds the trials in arrival order and ``order`` their indices
+    sorted by loss, equal losses in arrival order (what a stable argsort of
+    the losses gives). Both are views of buffers that double when full, so
+    recording a trial never re-stacks the history.
+    """
+
+    def __init__(self) -> None:
+        self._points = np.empty((0, 0))
+        self._order = np.empty(0, dtype=np.intp)
+        self._sorted_losses: list[float] = []
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._points[: len(self._sorted_losses)]
+
+    @property
+    def order(self) -> np.ndarray:
+        return self._order[: len(self._sorted_losses)]
+
+    def add(self, point: np.ndarray, loss: float) -> None:
+        """Record one trial."""
+        n = len(self._sorted_losses)
+        if n == len(self._order):
+            points = np.empty((max(2 * n, _INITIAL_CAPACITY), len(point)))
+            order = np.empty(len(points), dtype=np.intp)
+            if n:
+                points[:n] = self._points
+                order[:n] = self._order
+            self._points, self._order = points, order
+        self._points[n] = point
+        # bisect_right puts the new trial after every equal loss.
+        i = bisect.bisect_right(self._sorted_losses, loss)
+        self._sorted_losses.insert(i, loss)
+        self._order[i + 1 : n + 1] = self._order[i:n]
+        self._order[i] = n
 
 
 def propose(
@@ -86,8 +121,8 @@ def propose(
     # Split trials at the median loss, model the good half with an
     # axis-aligned Gaussian kernel density, and keep the candidate with the
     # best good/bad density ratio.
-    order = np.argsort(state.losses, kind="stable")
-    pts = np.asarray(state.points)
+    order = state.order
+    pts = state.points
     n_good = max(2, len(order) // 2)
     good = pts[order[:n_good]]
     bad = pts[order[n_good:]]
@@ -112,8 +147,25 @@ def _bandwidths(points: np.ndarray, halfwidth: float) -> np.ndarray:
 
 
 def _log_density(query: np.ndarray, data: np.ndarray, bw: np.ndarray) -> np.ndarray:
-    # Product of per-axis Gaussian KDEs, evaluated in log space.
-    diff = (query[:, None, :] - data[None, :, :]) / bw
-    log_kernels = -0.5 * np.sum(diff**2, axis=2) - np.sum(np.log(bw))
+    # Product of per-axis Gaussian KDEs, evaluated in log space in one
+    # (queries, data) array that is updated in place. The squared scaled
+    # distances are summed one axis at a time, left to right (d0 + d1, then
+    # + d2, ...): that is the order numpy's sum over a short last axis takes,
+    # so the result is bit for bit that of summing a (queries, data, dim)
+    # broadcast. Another order, such as d0 + (d1 + d2), rounds differently
+    # and moves the sampler's choices.
+    sq = None
+    for k in range(data.shape[1]):
+        d = (query[:, k, None] - data[None, :, k]) / bw[k]
+        d *= d
+        if sq is None:
+            sq = d
+        else:
+            sq += d
+    log_kernels = sq
+    log_kernels *= -0.5
+    log_kernels -= np.sum(np.log(bw))
     m = np.max(log_kernels, axis=1)
-    return m + np.log(np.sum(np.exp(log_kernels - m[:, None]), axis=1) / len(data))
+    log_kernels -= m[:, None]
+    np.exp(log_kernels, out=log_kernels)
+    return m + np.log(np.sum(log_kernels, axis=1) / len(data))

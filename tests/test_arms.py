@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,29 @@ class TestHpoArm:
             reward, cost = arm.pull()
             assert reward == pytest.approx(want_r, abs=1e-12)
             assert cost == pytest.approx(want_c, abs=1e-12)
+
+    # SHA-256 over 150 density_estimator pulls at SeedSequence(2024), one
+    # "reward cost" line of float.hex per pull, recorded before the sampler
+    # kept its history incrementally; any change is a change of the sampler.
+    DENSITY_DIGESTS = {
+        (2, "sphere"): "053fefe28f35cbde760b2e42b5736c5a2b51dcbf70d6429369a8a4b76c16316f",
+        (2, "rosenbrock"): "c0fc7d7397ad37b4e2e421cfad01c89840fb8dc8fc9cf3f008f472a777b68724",
+        (2, "quadratic"): "b28567b2a013cd4b9d16f0b6bfe88045c14c86de1be2ef37f765b5ce7f3fecd4",
+        (5, "sphere"): "7dafde3f8a8e094eff93ac3689580cc14d1096d1f249299940a91b19669642ff",
+        (5, "rosenbrock"): "9591053dcf35f19faa3d24fac9a076d292fe0f2dfaee0cc78a5b9b2fa2dead03",
+        (5, "quadratic"): "28c48fadc45a182d0984db81d8af74e78d0c0330b65feccf049c627396d8913e",
+    }
+
+    @pytest.mark.parametrize("dimension, objective", sorted(DENSITY_DIGESTS))
+    def test_density_golden_digests(self, dimension, objective):
+        arm = HpoArmSpec(
+            objective=objective, dimension=dimension, strategy="density_estimator", mean_cost=1.5
+        ).build(_rng(2024))
+        digest = hashlib.sha256()
+        for _ in range(150):
+            reward, cost = arm.pull()
+            digest.update(f"{float(reward).hex()} {float(cost).hex()}\n".encode())
+        assert digest.hexdigest() == self.DENSITY_DIGESTS[dimension, objective]
 
     def test_reward_monotone_and_in_unit_interval(self):
         for objective in ("sphere", "rosenbrock", "quadratic"):

@@ -54,6 +54,42 @@ BUDGET_DIGESTS = {
     "report.json": "3ddf831b38dc7ffc3c4349d512d5b8b92558de15126205a8c273eecaf21c8fa3",
 }
 
+# The same for three density_estimator tuning arms under a budget, so the
+# sampler's outputs are pinned at dimensions 2, 3 and 5 under every policy;
+# recorded before the sampler kept its history incrementally.
+HPO_CONFIG = """
+horizon_budget = 300
+policies = rising_bandit, average, ucb, softmax, thompson
+replications = 1
+base_seed = 17
+
+[arm]
+kind = hpo
+objective = sphere
+dimension = 2
+strategy = density_estimator
+mean_cost = 1
+
+[arm]
+kind = hpo
+objective = rosenbrock
+dimension = 3
+strategy = density_estimator
+mean_cost = 1.5
+
+[arm]
+kind = hpo
+objective = quadratic
+dimension = 5
+strategy = density_estimator
+mean_cost = 2
+"""
+
+HPO_DIGESTS = {
+    "trace.csv": "543ab7454d92c09c261084387e73c60f8db67a29fef42294b2e8c7453edb4233",
+    "report.json": "9b364f439c48a15948ef5c9044944704545c63945c0081031f776431fc989a6b",
+}
+
 CONFIG = """
 horizon_trials = 10
 policies = rising_bandit, average
@@ -206,6 +242,11 @@ class TestGoldenArtifacts:
         path.write_text(BUDGET_CONFIG)
         self._check(["run", str(path), "--output", str(tmp_path / "results")], BUDGET_DIGESTS)
 
+    def test_hpo_density_digests(self, tmp_path, capsys):
+        path = tmp_path / "hpo.cfg"
+        path.write_text(HPO_CONFIG)
+        self._check(["run", str(path), "--output", str(tmp_path / "results")], HPO_DIGESTS)
+
 
 class TestErrorBoundary:
     """Bad input ends in exit code 1 and one line on stderr, never a traceback."""
@@ -253,6 +294,35 @@ class TestErrorBoundary:
             ["run", config_path, "--output", str(tmp_path / "out"), "--jobs", "0"], capsys
         )
         assert "--jobs" in err
+
+    @pytest.mark.parametrize(
+        "setting, jobs",
+        [
+            ("policies = ucb\nucb_coefficient = -1", "1"),
+            ("policies = softmax\nsoftmax_temperature = 0", "1"),
+            ("policies = thompson\nthompson_alpha = 0", "1"),
+            ("policies = average, thompson\nthompson_beta = -2", "2"),
+        ],
+    )
+    def test_invalid_policy_parameter(self, setting, jobs, tmp_path, capsys):
+        path = tmp_path / "policy.cfg"
+        path.write_text(CONFIG.replace("policies = rising_bandit, average", setting))
+        out = tmp_path / "out"
+        err = self._one_line_error(["run", str(path), "--output", str(out), "--jobs", jobs], capsys)
+        assert "must be positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "policies, message",
+        [("policies = ,", "names no policy"), ("policies = ucb, ucb", "listed twice")],
+    )
+    def test_empty_or_repeated_policy_list(self, policies, message, tmp_path, capsys):
+        path = tmp_path / "policies.cfg"
+        path.write_text(CONFIG.replace("policies = rising_bandit, average", policies))
+        out = tmp_path / "out"
+        err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
+        assert "'policies'" in err and message in err
+        assert not out.exists()
 
     def test_config_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"

@@ -1,7 +1,7 @@
 import pytest
 
 from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, NoisyCurveArmSpec
-from risingbandits.config import parse_experiment
+from risingbandits.config import POLICY_PARAMS, parse_experiment
 
 GOOD = """
 horizon_trials = 12
@@ -113,6 +113,31 @@ class TestParseErrors:
     def test_unknown_policy(self):
         self._bad(
             "horizon_trials = 5\npolicies = greedy\n[arm]\nkind = hpo\n", "unknown policy"
+        )
+
+    def test_empty_policy_list(self):
+        self._bad("horizon_trials = 5\npolicies = ,\n[arm]\nkind = hpo\n", "'policies': names no policy")
+
+    def test_repeated_policy(self):
+        self._bad(
+            "horizon_trials = 5\npolicies = ucb, average, ucb\n[arm]\nkind = hpo\n",
+            "'policies': policy 'ucb' is listed twice",
+        )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ucb_coefficient", "-1"),
+            ("softmax_temperature", "0"),
+            ("thompson_alpha", "0"),
+            ("thompson_beta", "-2"),
+        ],
+    )
+    def test_invalid_policy_parameter_names_the_field(self, key, value):
+        policy = POLICY_PARAMS[key][0]
+        self._bad(
+            f"horizon_trials = 5\npolicies = average, {policy}\n{key} = {value}\n[arm]\nkind = hpo\n",
+            f"policy '{policy}'.*{key} = ",
         )
 
     def test_unparseable_value(self):
