@@ -60,8 +60,6 @@ class CurveArm(ArmProcess):
 
     def __init__(self, curve: RewardCurve, cost: float = 1.0) -> None:
         super().__init__()
-        if cost <= 0.0:
-            raise ConfigurationError(f"per-pull cost must be positive, got {cost}")
         self.curve = curve
         self.cost = float(cost)
 
@@ -87,10 +85,6 @@ class NoisyCurveArm(ArmProcess):
         cost: float = 1.0,
     ) -> None:
         super().__init__()
-        if noise_amplitude < 0.0:
-            raise ConfigurationError(f"noise amplitude must be >= 0, got {noise_amplitude}")
-        if cost <= 0.0:
-            raise ConfigurationError(f"per-pull cost must be positive, got {cost}")
         self.curve = curve
         self.noise_amplitude = float(noise_amplitude)
         self.cost = float(cost)
@@ -121,20 +115,11 @@ class HpoArm(ArmProcess):
         mean_cost: float = 1.0,
     ) -> None:
         super().__init__()
-        if strategy not in hpo.SEARCH_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown search strategy {strategy!r}, expected one of {hpo.SEARCH_STRATEGIES}"
-            )
-        if mean_cost <= 0.0:
-            raise ConfigurationError(f"mean cost must be positive, got {mean_cost}")
         self.strategy = strategy
         self.mean_cost = float(mean_cost)
         self._search_rng = rng
         self._cost_rng = np.random.Generator(np.random.PCG64(rng.integers(0, 2**63)))
-        try:
-            self.objective = hpo.make_objective(objective, dimension, rng)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
+        self.objective = hpo.make_objective(objective, dimension, rng)
         self._state = hpo.SearchState()
         self._first_loss: float | None = None
         self._best_loss = float("inf")
@@ -158,12 +143,24 @@ class HpoArm(ArmProcess):
         return 1.0 - self._best_loss / self._first_loss
 
 
+def _check_cost(what: str, cost: float) -> None:
+    if cost <= 0.0:
+        raise ConfigurationError(f"{what} must be positive, got {cost}")
+
+
+# Each spec's ``check`` holds the only test of its fields. It builds nothing
+# and draws no randomness, so a configuration can be checked before any run;
+# ``build`` calls it too, for specs made in code.
 @dataclass(frozen=True)
 class CurveArmSpec:
     curve: RewardCurve
     cost: float = 1.0
 
+    def check(self) -> None:
+        _check_cost("per-pull cost", self.cost)
+
     def build(self, rng: np.random.Generator) -> ArmProcess:
+        self.check()
         return CurveArm(self.curve, cost=self.cost)
 
 
@@ -173,7 +170,13 @@ class NoisyCurveArmSpec:
     noise_amplitude: float
     cost: float = 1.0
 
+    def check(self) -> None:
+        if self.noise_amplitude < 0.0:
+            raise ConfigurationError(f"noise amplitude must be >= 0, got {self.noise_amplitude}")
+        _check_cost("per-pull cost", self.cost)
+
     def build(self, rng: np.random.Generator) -> ArmProcess:
+        self.check()
         return NoisyCurveArm(self.curve, self.noise_amplitude, rng, cost=self.cost)
 
 
@@ -184,7 +187,19 @@ class HpoArmSpec:
     strategy: str = "random"
     mean_cost: float = 1.0
 
+    def check(self) -> None:
+        if self.strategy not in hpo.SEARCH_STRATEGIES:
+            raise ConfigurationError(
+                f"unknown search strategy {self.strategy!r}, expected one of {hpo.SEARCH_STRATEGIES}"
+            )
+        _check_cost("mean cost", self.mean_cost)
+        try:
+            hpo.check_objective(self.objective, self.dimension)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+
     def build(self, rng: np.random.Generator) -> ArmProcess:
+        self.check()
         return HpoArm(
             self.objective,
             self.dimension,
@@ -209,6 +224,14 @@ class InstanceSpec:
     @property
     def k(self) -> int:
         return len(self.arms)
+
+    def check(self) -> None:
+        """Check every arm's fields, naming the first bad arm (1-based)."""
+        for idx, arm_spec in enumerate(self.arms, start=1):
+            try:
+                arm_spec.check()
+            except ValueError as exc:
+                raise ConfigurationError(f"arm {idx}: {exc}") from exc
 
     def curves(self) -> list[RewardCurve] | None:
         """Ground-truth curves, or None if any arm has no exact curve."""

@@ -34,6 +34,10 @@ from .bandit import BanditConfig
 from .curves import ExponentialCurve, PowerCurve, StaircaseCurve, TabulatedCurve
 from .policies import POLICY_NAMES, Policy, make_policy
 
+# run_experiment lists every (policy, replication) run and keeps every trace
+# in memory until the artifacts are written, so the count is bounded.
+MAX_REPLICATIONS = 10_000
+
 # Optional global key -> (policy, keyword argument of that policy).
 POLICY_PARAMS = {
     "ucb_coefficient": ("ucb", "exploration_coefficient"),
@@ -156,7 +160,7 @@ def _build_arm(block: dict[str, str], index: int) -> ArmSpec:
         noise = float(take("noise_amplitude", float, 0.0))
         if block:
             raise ConfigurationError(f"arm {index}: unknown fields {sorted(block)}")
-        if noise > 0.0:
+        if noise != 0.0:  # a negative amplitude reaches the noisy spec's check
             return NoisyCurveArmSpec(curve, noise_amplitude=noise, cost=cost)
         return CurveArmSpec(curve, cost=cost)
     except ConfigurationError:
@@ -196,8 +200,10 @@ def parse_experiment(text: str) -> ExperimentConfig:
             raise ConfigurationError(f"field 'policies': policy {name!r} is listed twice")
 
     replications = int(_parse_scalar("replications", global_block.pop("replications", "1"), int))
-    if replications < 1:
-        raise ConfigurationError(f"field 'replications': must be >= 1, got {replications}")
+    if not 1 <= replications <= MAX_REPLICATIONS:
+        raise ConfigurationError(
+            f"field 'replications': must lie in [1, {MAX_REPLICATIONS}], got {replications}"
+        )
     base_seed = int(_parse_scalar("base_seed", global_block.pop("base_seed", "0"), int))
 
     policy_params = {}
@@ -208,6 +214,7 @@ def parse_experiment(text: str) -> ExperimentConfig:
         raise ConfigurationError(f"unknown global fields {sorted(global_block)}")
 
     instance = InstanceSpec([_build_arm(block, i) for i, block in enumerate(arm_blocks, start=1)])
+    instance.check()  # reject bad arm parameters before any output exists
     config = ExperimentConfig(
         instance=instance,
         bandit=bandit,

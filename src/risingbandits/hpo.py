@@ -46,11 +46,16 @@ class ToyObjective:
         raise ValueError(f"unknown objective {self.name!r}")
 
 
-def make_objective(name: str, dimension: int, rng: np.random.Generator) -> ToyObjective:
+def check_objective(name: str, dimension: int) -> None:
+    """Reject an unknown objective name or a dimension outside [2, 5]."""
     if name not in OBJECTIVE_NAMES:
         raise ValueError(f"unknown objective {name!r}, expected one of {OBJECTIVE_NAMES}")
     if not (2 <= dimension <= 5):
         raise ValueError(f"objective dimension must be in [2, 5], got {dimension}")
+
+
+def make_objective(name: str, dimension: int, rng: np.random.Generator) -> ToyObjective:
+    check_objective(name, dimension)
     if name == "sphere":
         obj = ToyObjective(name, dimension, halfwidth=5.0)
         obj._optimum = rng.uniform(-2.0, 2.0, size=dimension)

@@ -72,7 +72,7 @@ def _random_concave_curve(rng: np.random.Generator, initial: float, limit: float
 
 
 def random_small_instance(rng: np.random.Generator) -> tuple[list[RewardCurve], int]:
-    """Unconstrained concave instance small enough for exhaustive enumeration."""
+    """Unconstrained concave instance small enough for the exact oracle."""
     k = int(rng.integers(2, 4))
     horizon = int(rng.integers(4, 11))
     curves = []
@@ -132,7 +132,7 @@ def concave_battery(count: int = CONCAVE_BATTERY_COUNT, seed: int = CONCAVE_BATT
 
 
 def suite_lemma1(count: int = LEMMA1_COUNT, seed: int = LEMMA1_SEED) -> SuiteResult:
-    """Exhaustive enumeration agrees exactly with the single-best-arm value."""
+    """The exact maximum over all pull sequences equals the single-best-arm value."""
     rng = np.random.default_rng(seed)
     result = SuiteResult(name="lemma1", total=count)
     for i in range(count):

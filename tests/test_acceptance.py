@@ -28,8 +28,8 @@ TOLERANCE = 1e-12
 
 
 def test_criterion_1_offline_oracle_equivalence():
-    """Exhaustive enumeration equals the single-best-arm value on 200 small
-    concave instances, exactly."""
+    """The exact maximum over all pull sequences equals the single-best-arm
+    value on 200 small concave instances, exactly."""
     start = time.monotonic()
     result = verify.suite_lemma1()
     elapsed = time.monotonic() - start

@@ -324,6 +324,33 @@ class TestErrorBoundary:
         assert "'policies'" in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "arm, message",
+        [
+            ("kind = hpo\ndimension = 7", "dimension must be in [2, 5]"),
+            ("kind = hpo\nobjective = cubic", "unknown objective"),
+            ("kind = hpo\nstrategy = grid", "unknown search strategy"),
+            ("kind = hpo\nmean_cost = 0", "mean cost must be positive"),
+            ("kind = exponential\nlimit = 0.9\ninitial = 0.5\ndecay = 0.5\ncost = -1", "per-pull cost"),
+            ("kind = power\nlimit = 0.9\nscale = 0.5\nexponent = 1\nnoise_amplitude = -0.1", "noise amplitude"),
+        ],
+    )
+    def test_invalid_arm_parameter(self, arm, message, tmp_path, capsys):
+        path = tmp_path / "arm.cfg"
+        path.write_text(CONFIG + "\n[arm]\n" + arm + "\n")
+        out = tmp_path / "out"
+        err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
+        assert "arm 3: " in err and message in err
+        assert not out.exists()
+
+    def test_replications_above_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "replications.cfg"
+        path.write_text(CONFIG.replace("replications = 2", "replications = 100000000000000000000"))
+        out = tmp_path / "out"
+        err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
+        assert "'replications'" in err
+        assert not out.exists()
+
     def test_config_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(CONFIG.encode() + b"# caf\xe9\n")

@@ -1,7 +1,7 @@
 import pytest
 
-from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, NoisyCurveArmSpec
-from risingbandits.config import POLICY_PARAMS, parse_experiment
+from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, NoisyCurveArmSpec, arms
+from risingbandits.config import MAX_REPLICATIONS, POLICY_PARAMS, parse_experiment
 
 GOOD = """
 horizon_trials = 12
@@ -150,6 +150,34 @@ class TestParseErrors:
             "horizon_trials = 5\n[arm]\nkind = exponential\nlimit = 0.9\ninitial = 0.95\ndecay = 0.5\n",
             "arm 1",
         )
+
+    def test_replications_bounded(self):
+        text = GOOD.replace("replications = 2", f"replications = {MAX_REPLICATIONS}")
+        assert parse_experiment(text).replications == MAX_REPLICATIONS
+        for value in (MAX_REPLICATIONS + 1, 10**20, 0):
+            self._bad(GOOD.replace("replications = 2", f"replications = {value}"), "'replications'")
+
+    @pytest.mark.parametrize(
+        "old, new, arm, message",
+        [
+            ("cost = 2.0", "cost = -1", 2, "per-pull cost must be positive"),
+            ("noise_amplitude = 0.05", "noise_amplitude = -0.05", 2, "noise amplitude"),
+            ("dimension = 3", "dimension = 7", 3, "dimension must be in"),
+            ("objective = sphere", "objective = cubic", 3, "unknown objective"),
+            ("strategy = density_estimator", "strategy = grid", 3, "unknown search strategy"),
+            ("strategy = density_estimator", "mean_cost = 0", 3, "mean cost"),
+        ],
+    )
+    def test_bad_arm_parameters_name_the_arm(self, old, new, arm, message):
+        self._bad(GOOD.replace(old, new), f"arm {arm}: .*{message}")
+
+    def test_arm_checks_build_no_arm(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_experiment built an arm process")
+
+        for cls in (arms.CurveArm, arms.NoisyCurveArm, arms.HpoArm):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        assert parse_experiment(GOOD).instance.k == 3
 
     def test_missing_equals(self):
         self._bad("horizon_trials 5\n[arm]\nkind = hpo\n", "line 1")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risingbandits import (
     AveragePolicy,
@@ -25,6 +27,7 @@ from risingbandits import (
     theorem2_condition_check,
 )
 from risingbandits.harness import PolicyResult, derive_seed, theorem1_is_vacuous
+from risingbandits.verify import LEMMA1_COUNT, LEMMA1_SEED, random_small_instance
 
 ARM1 = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
 ARM2 = ExponentialCurve(limit=0.95, initial=0.3, decay=0.8)
@@ -173,6 +176,68 @@ class TestTheorem2ConditionCheck:
             theorem2_condition_check([0.1, 0.2], [0.1, 0.2], window=1, horizon=5)
 
 
+def _enumerate_optimal(curves, horizon):
+    """Reference oracle: walk all K^T sequences, keep the first strict best."""
+    k = len(curves)
+    tables = [[curve.eval(n) for n in range(1, horizon + 1)] for curve in curves]
+    best_j = -1.0
+    witness = ()
+
+    def recurse(depth, counts, running_max, prefix):
+        nonlocal best_j, witness
+        if depth == horizon:
+            if running_max > best_j:
+                best_j = running_max
+                witness = tuple(prefix)
+            return
+        for arm in range(k):
+            counts[arm] += 1
+            reward = tables[arm][counts[arm] - 1]
+            prefix.append(arm + 1)
+            recurse(depth + 1, counts, max(running_max, reward), prefix)
+            prefix.pop()
+            counts[arm] -= 1
+
+    recurse(0, [0] * k, -1.0, [])
+    return best_j, witness
+
+
+class _ListCurve:
+    """Duck-typed curve that may go down; TabulatedCurve rejects dips."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def eval(self, n):
+        return self.values[n - 1]
+
+
+# A few exact values, so that rewards tie within and across arms and the
+# witness has to break ties the way the enumeration does.
+_LEVELS = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def _oracle_instances(draw):
+    horizon = draw(st.integers(1, 8))
+    curves = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["exponential", "power", "tabulated", "non-monotone"]))
+        limit = draw(st.floats(0.2, 0.98))
+        initial = draw(st.floats(0.05, 0.95)) * limit
+        if kind == "exponential":
+            curve = ExponentialCurve(limit=limit, initial=initial, decay=draw(st.floats(0.2, 0.9)))
+        elif kind == "power":
+            curve = PowerCurve(limit=limit, scale=limit - initial, exponent=draw(st.floats(0.5, 2.0)))
+        elif kind == "tabulated":
+            # Non-decreasing but not concave: plateaus and jumps at any pull.
+            curve = TabulatedCurve(sorted(draw(st.lists(_LEVELS, min_size=1, max_size=horizon))))
+        else:
+            curve = _ListCurve(draw(st.lists(_LEVELS, min_size=horizon, max_size=horizon)))
+        curves.append(curve)
+    return curves, horizon
+
+
 class TestBruteForceOptimal:
     def test_enumeration_example(self):
         value, witness = brute_force_optimal([ARM1, ARM2], 5)
@@ -190,8 +255,33 @@ class TestBruteForceOptimal:
         assert value == pytest.approx(offline_max_run(curves, 7)[1], abs=1e-12)
 
     def test_refuses_oversized_instance(self):
+        # 2 arms over 1000 pulls span C(1002, 2) = 501501 lattice states.
         with pytest.raises(ValueError, match="too large"):
-            brute_force_optimal([ARM1, ARM2], 30)
+            brute_force_optimal([ARM1, ARM2], 1000)
+
+    @settings(deadline=None)
+    @given(_oracle_instances())
+    def test_matches_enumeration(self, instance):
+        curves, horizon = instance
+        assert brute_force_optimal(curves, horizon) == _enumerate_optimal(curves, horizon)
+
+    def test_non_monotone_curves(self):
+        # The best reward is arm 2's second pull. The first sequence, in
+        # lexicographic order, that reaches it spends two pulls on arm 1
+        # before it, though arm 1 gains nothing from the second.
+        curves = [_ListCurve([0.5, 0.0, 0.5, 0.0]), _ListCurve([0.25, 0.75, 0.0, 0.0])]
+        assert brute_force_optimal(curves, 4) == _enumerate_optimal(curves, 4) == (0.75, (1, 1, 2, 2))
+
+    def test_matches_enumeration_on_lemma1_instances(self):
+        rng = np.random.default_rng(LEMMA1_SEED)
+        for _ in range(LEMMA1_COUNT):
+            curves, horizon = random_small_instance(rng)
+            assert brute_force_optimal(curves, horizon) == _enumerate_optimal(curves, horizon)
+
+    def test_deep_instance_needs_no_recursion(self):
+        value, witness = brute_force_optimal([ARM2], 2000)
+        assert value == ARM2.eval(2000)
+        assert witness == (1,) * 2000
 
 
 class TestRegret:
