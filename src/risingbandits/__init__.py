@@ -19,7 +19,6 @@ from .arms import (
     HpoArmSpec,
     InstanceSpec,
     NoisyCurveArm,
-    NoisyCurveArmSpec,
     make_instance,
 )
 from .bandit import (

@@ -41,7 +41,7 @@ class ArmProcess:
         cost = self.peek_cost()
         self.pulls_so_far += 1
         raw = self._raw_reward(self.pulls_so_far)
-        self._best = max(self._best, _clamp01(raw)) if self.pulls_so_far > 1 else _clamp01(raw)
+        self._best = max(self._best, _clamp01(raw))
         self._advance_cost()
         return self._best, cost
 
@@ -70,7 +70,7 @@ class CurveArm(ArmProcess):
         return self.curve.eval(n)
 
 
-class NoisyCurveArm(ArmProcess):
+class NoisyCurveArm(CurveArm):
     """Curve playback with downward uniform noise, kept monotone.
 
     Output is max(previous output, clamp(curve(n) - U(0, amplitude))), which
@@ -84,14 +84,9 @@ class NoisyCurveArm(ArmProcess):
         rng: np.random.Generator,
         cost: float = 1.0,
     ) -> None:
-        super().__init__()
-        self.curve = curve
+        super().__init__(curve, cost)
         self.noise_amplitude = float(noise_amplitude)
-        self.cost = float(cost)
         self._rng = rng
-
-    def peek_cost(self) -> float:
-        return self.cost
 
     def _raw_reward(self, n: int) -> float:
         return self.curve.eval(n) - self._rng.uniform(0.0, self.noise_amplitude)
@@ -153,22 +148,11 @@ def _check_cost(what: str, cost: float) -> None:
 # ``build`` calls it too, for specs made in code.
 @dataclass(frozen=True)
 class CurveArmSpec:
+    """Curve playback: exact at amplitude 0, noisy above it."""
+
     curve: RewardCurve
     cost: float = 1.0
-
-    def check(self) -> None:
-        _check_cost("per-pull cost", self.cost)
-
-    def build(self, rng: np.random.Generator) -> ArmProcess:
-        self.check()
-        return CurveArm(self.curve, cost=self.cost)
-
-
-@dataclass(frozen=True)
-class NoisyCurveArmSpec:
-    curve: RewardCurve
-    noise_amplitude: float
-    cost: float = 1.0
+    noise_amplitude: float = 0.0
 
     def check(self) -> None:
         if self.noise_amplitude < 0.0:
@@ -177,7 +161,9 @@ class NoisyCurveArmSpec:
 
     def build(self, rng: np.random.Generator) -> ArmProcess:
         self.check()
-        return NoisyCurveArm(self.curve, self.noise_amplitude, rng, cost=self.cost)
+        if self.noise_amplitude > 0.0:
+            return NoisyCurveArm(self.curve, self.noise_amplitude, rng, cost=self.cost)
+        return CurveArm(self.curve, cost=self.cost)
 
 
 @dataclass(frozen=True)
@@ -209,7 +195,7 @@ class HpoArmSpec:
         )
 
 
-ArmSpec = CurveArmSpec | NoisyCurveArmSpec | HpoArmSpec
+ArmSpec = CurveArmSpec | HpoArmSpec
 
 
 @dataclass(frozen=True)
@@ -237,7 +223,7 @@ class InstanceSpec:
         """Ground-truth curves, or None if any arm has no exact curve."""
         out = []
         for spec in self.arms:
-            if not isinstance(spec, CurveArmSpec):
+            if not isinstance(spec, CurveArmSpec) or spec.noise_amplitude != 0.0:
                 return None
             out.append(spec.curve)
         return out

@@ -22,6 +22,9 @@ from .arms import ArmProcess, ConfigurationError
 from .curves import RewardCurve
 
 DEFAULT_EPSILON = 1e-12
+# A budget admits a pull while spend + cost <= budget + epsilon, so a large
+# epsilon would let a run overspend, or never end.
+MAX_EPSILON = 1e-6
 DEFAULT_SMOOTH_WINDOW = 7
 
 GROWTH_MODES = ("last", "smooth")
@@ -69,8 +72,8 @@ class BanditConfig:
             raise ConfigurationError(f"growth mode must be one of {GROWTH_MODES}, got {self.growth!r}")
         if self.smooth_window < 1:
             raise ConfigurationError(f"smooth window must be >= 1, got {self.smooth_window}")
-        if self.epsilon < 0.0:
-            raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon <= MAX_EPSILON:
+            raise ConfigurationError(f"epsilon must lie in [0, {MAX_EPSILON}], got {self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .arms import (
     CurveArmSpec,
     HpoArmSpec,
     InstanceSpec,
-    NoisyCurveArmSpec,
 )
 from .bandit import BanditConfig
 from .curves import ExponentialCurve, PowerCurve, StaircaseCurve, TabulatedCurve
@@ -124,45 +123,37 @@ def _build_arm(block: dict[str, str], index: int) -> ArmSpec:
         if kind == "hpo":
             spec: ArmSpec = HpoArmSpec(
                 objective=block.pop("objective", "sphere"),
-                dimension=int(take("dimension", int, 2)),
+                dimension=take("dimension", int, 2),
                 strategy=block.pop("strategy", "random"),
-                mean_cost=float(take("mean_cost", float, 1.0)),
-            )
-            if block:
-                raise ConfigurationError(f"arm {index}: unknown fields {sorted(block)}")
-            return spec
-        if kind == "exponential":
-            curve = ExponentialCurve(
-                limit=float(take("limit", float)),
-                initial=float(take("initial", float)),
-                decay=float(take("decay", float)),
-            )
-        elif kind == "power":
-            curve = PowerCurve(
-                limit=float(take("limit", float)),
-                scale=float(take("scale", float)),
-                exponent=float(take("exponent", float)),
-            )
-        elif kind == "tabulated":
-            raw = block.pop("values", None)
-            if raw is None:
-                raise ConfigurationError(f"arm {index}: missing field 'values'")
-            curve = TabulatedCurve([float(v) for v in raw.split(",")])
-        elif kind == "staircase":
-            curve = StaircaseCurve(
-                base=TabulatedCurve([float(take("initial", float)), float(take("limit", float))]),
-                plateau_length=int(take("plateau_length", int)),
-                jump_fraction=float(take("jump_fraction", float)),
+                mean_cost=take("mean_cost", float, 1.0),
             )
         else:
-            raise ConfigurationError(f"arm {index}: unknown kind {kind!r}")
-        cost = float(take("cost", float, 1.0))
-        noise = float(take("noise_amplitude", float, 0.0))
+            if kind == "exponential":
+                curve = ExponentialCurve(
+                    limit=take("limit", float), initial=take("initial", float), decay=take("decay", float)
+                )
+            elif kind == "power":
+                curve = PowerCurve(
+                    limit=take("limit", float), scale=take("scale", float), exponent=take("exponent", float)
+                )
+            elif kind == "tabulated":
+                values = take("values", str).split(",")
+                curve = TabulatedCurve([_parse_scalar(f"arm {index}.values", v, float) for v in values])
+            elif kind == "staircase":
+                curve = StaircaseCurve(
+                    initial=take("initial", float),
+                    limit=take("limit", float),
+                    plateau_length=take("plateau_length", int),
+                    jump_fraction=take("jump_fraction", float),
+                )
+            else:
+                raise ConfigurationError(f"arm {index}: unknown kind {kind!r}")
+            spec = CurveArmSpec(
+                curve, cost=take("cost", float, 1.0), noise_amplitude=take("noise_amplitude", float, 0.0)
+            )
         if block:
             raise ConfigurationError(f"arm {index}: unknown fields {sorted(block)}")
-        if noise != 0.0:  # a negative amplitude reaches the noisy spec's check
-            return NoisyCurveArmSpec(curve, noise_amplitude=noise, cost=cost)
-        return CurveArmSpec(curve, cost=cost)
+        return spec
     except ConfigurationError:
         raise
     except ValueError as exc:

@@ -106,32 +106,29 @@ class TabulatedCurve(RewardCurve):
 class StaircaseCurve(RewardCurve):
     """Non-concave curve: flat for ``plateau_length`` pulls, then a jump.
 
-    Starting from the base curve's first value, each jump closes a fraction
-    ``jump_fraction`` of the remaining gap to the base curve's limit.  The
-    result is non-decreasing and bounded but has plateaus followed by jumps,
-    so its first differences are not monotone.
+    Starting from ``initial``, each jump closes a fraction ``jump_fraction``
+    of the remaining gap to ``limit``.  The result is non-decreasing and
+    bounded but has plateaus followed by jumps, so its first differences are
+    not monotone.
     """
 
-    base: RewardCurve
+    initial: float
+    limit: float
     plateau_length: int
     jump_fraction: float
 
     def __post_init__(self) -> None:
+        if not (0.0 <= self.initial <= self.limit <= 1.0):
+            raise ValueError(
+                f"staircase curve needs 0 <= initial <= limit <= 1, "
+                f"got initial={self.initial}, limit={self.limit}"
+            )
         if self.plateau_length < 1:
             raise ValueError(f"plateau_length must be >= 1, got {self.plateau_length}")
         if not (0.0 < self.jump_fraction <= 1.0):
             raise ValueError(f"jump_fraction must lie in (0, 1], got {self.jump_fraction}")
 
-    @property
-    def limit(self) -> float:  # type: ignore[override]
-        return self.base.limit
-
-    @property
-    def start(self) -> float:
-        return self.base.eval(1)
-
     def eval(self, n: int) -> float:
         self._check_pull_index(n)
         jumps = (n - 1) // self.plateau_length
-        gap = self.limit - self.start
-        return self.limit - gap * (1.0 - self.jump_fraction) ** jumps
+        return self.limit - (self.limit - self.initial) * (1.0 - self.jump_fraction) ** jumps

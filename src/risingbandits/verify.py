@@ -204,9 +204,7 @@ def theorem2_instance(rng: np.random.Generator) -> tuple[list[RewardCurve], int,
     start = rng.uniform(0.4, 0.6)
     limit = rng.uniform(start + 0.3, 0.97)
     q = rng.uniform(0.88, 0.95)
-    dominant = StaircaseCurve(
-        base=TabulatedCurve([start, limit]), plateau_length=SMOOTH_WINDOW, jump_fraction=q
-    )
+    dominant = StaircaseCurve(initial=start, limit=limit, plateau_length=SMOOTH_WINDOW, jump_fraction=q)
     gap = limit - start
     v1 = limit - gap * (1.0 - q)  # value after the first jump
     v2 = limit - gap * (1.0 - q) ** 2

@@ -5,11 +5,12 @@ import pytest
 
 from risingbandits import (
     ConfigurationError,
+    CurveArm,
     CurveArmSpec,
     ExponentialCurve,
     HpoArmSpec,
     InstanceSpec,
-    NoisyCurveArmSpec,
+    NoisyCurveArm,
     TabulatedCurve,
     make_instance,
 )
@@ -42,7 +43,7 @@ class TestCurveArm:
 
 class TestNoisyCurveArm:
     def test_monotone_and_below_curve(self):
-        arm = NoisyCurveArmSpec(CURVE, noise_amplitude=0.1).build(_rng(3))
+        arm = CurveArmSpec(CURVE, noise_amplitude=0.1).build(_rng(3))
         prev = -1.0
         for n in range(1, 50):
             reward, _ = arm.pull()
@@ -52,19 +53,24 @@ class TestNoisyCurveArm:
             prev = reward
 
     def test_zero_amplitude_reduces_to_exact_playback(self):
-        arm = NoisyCurveArmSpec(CURVE, noise_amplitude=0.0).build(_rng())
+        arm = CurveArmSpec(CURVE, noise_amplitude=0.0).build(_rng())
         for n in range(1, 6):
             reward, _ = arm.pull()
             assert reward == CURVE.eval(n)
 
     def test_deterministic_for_fixed_stream(self):
-        a = NoisyCurveArmSpec(CURVE, noise_amplitude=0.1).build(_rng(7))
-        b = NoisyCurveArmSpec(CURVE, noise_amplitude=0.1).build(_rng(7))
+        a = CurveArmSpec(CURVE, noise_amplitude=0.1).build(_rng(7))
+        b = CurveArmSpec(CURVE, noise_amplitude=0.1).build(_rng(7))
         assert [a.pull() for _ in range(10)] == [b.pull() for _ in range(10)]
+
+    def test_build_picks_the_process_by_amplitude(self):
+        assert type(CurveArmSpec(CURVE, noise_amplitude=0.1).build(_rng())) is NoisyCurveArm
+        assert type(CurveArmSpec(CURVE, noise_amplitude=0.0).build(_rng())) is CurveArm
+        assert type(CurveArmSpec(CURVE).build(_rng())) is CurveArm
 
     def test_rejects_negative_amplitude(self):
         with pytest.raises(ConfigurationError):
-            NoisyCurveArmSpec(CURVE, noise_amplitude=-0.1).build(_rng())
+            CurveArmSpec(CURVE, noise_amplitude=-0.1).build(_rng())
 
 
 class TestHpoArm:
@@ -166,8 +172,12 @@ class TestInstanceSpec:
     def test_curves_is_none_with_any_nondeterministic_arm(self):
         spec = InstanceSpec([CurveArmSpec(CURVE), HpoArmSpec()])
         assert spec.curves() is None
-        spec = InstanceSpec([NoisyCurveArmSpec(CURVE, noise_amplitude=0.1)])
+        spec = InstanceSpec([CurveArmSpec(CURVE, noise_amplitude=0.1)])
         assert spec.curves() is None
+
+    def test_zero_amplitude_counts_as_exact(self):
+        spec = InstanceSpec([CurveArmSpec(CURVE, noise_amplitude=0.0), CurveArmSpec(CURVE, cost=2.0)])
+        assert spec.curves() == [CURVE, CURVE]
 
 
 class TestMakeInstance:
@@ -177,7 +187,7 @@ class TestMakeInstance:
 
     def test_deterministic_per_seed(self):
         spec = InstanceSpec(
-            [NoisyCurveArmSpec(CURVE, noise_amplitude=0.1), HpoArmSpec(objective="sphere")]
+            [CurveArmSpec(CURVE, noise_amplitude=0.1), HpoArmSpec(objective="sphere")]
         )
         runs = []
         for _ in range(2):
@@ -186,7 +196,7 @@ class TestMakeInstance:
         assert runs[0] == runs[1]
 
     def test_arm_streams_independent_of_other_arms(self):
-        noisy = NoisyCurveArmSpec(CURVE, noise_amplitude=0.1)
+        noisy = CurveArmSpec(CURVE, noise_amplitude=0.1)
         alone = make_instance(InstanceSpec([CurveArmSpec(CURVE), noisy]), 5)[1]
         crowded = make_instance(InstanceSpec([HpoArmSpec(), noisy, HpoArmSpec()]), 5)
         # Same position, same seed: the neighbouring arms changed but not the stream.
@@ -199,7 +209,7 @@ class TestMakeInstance:
 
     def test_accepts_seed_sequence(self):
         seq = np.random.SeedSequence(7, spawn_key=(1, 2))
-        spec = InstanceSpec([NoisyCurveArmSpec(CURVE, noise_amplitude=0.1)])
+        spec = InstanceSpec([CurveArmSpec(CURVE, noise_amplitude=0.1)])
         a = make_instance(spec, seq)[0]
         b = make_instance(spec, seq)[0]
         assert a.pull() == b.pull()

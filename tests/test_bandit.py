@@ -18,7 +18,7 @@ from risingbandits import (
     rising_bandit_run,
     upper_bound,
 )
-from risingbandits.bandit import Horizon
+from risingbandits.bandit import MAX_EPSILON, Horizon
 
 ARM1 = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
 ARM2 = ExponentialCurve(limit=0.95, initial=0.3, decay=0.8)
@@ -48,6 +48,13 @@ class TestBanditConfig:
             BanditConfig(trials=5, smooth_window=0)
         with pytest.raises(ConfigurationError):
             BanditConfig(trials=5, epsilon=-1e-9)
+
+    def test_epsilon_capped(self):
+        # A budget admits a pull while spend + cost <= budget + epsilon.
+        assert BanditConfig(budget=10.0, epsilon=MAX_EPSILON).epsilon == MAX_EPSILON
+        for value in (2 * MAX_EPSILON, 5.0, 1e9, float("nan")):
+            with pytest.raises(ConfigurationError, match="epsilon"):
+                BanditConfig(budget=10.0, epsilon=value)
 
 
 class TestGrowthRate:

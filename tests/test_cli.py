@@ -90,6 +90,41 @@ HPO_DIGESTS = {
     "report.json": "9b364f439c48a15948ef5c9044944704545c63945c0081031f776431fc989a6b",
 }
 
+# The same for a staircase, a tabulated and a noisy power arm under the smooth
+# growth rate, recorded before the staircase stopped wrapping a base curve and
+# the noisy spec merged into CurveArmSpec.
+STAIRCASE_CONFIG = """
+horizon_trials = 40
+growth = smooth
+smooth_window = 3
+policies = rising_bandit, average, ucb, softmax, thompson
+replications = 2
+base_seed = 9
+
+[arm]
+kind = staircase
+initial = 0.3
+limit = 0.92
+plateau_length = 3
+jump_fraction = 0.4
+
+[arm]
+kind = tabulated
+values = 0.2, 0.45, 0.6, 0.7, 0.75, 0.78, 0.8
+
+[arm]
+kind = power
+limit = 0.85
+scale = 0.4
+exponent = 1.2
+noise_amplitude = 0.05
+"""
+
+STAIRCASE_DIGESTS = {
+    "trace.csv": "dc3dee2a1d7efb550257cee931532539868834d683b4b34d9b2e124b06aa734a",
+    "report.json": "b3aba378dceb925c2be8cd2415e4b3681e1bcc7bb39d977ebe5a9293aaf758b8",
+}
+
 CONFIG = """
 horizon_trials = 10
 policies = rising_bandit, average
@@ -247,6 +282,11 @@ class TestGoldenArtifacts:
         path.write_text(HPO_CONFIG)
         self._check(["run", str(path), "--output", str(tmp_path / "results")], HPO_DIGESTS)
 
+    def test_staircase_tabulated_digests(self, tmp_path, capsys):
+        path = tmp_path / "staircase.cfg"
+        path.write_text(STAIRCASE_CONFIG)
+        self._check(["run", str(path), "--output", str(tmp_path / "results")], STAIRCASE_DIGESTS)
+
 
 class TestErrorBoundary:
     """Bad input ends in exit code 1 and one line on stderr, never a traceback."""
@@ -349,6 +389,19 @@ class TestErrorBoundary:
         out = tmp_path / "out"
         err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
         assert "'replications'" in err
+        assert not out.exists()
+
+    def test_epsilon_above_the_cap(self, tmp_path, capsys):
+        # A budget admits a pull within epsilon: 5 let a budget of 10 spend 15
+        # (and 1e9, which BanditConfig's test covers, never ended the run).
+        path = tmp_path / "epsilon.cfg"
+        path.write_text(
+            "horizon_budget = 10\nepsilon = 5\npolicies = rising_bandit, average\n"
+            "[arm]\nkind = exponential\nlimit = 0.9\ninitial = 0.5\ndecay = 0.5\n"
+        )
+        out = tmp_path / "out"
+        err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
+        assert "epsilon" in err
         assert not out.exists()
 
     def test_config_not_utf8(self, tmp_path, capsys):

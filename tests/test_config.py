@@ -1,6 +1,7 @@
 import pytest
 
-from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, NoisyCurveArmSpec, arms
+from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, arms
+from risingbandits.bandit import MAX_EPSILON
 from risingbandits.config import MAX_REPLICATIONS, POLICY_PARAMS, parse_experiment
 
 GOOD = """
@@ -44,7 +45,8 @@ class TestParseExperiment:
         assert config.replications == 2
         assert config.base_seed == 9
         assert isinstance(config.instance.arms[0], CurveArmSpec)
-        assert isinstance(config.instance.arms[1], NoisyCurveArmSpec)
+        assert isinstance(config.instance.arms[1], CurveArmSpec)
+        assert config.instance.arms[1].noise_amplitude == 0.05
         assert config.instance.arms[1].cost == 2.0
         assert isinstance(config.instance.arms[2], HpoArmSpec)
         assert config.instance.arms[2].dimension == 3
@@ -150,6 +152,22 @@ class TestParseErrors:
             "horizon_trials = 5\n[arm]\nkind = exponential\nlimit = 0.9\ninitial = 0.95\ndecay = 0.5\n",
             "arm 1",
         )
+
+    @pytest.mark.parametrize("values", ["0.1, x, 0.5", "0.1, nan", "0.2,,0.3"])
+    def test_bad_tabulated_value_names_the_field(self, values):
+        self._bad(f"horizon_trials = 5\n[arm]\nkind = tabulated\nvalues = {values}\n", "'arm 1.values'")
+
+    def test_bad_staircase_bounds_name_the_arm(self):
+        self._bad(
+            "horizon_trials = 5\n[arm]\nkind = staircase\ninitial = 0.9\nlimit = 0.5\n"
+            "plateau_length = 3\njump_fraction = 0.5\n",
+            "arm 1: staircase curve needs 0 <= initial <= limit <= 1",
+        )
+
+    def test_epsilon_bounded(self):
+        assert parse_experiment(f"epsilon = {MAX_EPSILON}\n" + GOOD).bandit.epsilon == MAX_EPSILON
+        for value in ("5", "1e9", "-1e-9"):
+            self._bad(f"epsilon = {value}\n" + GOOD, "epsilon must lie in")
 
     def test_replications_bounded(self):
         text = GOOD.replace("replications = 2", f"replications = {MAX_REPLICATIONS}")

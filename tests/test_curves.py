@@ -100,28 +100,28 @@ class TestTabulatedCurve:
 
 class TestStaircaseCurve:
     def test_plateaus_then_jumps(self):
-        curve = StaircaseCurve(
-            base=TabulatedCurve([0.5, 0.9]), plateau_length=3, jump_fraction=0.5
-        )
+        curve = StaircaseCurve(initial=0.5, limit=0.9, plateau_length=3, jump_fraction=0.5)
         # Gap 0.4 halves after each plateau of three pulls.
         assert curve.eval(1) == curve.eval(2) == curve.eval(3) == pytest.approx(0.5)
         assert curve.eval(4) == curve.eval(6) == pytest.approx(0.7)
         assert curve.eval(7) == pytest.approx(0.8)
         assert curve.limit == 0.9
-        assert curve.start == 0.5
+        assert curve.initial == 0.5
 
     def test_violates_concavity(self):
-        curve = StaircaseCurve(
-            base=TabulatedCurve([0.5, 0.9]), plateau_length=3, jump_fraction=0.5
-        )
+        curve = StaircaseCurve(initial=0.5, limit=0.9, plateau_length=3, jump_fraction=0.5)
         increments = [curve.eval(n + 1) - curve.eval(n) for n in range(1, 10)]
         assert any(b > a + 1e-12 for a, b in zip(increments, increments[1:]))
 
+    @pytest.mark.parametrize("initial, limit", [(-0.1, 0.5), (0.6, 0.5), (0.5, 1.1)])
+    def test_rejects_start_or_limit_out_of_order(self, initial, limit):
+        with pytest.raises(ValueError, match="0 <= initial <= limit <= 1"):
+            StaircaseCurve(initial=initial, limit=limit, plateau_length=3, jump_fraction=0.5)
+
     def test_rejects_bad_parameters(self):
-        base = TabulatedCurve([0.5, 0.9])
         with pytest.raises(ValueError):
-            StaircaseCurve(base=base, plateau_length=0, jump_fraction=0.5)
+            StaircaseCurve(initial=0.5, limit=0.9, plateau_length=0, jump_fraction=0.5)
         with pytest.raises(ValueError):
-            StaircaseCurve(base=base, plateau_length=3, jump_fraction=0.0)
+            StaircaseCurve(initial=0.5, limit=0.9, plateau_length=3, jump_fraction=0.0)
         with pytest.raises(ValueError):
-            StaircaseCurve(base=base, plateau_length=3, jump_fraction=1.5)
+            StaircaseCurve(initial=0.5, limit=0.9, plateau_length=3, jump_fraction=1.5)

@@ -12,7 +12,6 @@ from risingbandits import (
     CurveArmSpec,
     ExponentialCurve,
     InstanceSpec,
-    NoisyCurveArmSpec,
     Policy,
     PowerCurve,
     make_instance,
@@ -35,7 +34,7 @@ def arm_specs(draw):
         curve = PowerCurve(limit=limit, scale=limit - initial, exponent=draw(st.floats(0.5, 2.0)))
     cost = draw(st.sampled_from([0.3, 1.0, 2.5, 10.0]))
     if draw(st.booleans()):
-        return NoisyCurveArmSpec(curve, noise_amplitude=draw(st.floats(0.01, 0.1)), cost=cost)
+        return CurveArmSpec(curve, noise_amplitude=draw(st.floats(0.01, 0.1)), cost=cost)
     return CurveArmSpec(curve, cost=cost)
 
 

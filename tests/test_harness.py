@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from risingbandits import (
     ExponentialCurve,
     GammaResult,
     InstanceSpec,
-    NoisyCurveArmSpec,
     PowerCurve,
     RisingBanditPolicy,
     SoftmaxPolicy,
@@ -48,14 +49,14 @@ class TestDeriveSeed:
 
 class TestSimulate:
     def test_deterministic_per_seed(self):
-        instance = InstanceSpec([NoisyCurveArmSpec(ARM1, noise_amplitude=0.1), CurveArmSpec(ARM2)])
+        instance = InstanceSpec([CurveArmSpec(ARM1, noise_amplitude=0.1), CurveArmSpec(ARM2)])
         config = BanditConfig(trials=20)
         a = simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1)
         b = simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1)
         assert a.steps == b.steps
 
     def test_replications_differ(self):
-        instance = InstanceSpec([NoisyCurveArmSpec(ARM1, noise_amplitude=0.2), CurveArmSpec(ARM2)])
+        instance = InstanceSpec([CurveArmSpec(ARM1, noise_amplitude=0.2), CurveArmSpec(ARM2)])
         config = BanditConfig(trials=20)
         a = simulate(SoftmaxPolicy(), instance, config, seed=5, replication=0)
         b = simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1)
@@ -329,6 +330,22 @@ class TestBuildReport:
         report = build_report(instance, BanditConfig(trials=5), self._results())
         assert report.j_oracle is None
         assert any("no analytic oracle" in note for note in report.interpretation_notes)
+
+    def test_uses_the_configured_epsilon(self):
+        # The run drops arm 2 after two pulls at epsilon 1e-7 (0.6 + 1e-7 >=
+        # 0.60000005); the report's separation times must use the same epsilon.
+        instance = InstanceSpec(
+            [CurveArmSpec(TabulatedCurve([0.6, 0.6, 0.9])), CurveArmSpec(TabulatedCurve([0.60000005]))]
+        )
+        config = BanditConfig(trials=6, epsilon=1e-7)
+        trace = simulate(RisingBanditPolicy(), instance, config)
+        assert trace.pull_counts == [4, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = build_report(instance, config, {"rising_bandit": PolicyResult([0.9 + 5e-8])})
+        assert report.to_dict()["gamma_per_arm"] == [0, 2]
+        assert report.gamma_per_arm == compute_gamma(instance.curves(), 6, 1e-7).per_arm
+        assert report.regrets["rising_bandit"] == 0.0
 
     def test_budget_mode_skips_oracle_with_note(self):
         instance = InstanceSpec([CurveArmSpec(ARM1)])
