@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +78,9 @@ class BanditConfig:
             raise ConfigurationError(f"epsilon must lie in [0, {MAX_EPSILON}], got {self.epsilon}")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One pull of a run; a named tuple, since one is built per pull."""
+
     t: int
     arm: int
     reward: float
@@ -272,16 +275,20 @@ def run_policy(policy: Policy, arms: list[ArmProcess], config: BanditConfig) -> 
     horizon = Horizon(config, arms)
     policy.start(states, config, horizon)
     steps: list[StepRecord] = []
-    while horizon.fits():
-        arm_id = policy.select(states, horizon.t + 1)
+    # Bound once per run: the loop body runs once per pull.
+    select, observe, fits, record = policy.select, policy.observe, horizon.fits, steps.append
+    t = 0
+    while fits():
+        arm_id = select(states, t + 1)
         if arm_id is None:
             break
         if not 1 <= arm_id <= k:
             raise ConfigurationError(f"policy {policy.name!r} selected invalid arm {arm_id}")
-        if not horizon.fits(arm_id):
+        if not fits(arm_id):
             break
         reward, cost = arms[arm_id - 1].pull()
-        horizon.t += 1
+        t += 1
+        horizon.t = t
         horizon.spent += cost
         st = states[arm_id - 1]
         st.pulls += 1
@@ -289,11 +296,12 @@ def run_policy(policy: Policy, arms: list[ArmProcess], config: BanditConfig) -> 
         st.reward_sum += reward
         st.lower = reward
         st.total_cost += cost
-        steps.append(StepRecord(horizon.t, arm_id, reward, cost, len(policy.candidates)))
-        policy.observe(st)
+        record(StepRecord(t, arm_id, reward, cost, len(policy.candidates)))
+        observe(st)
     if not steps:
         raise ConfigurationError("budget too small for a single pull")
-    best = max(steps, key=lambda s: s.reward)
+    # max returns the first maximal step, as the trace's best_step promises.
+    best = max(steps, key=attrgetter("reward"))
     return PolicyTrace(
         steps=steps,
         pull_counts=[st.pulls for st in states],

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 
 from . import __version__
 from .arms import ConfigurationError
@@ -50,26 +51,34 @@ def _run_one(config: ExperimentConfig, policy_name: str, replication: int) -> Po
     return simulate(policy, config.instance, config.bandit, config.base_seed, replication)
 
 
+def _trace_rows(runs: list[tuple[str, int, PolicyTrace]]) -> Iterator[tuple]:
+    """The rows of ``trace.csv`` after its header, one per pull, as a stream.
+
+    An arm's cost is formatted again only when it differs from that arm's
+    previous cost: a memo per arm stays small, where one keyed by value
+    would keep a text for every pull of an hpo arm, whose cost is drawn
+    afresh each pull.  The best-so-far is formatted only when it rises:
+    ``reward > best`` holds exactly when ``max(best, reward)`` would return
+    ``reward``.
+    """
+    cost_memo: dict[int, tuple[float, str]] = {}
+    for policy_name, replication, trace in runs:
+        best, best_text = 0.0, _fmt(0.0)
+        for t, arm, reward, cost, candidate_set_size in trace.steps:
+            reward_text = _fmt(reward)
+            if reward > best:
+                best, best_text = reward, reward_text
+            memo = cost_memo.get(arm)
+            if memo is None or memo[0] != cost:
+                memo = cost_memo[arm] = (cost, _fmt(cost))
+            yield t, policy_name, replication, arm, reward_text, memo[1], candidate_set_size, best_text
+
+
 def _write_trace(path: str, runs: list[tuple[str, int, PolicyTrace]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRACE_COLUMNS)
-        for policy_name, replication, trace in runs:
-            best = 0.0
-            for step in trace.steps:
-                best = max(best, step.reward)
-                writer.writerow(
-                    (
-                        step.t,
-                        policy_name,
-                        replication,
-                        step.arm,
-                        _fmt(step.reward),
-                        _fmt(step.cost),
-                        step.candidate_set_size,
-                        _fmt(best),
-                    )
-                )
+        writer.writerows(_trace_rows(runs))
 
 
 def worker_count(jobs: int, tasks: int) -> int:

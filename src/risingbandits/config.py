@@ -37,6 +37,15 @@ from .policies import POLICY_NAMES, Policy, make_policy
 # in memory until the artifacts are written, so the count is bounded.
 MAX_REPLICATIONS = 10_000
 
+# Optional global key -> (BanditConfig field, type).
+BANDIT_FIELDS = {
+    "horizon_trials": ("trials", int),
+    "horizon_budget": ("budget", float),
+    "growth": ("growth", str),
+    "smooth_window": ("smooth_window", int),
+    "epsilon": ("epsilon", float),
+}
+
 # Optional global key -> (policy, keyword argument of that policy).
 POLICY_PARAMS = {
     "ucb_coefficient": ("ucb", "exploration_coefficient"),
@@ -72,7 +81,7 @@ class ExperimentConfig:
         return out
 
 
-def _parse_scalar(key: str, raw: str, kind: type) -> float | int:
+def _parse_scalar(key: str, raw: str, kind: type) -> float | int | str:
     try:
         value = kind(raw)
     except ValueError as exc:
@@ -165,17 +174,13 @@ def parse_experiment(text: str) -> ExperimentConfig:
     if not arm_blocks:
         raise ConfigurationError("configuration defines no [arm] blocks")
 
-    trials = budget = None
-    if "horizon_trials" in global_block:
-        trials = int(_parse_scalar("horizon_trials", global_block.pop("horizon_trials"), int))
-    if "horizon_budget" in global_block:
-        budget = float(_parse_scalar("horizon_budget", global_block.pop("horizon_budget"), float))
+    # Only the keys the file sets reach BanditConfig, so its defaults apply.
     bandit = BanditConfig(
-        trials=trials,
-        budget=budget,
-        growth=global_block.pop("growth", "last"),
-        smooth_window=int(_parse_scalar("smooth_window", global_block.pop("smooth_window", "7"), int)),
-        epsilon=float(_parse_scalar("epsilon", global_block.pop("epsilon", "1e-12"), float)),
+        **{
+            name: _parse_scalar(key, global_block.pop(key), kind)
+            for key, (name, kind) in BANDIT_FIELDS.items()
+            if key in global_block
+        }
     )
 
     raw_policies = global_block.pop("policies", "rising_bandit")

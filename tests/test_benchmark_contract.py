@@ -98,7 +98,13 @@ def test_traced_run_counts_pulls_of_every_arm_kind(config_path, tmp_path):
     metrics = tracer.layer_metrics(tracer.load_spans(str(spans)))
     for kind in ("curve", "noisy", "hpo"):
         assert metrics[f"arms.{kind}.pull.calls"] > 0, kind
-    assert metrics["curves.eval.calls"] > 0
+    # Every curve-arm pull evaluates its curve through the traced ``eval``,
+    # and the elimination policy reaches these through ``bandit``'s module
+    # globals; a pull path that bypassed either would blind the tracer.
+    assert metrics["curves.eval.calls"] == metrics["arms.curve.pull.calls"] + metrics["arms.noisy.pull.calls"]
+    assert metrics["bandit.growth_rate.calls"] > 0
+    assert metrics["bandit.eliminate.calls"] > 0
+    assert metrics["bandit.upper_bound.s"] > 0
 
 
 def test_suites_run_elimination_through_the_module_global(monkeypatch):

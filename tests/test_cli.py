@@ -1,12 +1,21 @@
+import csv
 import hashlib
 import json
 import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from risingbandits import ConfigurationError
-from risingbandits import cli
+from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, InstanceSpec, cli
+from risingbandits.bandit import BanditConfig
 from risingbandits.cli import main, worker_count
+from risingbandits.curves import ExponentialCurve
+from risingbandits.harness import simulate
+from risingbandits.hpo import SEARCH_STRATEGIES
+from risingbandits.policies import POLICY_NAMES, make_policy
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.cfg")
 
@@ -201,11 +210,18 @@ class TestRunCommand:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["base_seed"] == 123
 
-    def test_parallel_jobs_match_serial(self, config_path, tmp_path):
+    # The HPO arms draw a cost per pull, so the steps that cross the process
+    # pool carry costs that vary within an arm.
+    @pytest.mark.parametrize(
+        "config_text", [pathlib.Path(DEMO_CONFIG).read_text(), HPO_CONFIG], ids=["demo", "hpo"]
+    )
+    def test_parallel_jobs_match_serial(self, config_text, tmp_path):
+        config_path = tmp_path / "experiment.cfg"
+        config_path.write_text(config_text)
         serial = str(tmp_path / "serial")
         parallel = str(tmp_path / "parallel")
-        main(["run", config_path, "--output", serial])
-        main(["run", config_path, "--output", parallel, "--jobs", "2"])
+        main(["run", str(config_path), "--output", serial])
+        main(["run", str(config_path), "--output", parallel, "--jobs", "2"])
         assert (
             open(os.path.join(serial, "trace.csv"), "rb").read()
             == open(os.path.join(parallel, "trace.csv"), "rb").read()
@@ -286,6 +302,76 @@ class TestGoldenArtifacts:
         path = tmp_path / "staircase.cfg"
         path.write_text(STAIRCASE_CONFIG)
         self._check(["run", str(path), "--output", str(tmp_path / "results")], STAIRCASE_DIGESTS)
+
+
+def _reference_write_trace(path, runs):
+    """The per-row trace writer ``cli._write_trace`` replaced, kept as its
+    reference: ``_fmt`` of reward, cost and ``max(best, reward)`` on every row."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(cli.TRACE_COLUMNS)
+        for policy_name, replication, trace in runs:
+            best = 0.0
+            for step in trace.steps:
+                best = max(best, step.reward)
+                writer.writerow(
+                    (
+                        step.t,
+                        policy_name,
+                        replication,
+                        step.arm,
+                        cli._fmt(step.reward),
+                        cli._fmt(step.cost),
+                        step.candidate_set_size,
+                        cli._fmt(best),
+                    )
+                )
+
+
+@st.composite
+def arm_specs(draw):
+    if draw(st.booleans()):
+        # hpo arms draw a fresh cost for every pull, and start at reward 0.
+        return HpoArmSpec(
+            objective=draw(st.sampled_from(["sphere", "rosenbrock", "quadratic"])),
+            dimension=draw(st.integers(2, 3)),
+            strategy=draw(st.sampled_from(SEARCH_STRATEGIES)),
+            mean_cost=draw(st.sampled_from([0.5, 1.0, 2.5])),
+        )
+    limit = draw(st.floats(0.2, 1.0))
+    curve = ExponentialCurve(limit, draw(st.floats(0.05, 1.0)) * limit, draw(st.floats(0.1, 0.9)))
+    # Few distinct costs, so arms often share one.
+    cost = draw(st.sampled_from([0.25, 1.0, 2.5]))
+    return CurveArmSpec(curve, cost=cost, noise_amplitude=draw(st.sampled_from([0.0, 0.05])))
+
+
+@st.composite
+def trace_runs(draw):
+    instance = InstanceSpec(draw(st.lists(arm_specs(), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        config = BanditConfig(trials=draw(st.integers(1, 25)))
+    else:
+        # Above every cost an arm can draw, so each run makes a pull.
+        config = BanditConfig(budget=draw(st.floats(4.0, 30.0)))
+    names = draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=2, max_size=3, unique=True))
+    replications, seed = draw(st.integers(2, 3)), draw(st.integers(0, 2**16))
+    return [
+        (name, rep, simulate(make_policy(name), instance, config, seed, rep))
+        for name in names
+        for rep in range(replications)
+    ]
+
+
+class TestTraceWriter:
+    @settings(max_examples=40, deadline=None)
+    @given(trace_runs())
+    def test_matches_the_per_row_reference(self, runs):
+        with tempfile.TemporaryDirectory() as tmp:
+            written, expected = os.path.join(tmp, "written.csv"), os.path.join(tmp, "expected.csv")
+            cli._write_trace(written, runs)
+            _reference_write_trace(expected, runs)
+            with open(written, "rb") as a, open(expected, "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestErrorBoundary:

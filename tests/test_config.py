@@ -1,7 +1,7 @@
 import pytest
 
 from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, arms
-from risingbandits.bandit import MAX_EPSILON
+from risingbandits.bandit import MAX_EPSILON, BanditConfig
 from risingbandits.config import MAX_REPLICATIONS, POLICY_PARAMS, parse_experiment
 
 GOOD = """
@@ -76,6 +76,21 @@ class TestParseExperiment:
         config = parse_experiment("horizon_budget = 25.5\n[arm]\nkind = exponential\nlimit = 0.9\ninitial = 0.4\ndecay = 0.8\n")
         assert config.bandit.budget == 25.5
         assert config.bandit.trials is None
+
+    def test_omitted_bandit_settings_take_the_library_defaults(self, monkeypatch):
+        text = "horizon_trials = 12\n[arm]\nkind = hpo\n"
+        assert parse_experiment(text).bandit == BanditConfig(trials=12)
+        # Only the keys the file sets are passed on, so a changed default
+        # in BanditConfig reaches every file that omits the key.
+        passed = []
+
+        def recording(**kwargs):
+            passed.append(kwargs)
+            return BanditConfig(**kwargs)
+
+        monkeypatch.setattr("risingbandits.config.BanditConfig", recording)
+        parse_experiment(text)
+        assert passed == [{"trials": 12}]
 
 
 class TestParseErrors:
