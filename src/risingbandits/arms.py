@@ -20,8 +20,8 @@ class ConfigurationError(ValueError):
     """Invalid instance or experiment configuration."""
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
+# An hpo arm's pull costs its mean cost times U(HPO_COST_LOW, HPO_COST_HIGH).
+HPO_COST_LOW, HPO_COST_HIGH = 0.8, 1.2
 
 
 class ArmProcess:
@@ -39,9 +39,13 @@ class ArmProcess:
     def pull(self) -> tuple[float, float]:
         """Consume one unit of resource; return (reward, cost)."""
         cost = self.peek_cost()
-        self.pulls_so_far += 1
-        raw = self._raw_reward(self.pulls_so_far)
-        self._best = max(self._best, _clamp01(raw))
+        n = self.pulls_so_far + 1
+        self.pulls_so_far = n
+        raw = self._raw_reward(n)
+        # max(best, clamp(raw, 0, 1)) for best in [0, 1]: a raw below best,
+        # NaN or -0.0 keeps best, and one above 1 (or +inf) gives 1.0.
+        if raw > self._best:
+            self._best = raw if raw < 1.0 else 1.0
         self._advance_cost()
         return self._best, cost
 
@@ -118,13 +122,13 @@ class HpoArm(ArmProcess):
         self._state = hpo.SearchState()
         self._first_loss: float | None = None
         self._best_loss = float("inf")
-        self._next_cost = self.mean_cost * self._cost_rng.uniform(0.8, 1.2)
+        self._next_cost = self.mean_cost * self._cost_rng.uniform(HPO_COST_LOW, HPO_COST_HIGH)
 
     def peek_cost(self) -> float:
         return self._next_cost
 
     def _advance_cost(self) -> None:
-        self._next_cost = self.mean_cost * self._cost_rng.uniform(0.8, 1.2)
+        self._next_cost = self.mean_cost * self._cost_rng.uniform(HPO_COST_LOW, HPO_COST_HIGH)
 
     def _raw_reward(self, n: int) -> float:
         point = hpo.propose(self._state, self.objective, self.strategy, self._search_rng)
@@ -159,6 +163,11 @@ class CurveArmSpec:
             raise ConfigurationError(f"noise amplitude must be >= 0, got {self.noise_amplitude}")
         _check_cost("per-pull cost", self.cost)
 
+    @property
+    def min_cost(self) -> float:
+        """The cheapest pull this arm can make."""
+        return self.cost
+
     def build(self, rng: np.random.Generator) -> ArmProcess:
         self.check()
         if self.noise_amplitude > 0.0:
@@ -183,6 +192,11 @@ class HpoArmSpec:
             hpo.check_objective(self.objective, self.dimension)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
+
+    @property
+    def min_cost(self) -> float:
+        """The cheapest pull this arm can make."""
+        return HPO_COST_LOW * self.mean_cost
 
     def build(self, rng: np.random.Generator) -> ArmProcess:
         self.check()

@@ -231,6 +231,9 @@ class RisingBanditPolicy(Policy):
     pull does not fit, and ends with a sweep when the next pull is requested:
     with no pulls left a sweep could only drop arms that tie at equality.  A
     round with no pull ends the run.
+
+    Once one candidate is left the set is settled: a sweep would keep it, so
+    none runs, and the bounds only a sweep reads are no longer updated.
     """
 
     name = "rising_bandit"
@@ -252,11 +255,17 @@ class RisingBanditPolicy(Policy):
                     return arm_id
             if not self._round_pulled:
                 return None
-            self.candidates = eliminate(self.candidates, states, self._config.epsilon)
-            self.candidate_history.append(tuple(self.candidates))
+            if len(self.candidates) > 1:
+                self.candidates = eliminate(self.candidates, states, self._config.epsilon)
+                self.candidate_history.append(tuple(self.candidates))
+            else:
+                # Settled: one snapshot per round still, the same one.
+                self.candidate_history.append(self.candidate_history[-1])
             self._next, self._round_pulled = 0, False
 
     def observe(self, state: ArmState) -> None:
+        if len(self.candidates) == 1:
+            return  # only a sweep reads growth and upper, and none follows
         if state.pulls >= 2:
             state.growth = growth_rate(state.history, self._config.growth, self._config.smooth_window)
         state.upper = self._horizon.upper(state)

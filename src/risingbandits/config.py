@@ -36,6 +36,11 @@ from .policies import POLICY_NAMES, Policy, make_policy
 # run_experiment lists every (policy, replication) run and keeps every trace
 # in memory until the artifacts are written, so the count is bounded.
 MAX_REPLICATIONS = 10_000
+# A run keeps one step record per pull in memory, about 150 bytes each
+# (peak RSS of 400k-pull runs minus 200k-pull ones), so a run is capped at
+# about 150 MB of records; a larger horizon would run on for minutes while
+# its trace grows.
+MAX_PULLS_PER_RUN = 1_000_000
 
 # Optional global key -> (BanditConfig field, type).
 BANDIT_FIELDS = {
@@ -169,6 +174,23 @@ def _build_arm(block: dict[str, str], index: int) -> ArmSpec:
         raise ConfigurationError(f"arm {index}: {exc}") from exc
 
 
+def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:
+    """Reject a horizon that lets one run make more than MAX_PULLS_PER_RUN pulls."""
+    if bandit.trials is not None:
+        if bandit.trials > MAX_PULLS_PER_RUN:
+            raise ConfigurationError(
+                f"field 'horizon_trials': must be at most the cap of {MAX_PULLS_PER_RUN} pulls per run, "
+                f"got {bandit.trials}"
+            )
+        return
+    cheapest = min(spec.min_cost for spec in instance.arms)
+    if bandit.budget / cheapest > MAX_PULLS_PER_RUN:
+        raise ConfigurationError(
+            f"field 'horizon_budget': {bandit.budget} buys {bandit.budget / cheapest:.10g} pulls at the "
+            f"cheapest pull cost {cheapest}, above the cap of {MAX_PULLS_PER_RUN} pulls per run"
+        )
+
+
 def parse_experiment(text: str) -> ExperimentConfig:
     global_block, arm_blocks = _parse_blocks(text)
     if not arm_blocks:
@@ -211,6 +233,7 @@ def parse_experiment(text: str) -> ExperimentConfig:
 
     instance = InstanceSpec([_build_arm(block, i) for i, block in enumerate(arm_blocks, start=1)])
     instance.check()  # reject bad arm parameters before any output exists
+    _check_horizon(bandit, instance)
     config = ExperimentConfig(
         instance=instance,
         bandit=bandit,

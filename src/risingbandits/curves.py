@@ -24,10 +24,10 @@ class RewardCurve:
     def eval(self, n: int) -> float:
         raise NotImplementedError
 
-    @staticmethod
-    def _check_pull_index(n: int) -> None:
-        if n < 1:
-            raise ValueError(f"pull index must be >= 1, got {n}")
+
+def _bad_pull_index(n: int) -> ValueError:
+    # Each ``eval`` tests n < 1 inline, since it runs once per pull.
+    return ValueError(f"pull index must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ class ExponentialCurve(RewardCurve):
             raise ValueError(f"exponential decay must lie in (0, 1), got {self.decay}")
 
     def eval(self, n: int) -> float:
-        self._check_pull_index(n)
+        if n < 1:
+            raise _bad_pull_index(n)
         return self.limit - (self.limit - self.initial) * self.decay ** (n - 1)
 
 
@@ -73,7 +74,8 @@ class PowerCurve(RewardCurve):
             )
 
     def eval(self, n: int) -> float:
-        self._check_pull_index(n)
+        if n < 1:
+            raise _bad_pull_index(n)
         return self.limit - self.scale * float(n) ** (-self.exponent)
 
 
@@ -98,7 +100,8 @@ class TabulatedCurve(RewardCurve):
         return self.values[-1]
 
     def eval(self, n: int) -> float:
-        self._check_pull_index(n)
+        if n < 1:
+            raise _bad_pull_index(n)
         return self.values[min(n, len(self.values)) - 1]
 
 
@@ -129,6 +132,7 @@ class StaircaseCurve(RewardCurve):
             raise ValueError(f"jump_fraction must lie in (0, 1], got {self.jump_fraction}")
 
     def eval(self, n: int) -> float:
-        self._check_pull_index(n)
+        if n < 1:
+            raise _bad_pull_index(n)
         jumps = (n - 1) // self.plateau_length
         return self.limit - (self.limit - self.initial) * (1.0 - self.jump_fraction) ** jumps

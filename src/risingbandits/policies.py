@@ -25,10 +25,6 @@ class AveragePolicy(Policy):
         return (t - 1) % len(states) + 1
 
 
-def _mean(state: ArmState) -> float:
-    return state.reward_sum / state.pulls
-
-
 def _argmax(scores: list[float]) -> int:
     best, best_score = 1, scores[0]
     for idx, score in enumerate(scores[1:], start=2):
@@ -59,10 +55,8 @@ class UCBPolicy(Policy):
         forced = _first_unpulled(states)
         if forced is not None:
             return forced
-        scores = [
-            _mean(st) + self.exploration_coefficient * math.sqrt(math.log(t) / st.pulls)
-            for st in states
-        ]
+        coefficient, log_t = self.exploration_coefficient, math.log(t)
+        scores = [st.reward_sum / st.pulls + coefficient * math.sqrt(log_t / st.pulls) for st in states]
         return _argmax(scores)
 
 
@@ -76,6 +70,9 @@ class SoftmaxPolicy(Policy):
     def __post_init__(self) -> None:
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
+        # A mean in [0, 1] over the temperature is finite when this is.
+        if not math.isfinite(1.0 / self.temperature):
+            raise ValueError(f"temperature {self.temperature!r} is too small: its inverse is not finite")
         self._rng: np.random.Generator | None = None
 
     def reset(self, rng: np.random.Generator) -> None:
@@ -85,11 +82,16 @@ class SoftmaxPolicy(Policy):
         forced = _first_unpulled(states)
         if forced is not None:
             return forced
-        logits = np.array([_mean(st) / self.temperature for st in states])
+        temperature = self.temperature
+        logits = np.array([st.reward_sum / st.pulls / temperature for st in states])
         logits -= logits.max()
         probs = np.exp(logits)
         probs /= probs.sum()
-        return int(self._rng.choice(len(states), p=probs)) + 1
+        # The inverse-CDF draw that Generator.choice(K, p=probs) makes from
+        # one random(), without its checks of p.
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(self._rng.random(), side="right")) + 1
 
 
 @dataclass
@@ -113,11 +115,11 @@ class ThompsonPolicy(Policy):
         self._rng = rng
 
     def select(self, states: list[ArmState], t: int) -> int:
+        beta, alpha0, beta0 = self._rng.beta, self.prior_alpha, self.prior_beta
         draws = []
         for st in states:
             successes = st.reward_sum
-            failures = st.pulls - successes
-            draws.append(self._rng.beta(self.prior_alpha + successes, self.prior_beta + failures))
+            draws.append(beta(alpha0 + successes, beta0 + (st.pulls - successes)))
         return _argmax(draws)
 
 

@@ -1,7 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from risingbandits import (
     ConfigurationError,
@@ -39,6 +42,44 @@ class TestCurveArm:
     def test_rejects_nonpositive_cost(self):
         with pytest.raises(ConfigurationError):
             CurveArmSpec(CURVE, cost=0.0).build(_rng())
+
+
+class _Playback:
+    """A duck-typed curve that plays back raw values, out-of-range ones too."""
+
+    limit = 1.0
+
+    def __init__(self, values):
+        self.values = values
+
+    def eval(self, n):
+        return self.values[n - 1]
+
+
+RAW = st.one_of(
+    st.sampled_from([-0.5, 1.5, math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0]),
+    st.floats(-0.5, 1.5),
+    st.floats(),
+)
+
+
+class TestPullClamp:
+    """A pull's reward is max(best, clamp(raw, 0, 1)), whatever raw is."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(RAW, min_size=1, max_size=30))
+    @example([-0.5, 1.5, math.nan, math.inf, -0.0])
+    @example([-0.0, math.nan, -0.5, 0.25, math.nan, -0.0, 0.25, 0.5])
+    @example([math.inf])
+    @example([0.9, 1.0, 1.5])
+    def test_matches_max_of_clamp(self, values):
+        arm = CurveArm(_Playback(values))
+        best = 0.0
+        for raw in values:
+            best = max(best, min(1.0, max(0.0, raw)))
+            reward, _ = arm.pull()
+            assert reward == best
+            assert math.copysign(1.0, reward) == 1.0
 
 
 class TestNoisyCurveArm:

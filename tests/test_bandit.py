@@ -11,11 +11,16 @@ from risingbandits import (
     ExponentialCurve,
     InsufficientHistoryError,
     InstanceSpec,
+    Policy,
+    PowerCurve,
+    RisingBanditPolicy,
+    TabulatedCurve,
     eliminate,
     growth_rate,
     make_instance,
     offline_max_run,
     rising_bandit_run,
+    run_policy,
     upper_bound,
 )
 from risingbandits.bandit import MAX_EPSILON, Horizon
@@ -322,6 +327,106 @@ class TestRisingBanditRunBudget:
             _arms(ARM1, ARM1, costs=[10.0, 1.0]), BanditConfig(budget=115.0)
         )
         assert trace.pull_counts[1] > trace.pull_counts[0]
+
+
+class _AlwaysSweeping(Policy):
+    """Reference elimination policy: every round ends with a sweep and every
+    pull updates the arm's growth rate and upper bound, however many
+    candidates are left."""
+
+    name = "rising_bandit"
+
+    def start(self, states, config, horizon):
+        super().start(states, config, horizon)
+        self._config, self._horizon = config, horizon
+        self._next, self._round_pulled = 0, False
+
+    def select(self, states, t):
+        while True:
+            while self._next < len(self.candidates):
+                arm_id = self.candidates[self._next]
+                self._next += 1
+                if self._horizon.fits(arm_id):
+                    self._round_pulled = True
+                    return arm_id
+            if not self._round_pulled:
+                return None
+            self.candidates = eliminate(self.candidates, states, self._config.epsilon)
+            self.candidate_history.append(tuple(self.candidates))
+            self._next, self._round_pulled = 0, False
+
+    def observe(self, state):
+        if state.pulls >= 2:
+            state.growth = growth_rate(state.history, self._config.growth, self._config.smooth_window)
+        state.upper = self._horizon.upper(state)
+
+
+@st.composite
+def elimination_cases(draw):
+    """An instance of 1-6 exact or noisy curve arms with mixed costs, and a
+    trial or budget horizon; fast-saturating curves settle the set early."""
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        limit = draw(st.floats(0.2, 0.98))
+        initial = draw(st.floats(0.05, 0.95)) * limit
+        if draw(st.booleans()):
+            curve = ExponentialCurve(limit=limit, initial=initial, decay=draw(st.floats(0.05, 0.9)))
+        else:
+            curve = PowerCurve(limit=limit, scale=limit - initial, exponent=draw(st.floats(0.5, 3.0)))
+        noise = draw(st.sampled_from([0.0, 0.0, 0.02, 0.1]))
+        specs.append(CurveArmSpec(curve, cost=draw(st.sampled_from([0.3, 1.0, 2.5, 10.0])), noise_amplitude=noise))
+    instance = InstanceSpec(specs)
+    growth = draw(st.sampled_from(["last", "smooth"]))
+    window = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        config = BanditConfig(trials=draw(st.integers(1, 80)), growth=growth, smooth_window=window)
+    else:
+        # At least the dearest arm's cost, so the first round pulls every arm.
+        budget = max(spec.cost for spec in specs) * draw(st.floats(1.0, 25.0))
+        config = BanditConfig(budget=budget, growth=growth, smooth_window=window)
+    return instance, config, draw(st.integers(0, 2**16))
+
+
+def _run_recording_selects(policy, instance, config, seed):
+    selected = []
+    select = policy.select
+
+    def recording(states, t):
+        selected.append(select(states, t))
+        return selected[-1]
+
+    policy.select = recording
+    return run_policy(policy, make_instance(instance, seed), config), selected
+
+
+class TestSettledCandidateSet:
+    @settings(max_examples=150, deadline=None)
+    @given(elimination_cases())
+    def test_matches_the_always_sweeping_policy(self, case):
+        instance, config, seed = case
+        trace, selected = _run_recording_selects(RisingBanditPolicy(), instance, config, seed)
+        expected, expected_selected = _run_recording_selects(_AlwaysSweeping(), instance, config, seed)
+        assert trace.steps == expected.steps
+        assert trace.pull_counts == expected.pull_counts
+        assert trace.final_j == expected.final_j
+        assert trace.candidate_history == expected.candidate_history
+        # Down to the last select, which ends a budget run with None.
+        assert selected == expected_selected
+        history = trace.candidate_history
+        assert all(after is before for before, after in zip(history, history[1:]) if len(before) == 1)
+
+    def test_settled_set_ends_a_budget_run_when_its_arm_no_longer_fits(self):
+        # Arm 2 stops growing and is dropped after round 2, with 6.5 of the
+        # budget left; arm 1 (cost 3) fits twice more, then no candidate fits.
+        trace, selected = _run_recording_selects(
+            RisingBanditPolicy(),
+            InstanceSpec([CurveArmSpec(ARM1, cost=3.0), CurveArmSpec(TabulatedCurve([0.1]), cost=1.0)]),
+            BanditConfig(budget=14.5),
+            0,
+        )
+        assert trace.pull_counts == [4, 2]
+        assert trace.candidate_history == [(1, 2), (1, 2), (1,), (1,), (1,)]
+        assert selected == [1, 2, 1, 2, 1, 1, None]
 
 
 class TestOfflineMaxRun:

@@ -95,7 +95,8 @@ def test_traced_run_counts_pulls_of_every_arm_kind(config_path, tmp_path):
     done = _child("run", config_path, str(tmp_path / "out"), "--spans", str(spans))
     assert done.returncode == 0, done.stderr
     tracer = _tracer()
-    metrics = tracer.layer_metrics(tracer.load_spans(str(spans)))
+    recorded = tracer.load_spans(str(spans))
+    metrics = tracer.layer_metrics(recorded)
     for kind in ("curve", "noisy", "hpo"):
         assert metrics[f"arms.{kind}.pull.calls"] > 0, kind
     # Every curve-arm pull evaluates its curve through the traced ``eval``,
@@ -105,6 +106,11 @@ def test_traced_run_counts_pulls_of_every_arm_kind(config_path, tmp_path):
     assert metrics["bandit.growth_rate.calls"] > 0
     assert metrics["bandit.eliminate.calls"] > 0
     assert metrics["bandit.upper_bound.s"] > 0
+    # A sweep span's ``a`` is the candidate-set size: a settled set of one
+    # candidate is never swept.
+    names = [str(name) for name in recorded["names"]]
+    sweep_sizes = recorded["a"][recorded["name"] == names.index("bandit.eliminate")]
+    assert (sweep_sizes >= 2).all(), sweep_sizes.tolist()
 
 
 def test_suites_run_elimination_through_the_module_global(monkeypatch):

@@ -477,6 +477,29 @@ class TestErrorBoundary:
         assert "'replications'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e-310", "5e-324"])
+    def test_subnormal_softmax_temperature(self, value, tmp_path, capsys):
+        path = tmp_path / "softmax.cfg"
+        path.write_text(
+            CONFIG.replace("policies = rising_bandit, average", f"policies = softmax\nsoftmax_temperature = {value}")
+        )
+        out = tmp_path / "out"
+        err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
+        assert "softmax_temperature" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "horizon, field",
+        [("horizon_trials = 99999999999999", "'horizon_trials'"), ("horizon_budget = 1e308", "'horizon_budget'")],
+    )
+    def test_horizon_above_the_cap(self, horizon, field, tmp_path, capsys):
+        path = tmp_path / "horizon.cfg"
+        path.write_text(CONFIG.replace("horizon_trials = 10", horizon))
+        out = tmp_path / "out"
+        err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
+        assert field in err and "cap" in err
+        assert not out.exists()
+
     def test_epsilon_above_the_cap(self, tmp_path, capsys):
         # A budget admits a pull within epsilon: 5 let a budget of 10 spend 15
         # (and 1e9, which BanditConfig's test covers, never ended the run).

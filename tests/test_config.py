@@ -2,7 +2,7 @@ import pytest
 
 from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, arms
 from risingbandits.bandit import MAX_EPSILON, BanditConfig
-from risingbandits.config import MAX_REPLICATIONS, POLICY_PARAMS, parse_experiment
+from risingbandits.config import MAX_PULLS_PER_RUN, MAX_REPLICATIONS, POLICY_PARAMS, parse_experiment
 
 GOOD = """
 horizon_trials = 12
@@ -146,6 +146,7 @@ class TestParseErrors:
         [
             ("ucb_coefficient", "-1"),
             ("softmax_temperature", "0"),
+            ("softmax_temperature", "1e-310"),
             ("thompson_alpha", "0"),
             ("thompson_beta", "-2"),
         ],
@@ -189,6 +190,33 @@ class TestParseErrors:
         assert parse_experiment(text).replications == MAX_REPLICATIONS
         for value in (MAX_REPLICATIONS + 1, 10**20, 0):
             self._bad(GOOD.replace("replications = 2", f"replications = {value}"), "'replications'")
+
+    def test_horizon_trials_bounded(self):
+        text = GOOD.replace("horizon_trials = 12", f"horizon_trials = {MAX_PULLS_PER_RUN}")
+        assert parse_experiment(text).bandit.trials == MAX_PULLS_PER_RUN
+        for value in (MAX_PULLS_PER_RUN + 1, 99999999999999):
+            self._bad(GOOD.replace("horizon_trials = 12", f"horizon_trials = {value}"), "'horizon_trials'")
+
+    @pytest.mark.parametrize(
+        "arms, cheapest",
+        [
+            # An hpo pull costs at least 0.8 times its mean cost.
+            ("[arm]\nkind = hpo\nmean_cost = 2.5\n[arm]\nkind = hpo\nmean_cost = 5\n", 2.0),
+            (
+                "[arm]\nkind = tabulated\nvalues = 0.5\ncost = 0.25\n"
+                "[arm]\nkind = hpo\nmean_cost = 0.5\n",
+                0.25,
+            ),
+        ],
+    )
+    def test_horizon_budget_bounded_by_the_cheapest_pull(self, arms, cheapest):
+        budget = cheapest * MAX_PULLS_PER_RUN
+        assert parse_experiment(f"horizon_budget = {budget}\n" + arms).bandit.budget == budget
+        for value in (budget * 1.000001, 1e308):
+            self._bad(f"horizon_budget = {value}\n" + arms, "'horizon_budget'")
+
+    def test_subnormal_cost_cannot_stretch_a_budget(self):
+        self._bad("horizon_budget = 1\n[arm]\nkind = tabulated\nvalues = 0.5\ncost = 1e-320\n", "'horizon_budget'")
 
     @pytest.mark.parametrize(
         "old, new, arm, message",

@@ -125,3 +125,19 @@ class TestStaircaseCurve:
             StaircaseCurve(initial=0.5, limit=0.9, plateau_length=3, jump_fraction=0.0)
         with pytest.raises(ValueError):
             StaircaseCurve(initial=0.5, limit=0.9, plateau_length=3, jump_fraction=1.5)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        ExponentialCurve(limit=0.9, initial=0.5, decay=0.5),
+        PowerCurve(limit=0.8, scale=0.4, exponent=1.0),
+        TabulatedCurve([0.1, 0.4, 0.6]),
+        StaircaseCurve(initial=0.3, limit=0.9, plateau_length=2, jump_fraction=0.5),
+    ],
+    ids=lambda curve: type(curve).__name__,
+)
+def test_every_curve_rejects_pull_index_below_one(curve):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"pull index must be >= 1, got {n}"):
+            curve.eval(n)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from risingbandits import (
@@ -64,6 +66,15 @@ class TestUCBPolicy:
             UCBPolicy(exploration_coefficient=0.0)
 
 
+def _softmax_by_choice(states, temperature, rng):
+    """The softmax draw made through ``Generator.choice``."""
+    logits = np.array([state.reward_sum / state.pulls / temperature for state in states])
+    logits -= logits.max()
+    probs = np.exp(logits)
+    probs /= probs.sum()
+    return int(rng.choice(len(states), p=probs)) + 1
+
+
 class TestSoftmaxPolicy:
     def test_forces_initial_pulls(self):
         policy = SoftmaxPolicy()
@@ -89,6 +100,35 @@ class TestSoftmaxPolicy:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             SoftmaxPolicy(temperature=0.0)
+
+    @pytest.mark.parametrize("temperature", [1e-310, 5e-324, float("nan")])
+    def test_rejects_temperature_without_a_finite_inverse(self, temperature):
+        # A mean over a subnormal temperature overflows to inf, and the
+        # probabilities to NaN.
+        with pytest.raises(ValueError, match="inverse is not finite"):
+            SoftmaxPolicy(temperature=temperature)
+
+    def test_smallest_normal_temperature_draws_the_best_arm(self):
+        policy = SoftmaxPolicy(temperature=2.3e-308)
+        policy.reset(_rng(5))
+        assert policy.select(_states([0.9], [1.0], [0.2]), 4) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        means=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=20),
+        pulls=st.integers(1, 50),
+        temperature=st.sampled_from([1e-3, 0.01, 0.1, 1.0, 10.0]) | st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_the_arm_generator_choice_draws(self, means, pulls, temperature, seed):
+        states = [
+            ArmState(arm_id=i, pulls=pulls, reward_sum=mean * pulls) for i, mean in enumerate(means, start=1)
+        ]
+        policy = SoftmaxPolicy(temperature=temperature)
+        policy.reset(_rng(seed))
+        reference = _rng(seed)
+        for t in range(5):
+            assert policy.select(states, len(means) + t) == _softmax_by_choice(states, temperature, reference)
 
 
 class TestThompsonPolicy:
