@@ -13,19 +13,17 @@ violation.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import csv
 import json
 import os
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from . import __version__
 from .arms import ConfigurationError
 from .bandit import PolicyTrace
 from .config import ExperimentConfig, parse_experiment
-from .harness import PolicyResult, build_report, regret, simulate
+from .harness import PolicyResult, build_report, simulate
 from .verify import SUITES, run_suite
 
 TRACE_COLUMNS = (
@@ -51,11 +49,14 @@ def _run_one(config: ExperimentConfig, policy_name: str, replication: int) -> Po
     return simulate(policy, config.instance, config.bandit, config.base_seed, replication)
 
 
-def _trace_rows(runs: list[tuple[str, int, PolicyTrace]]) -> Iterator[tuple]:
-    """The rows of ``trace.csv`` after its header, one per pull, as a stream.
+def _trace_lines(runs: Iterable[tuple[str, int, PolicyTrace]]) -> Iterator[str]:
+    """The lines of ``trace.csv`` after its header, one per pull, as a stream.
 
-    An arm's cost is formatted again only when it differs from that arm's
-    previous cost: a memo per arm stays small, where one keyed by value
+    Each line is one template, with the ``\r\n`` terminator ``csv.writer``
+    uses.  No field ever needs CSV quoting: each is an int, a ``.17g`` float
+    text or a name from ``POLICY_NAMES``, all free of commas, quotes and line
+    breaks.  An arm's cost is formatted again only when it differs from that
+    arm's previous cost: a memo per arm stays small, where one keyed by value
     would keep a text for every pull of an hpo arm, whose cost is drawn
     afresh each pull.  The best-so-far is formatted only when it rises:
     ``reward > best`` holds exactly when ``max(best, reward)`` would return
@@ -63,22 +64,51 @@ def _trace_rows(runs: list[tuple[str, int, PolicyTrace]]) -> Iterator[tuple]:
     """
     cost_memo: dict[int, tuple[float, str]] = {}
     for policy_name, replication, trace in runs:
+        prefix = f"{policy_name},{replication},"
         best, best_text = 0.0, _fmt(0.0)
         for t, arm, reward, cost, candidate_set_size in trace.steps:
-            reward_text = _fmt(reward)
+            reward_text = f"{reward:.17g}"
             if reward > best:
                 best, best_text = reward, reward_text
             memo = cost_memo.get(arm)
             if memo is None or memo[0] != cost:
                 memo = cost_memo[arm] = (cost, _fmt(cost))
-            yield t, policy_name, replication, arm, reward_text, memo[1], candidate_set_size, best_text
+            yield f"{t},{prefix}{arm},{reward_text},{memo[1]},{candidate_set_size},{best_text}\r\n"
+        del trace  # released before the next run is drawn from ``runs``
 
 
-def _write_trace(path: str, runs: list[tuple[str, int, PolicyTrace]]) -> None:
+def _write_trace(path: str, runs: Iterable[tuple[str, int, PolicyTrace]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(_trace_rows(runs))
+        handle.write(",".join(TRACE_COLUMNS) + "\r\n")
+        handle.writelines(_trace_lines(runs))
+
+
+def _recorded(
+    tasks: list[tuple[str, int]], traces: Iterator[PolicyTrace], results: dict[str, PolicyResult]
+) -> Iterator[tuple[str, int, PolicyTrace]]:
+    # next() rather than zip(): zip reuses its result tuple, which would hold
+    # the previous trace until the next run has finished.
+    for policy_name, replication in tasks:
+        trace = next(traces)
+        results.setdefault(policy_name, PolicyResult()).j_values.append(trace.final_j)
+        yield policy_name, replication, trace
+        del trace  # released before the next run starts
+
+
+def _runs(
+    config: ExperimentConfig, tasks: list[tuple[str, int]], workers: int, results: dict[str, PolicyResult]
+) -> Iterator[tuple[str, int, PolicyTrace]]:
+    """Each task's ``(policy, replication, trace)`` in task order, with each
+    run's final J recorded into ``results``.  A serial experiment starts a
+    run only when its trace is drawn, so it holds one run's trace at a time."""
+    if workers > 1:
+        # Imported here only: a serial run never needs it, and it costs milliseconds and loads logging.
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from _recorded(tasks, pool.map(_run_one, [config] * len(tasks), *zip(*tasks)), results)
+    else:
+        yield from _recorded(tasks, (_run_one(config, name, rep) for name, rep in tasks), results)
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -110,35 +140,27 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
     ]
     workers = worker_count(jobs, len(tasks))
     os.makedirs(output_dir, exist_ok=True)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_one, [config] * len(tasks), *zip(*tasks)))
-    else:
-        traces = [_run_one(config, name, rep) for name, rep in tasks]
-    runs = [(name, rep, trace) for (name, rep), trace in zip(tasks, traces)]
-
-    results: dict[str, PolicyResult] = {}
-    for name, _, trace in runs:
-        results.setdefault(name, PolicyResult()).j_values.append(trace.final_j)
-    report = build_report(config.instance, config.bandit, results)
-    for note in report.interpretation_notes:
-        print(f"note: {note}")
-    manifest = {
-        "version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "base_seed": config.base_seed,
-        "seed_scheme": "SeedSequence(base_seed, spawn_key=(crc32(policy), replication, arm))",
-        "policies": config.policy_names,
-        "replications": config.replications,
-        "config_echo": config_text,
-    }
 
     # Each artifact goes to a temporary file, and all three move into place
     # only once all are written: a failed run cannot leave a new trace.csv
-    # next to an old report.json.
+    # next to an old report.json.  The runs stream into the trace as they
+    # finish, so a run that fails mid-experiment is cleaned up here too.
     staged = {name: os.path.join(output_dir, f".{name}.{os.getpid()}.tmp") for name in ARTIFACTS}
+    results: dict[str, PolicyResult] = {}
     try:
-        _write_trace(staged["trace.csv"], runs)
+        _write_trace(staged["trace.csv"], _runs(config, tasks, workers, results))
+        report = build_report(config.instance, config.bandit, results)
+        for note in report.interpretation_notes:
+            print(f"note: {note}")
+        manifest = {
+            "version": __version__,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "base_seed": config.base_seed,
+            "seed_scheme": "SeedSequence(base_seed, spawn_key=(crc32(policy), replication, arm))",
+            "policies": config.policy_names,
+            "replications": config.replications,
+            "config_echo": config_text,
+        }
         for name, obj in (("report.json", report.to_dict()), ("manifest.json", manifest)):
             with open(staged[name], "w", encoding="utf-8") as handle:
                 json.dump(obj, handle, indent=2, sort_keys=True)

@@ -33,8 +33,9 @@ from .bandit import BanditConfig
 from .curves import ExponentialCurve, PowerCurve, StaircaseCurve, TabulatedCurve
 from .policies import POLICY_NAMES, Policy, make_policy
 
-# run_experiment lists every (policy, replication) run and keeps every trace
-# in memory until the artifacts are written, so the count is bounded.
+# run_experiment lists every (policy, replication) task before the first run,
+# and a run's rows stream into the trace, so the count bounds the task list
+# and the time a file may ask for, not the step records held.
 MAX_REPLICATIONS = 10_000
 # A run keeps one step record per pull in memory, about 150 bytes each
 # (peak RSS of 400k-pull runs minus 200k-pull ones), so a run is capped at
@@ -58,6 +59,8 @@ POLICY_PARAMS = {
     "thompson_alpha": ("thompson", "prior_alpha"),
     "thompson_beta": ("thompson", "prior_beta"),
 }
+
+GLOBAL_KEYS = {*BANDIT_FIELDS, *POLICY_PARAMS, "policies", "replications", "base_seed"}
 
 
 @dataclass
@@ -183,11 +186,13 @@ def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:
                 f"got {bandit.trials}"
             )
         return
+    # A pull fits while spend + cost <= budget + epsilon, so the epsilon buys pulls too.
     cheapest = min(spec.min_cost for spec in instance.arms)
-    if bandit.budget / cheapest > MAX_PULLS_PER_RUN:
+    pulls = (bandit.budget + bandit.epsilon) / cheapest
+    if pulls > MAX_PULLS_PER_RUN:
         raise ConfigurationError(
-            f"field 'horizon_budget': {bandit.budget} buys {bandit.budget / cheapest:.10g} pulls at the "
-            f"cheapest pull cost {cheapest}, above the cap of {MAX_PULLS_PER_RUN} pulls per run"
+            f"field 'horizon_budget': {bandit.budget} (+ epsilon {bandit.epsilon}) buys {pulls:.10g} pulls "
+            f"at the cheapest pull cost {cheapest}, above the cap of {MAX_PULLS_PER_RUN} pulls per run"
         )
 
 
@@ -195,17 +200,22 @@ def parse_experiment(text: str) -> ExperimentConfig:
     global_block, arm_blocks = _parse_blocks(text)
     if not arm_blocks:
         raise ConfigurationError("configuration defines no [arm] blocks")
+    # Checked first, so a misspelt key is named rather than reported as the
+    # setting it fails to make (a horizon, say).
+    unknown = sorted(set(global_block) - GLOBAL_KEYS)
+    if unknown:
+        raise ConfigurationError(f"unknown global fields {unknown}")
 
     # Only the keys the file sets reach BanditConfig, so its defaults apply.
     bandit = BanditConfig(
         **{
-            name: _parse_scalar(key, global_block.pop(key), kind)
+            name: _parse_scalar(key, global_block[key], kind)
             for key, (name, kind) in BANDIT_FIELDS.items()
             if key in global_block
         }
     )
 
-    raw_policies = global_block.pop("policies", "rising_bandit")
+    raw_policies = global_block.get("policies", "rising_bandit")
     policy_names = [name.strip() for name in raw_policies.split(",") if name.strip()]
     if not policy_names:
         raise ConfigurationError("field 'policies': names no policy")
@@ -217,19 +227,17 @@ def parse_experiment(text: str) -> ExperimentConfig:
         if name in policy_names[:i]:
             raise ConfigurationError(f"field 'policies': policy {name!r} is listed twice")
 
-    replications = int(_parse_scalar("replications", global_block.pop("replications", "1"), int))
+    replications = int(_parse_scalar("replications", global_block.get("replications", "1"), int))
     if not 1 <= replications <= MAX_REPLICATIONS:
         raise ConfigurationError(
             f"field 'replications': must lie in [1, {MAX_REPLICATIONS}], got {replications}"
         )
-    base_seed = int(_parse_scalar("base_seed", global_block.pop("base_seed", "0"), int))
+    base_seed = int(_parse_scalar("base_seed", global_block.get("base_seed", "0"), int))
 
     policy_params = {}
     for key in POLICY_PARAMS:
         if key in global_block:
-            policy_params[key] = float(_parse_scalar(key, global_block.pop(key), float))
-    if global_block:
-        raise ConfigurationError(f"unknown global fields {sorted(global_block)}")
+            policy_params[key] = float(_parse_scalar(key, global_block[key], float))
 
     instance = InstanceSpec([_build_arm(block, i) for i, block in enumerate(arm_blocks, start=1)])
     instance.check()  # reject bad arm parameters before any output exists

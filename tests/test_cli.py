@@ -3,7 +3,11 @@ import hashlib
 import json
 import os
 import pathlib
+import re
+import subprocess
+import sys
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -267,6 +271,57 @@ class TestRunCommand:
         assert "no space left on device" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_failed_run_keeps_the_previous_artifacts(self, config_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "results"
+        assert main(["run", config_path, "--output", str(out), "--seed", "1"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        real_run_one = cli._run_one
+        started = []
+
+        def failing_second_run(config, policy_name, replication):
+            started.append((policy_name, replication))
+            if len(started) == 2:
+                raise ConfigurationError("the second run failed")
+            return real_run_one(config, policy_name, replication)
+
+        # The first run's rows are already in the staged trace when the second fails.
+        monkeypatch.setattr(cli, "_run_one", failing_second_run)
+        assert main(["run", config_path, "--output", str(out), "--seed", "2"]) == 1
+        assert "the second run failed" in capsys.readouterr().err
+        assert len(started) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_each_trace_is_released_before_the_next_run(self, config_path, tmp_path, monkeypatch, capsys):
+        real_run_one = cli._run_one
+        traces, alive_at_start = [], []
+
+        def tracked_run(config, policy_name, replication):
+            alive_at_start.append(sum(ref() is not None for ref in traces))
+            trace = real_run_one(config, policy_name, replication)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(cli, "_run_one", tracked_run)
+        assert main(["run", config_path, "--output", str(tmp_path / "results")]) == 0
+        # 2 policies x 2 replications, each started with no earlier trace alive.
+        assert alive_at_start == [0, 0, 0, 0]
+
+    def test_serial_run_imports_no_process_pool(self, config_path, tmp_path):
+        out = str(tmp_path / "results")
+        code = (
+            "import sys\n"
+            "from risingbandits import cli\n"
+            f"assert cli.main(['run', {config_path!r}, '--output', {out!r}]) == 0\n"
+            "assert 'concurrent.futures' not in sys.modules, 'a --jobs 1 run imported the process pool'\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert sorted(os.listdir(out)) == ["manifest.json", "report.json", "trace.csv"]
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
 
@@ -372,6 +427,11 @@ class TestTraceWriter:
             _reference_write_trace(expected, runs)
             with open(written, "rb") as a, open(expected, "rb") as b:
                 assert a.read() == b.read()
+
+
+def test_policy_names_need_no_csv_quoting():
+    # cli._trace_lines writes each policy name into the trace unquoted.
+    assert all(re.fullmatch(r"[a-z_]+", name) for name in POLICY_NAMES)
 
 
 class TestErrorBoundary:
@@ -498,6 +558,16 @@ class TestErrorBoundary:
         out = tmp_path / "out"
         err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
         assert field in err and "cap" in err
+        assert not out.exists()
+
+    def test_budget_stretched_by_epsilon(self, tmp_path, capsys):
+        # Within the 1e-12 epsilon a pull of cost 1e-300 always fits: about
+        # 1e288 pulls, which used to pass parsing and never end.
+        path = tmp_path / "stretched.cfg"
+        path.write_text("horizon_budget = 1e-300\n[arm]\nkind = tabulated\nvalues = 0.5\ncost = 1e-300\n")
+        out = tmp_path / "out"
+        err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
+        assert "'horizon_budget'" in err and "cap" in err
         assert not out.exists()
 
     def test_epsilon_above_the_cap(self, tmp_path, capsys):

@@ -114,6 +114,10 @@ class TestParseErrors:
     def test_unknown_global_field(self):
         self._bad("horizon_trials = 5\nwat = 1\n[arm]\nkind = hpo\n", "unknown global fields")
 
+    def test_misspelt_horizon_key_is_named(self):
+        # Not "exactly one of trials or budget must be set", the horizon it fails to set.
+        self._bad("horizon_trial = 5\n[arm]\nkind = hpo\n", r"unknown global fields \['horizon_trial'\]")
+
     def test_unknown_arm_field(self):
         self._bad(
             "horizon_trials = 5\n[arm]\nkind = exponential\nlimit = 0.9\ninitial = 0.4\n"
@@ -214,6 +218,18 @@ class TestParseErrors:
         assert parse_experiment(f"horizon_budget = {budget}\n" + arms).bandit.budget == budget
         for value in (budget * 1.000001, 1e308):
             self._bad(f"horizon_budget = {value}\n" + arms, "'horizon_budget'")
+
+    @pytest.mark.parametrize(
+        "settings, cost",
+        [
+            # Only the epsilon buys pulls: about 1e288 of them.
+            ("horizon_budget = 1e-300\n", "1e-300"),
+            # 1e5 pulls by the budget alone, about 1e7 within the epsilon.
+            ("horizon_budget = 1e-8\nepsilon = 1e-6\n", "1e-13"),
+        ],
+    )
+    def test_epsilon_counts_toward_the_budget_cap(self, settings, cost):
+        self._bad(f"{settings}[arm]\nkind = tabulated\nvalues = 0.5\ncost = {cost}\n", "'horizon_budget'")
 
     def test_subnormal_cost_cannot_stretch_a_budget(self):
         self._bad("horizon_budget = 1\n[arm]\nkind = tabulated\nvalues = 0.5\ncost = 1e-320\n", "'horizon_budget'")
