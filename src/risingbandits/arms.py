@@ -62,7 +62,7 @@ class ArmProcess:
 class CurveArm(ArmProcess):
     """Plays back a reward curve exactly, at a constant per-pull cost."""
 
-    def __init__(self, curve: RewardCurve, cost: float = 1.0) -> None:
+    def __init__(self, curve: RewardCurve, cost: float) -> None:
         super().__init__()
         self.curve = curve
         self.cost = float(cost)
@@ -82,11 +82,7 @@ class NoisyCurveArm(CurveArm):
     """
 
     def __init__(
-        self,
-        curve: RewardCurve,
-        noise_amplitude: float,
-        rng: np.random.Generator,
-        cost: float = 1.0,
+        self, curve: RewardCurve, noise_amplitude: float, rng: np.random.Generator, cost: float
     ) -> None:
         super().__init__(curve, cost)
         self.noise_amplitude = float(noise_amplitude)
@@ -106,12 +102,7 @@ class HpoArm(ArmProcess):
     """
 
     def __init__(
-        self,
-        objective: str,
-        dimension: int,
-        rng: np.random.Generator,
-        strategy: str = "random",
-        mean_cost: float = 1.0,
+        self, objective: str, dimension: int, rng: np.random.Generator, strategy: str, mean_cost: float
     ) -> None:
         super().__init__()
         self.strategy = strategy
@@ -200,13 +191,7 @@ class HpoArmSpec:
 
     def build(self, rng: np.random.Generator) -> ArmProcess:
         self.check()
-        return HpoArm(
-            self.objective,
-            self.dimension,
-            rng,
-            strategy=self.strategy,
-            mean_cost=self.mean_cost,
-        )
+        return HpoArm(self.objective, self.dimension, rng, self.strategy, self.mean_cost)
 
 
 ArmSpec = CurveArmSpec | HpoArmSpec

@@ -43,7 +43,6 @@ class ArmState:
     arm_id: int
     pulls: int = 0
     history: list[float] = field(default_factory=list)
-    growth: float | None = None
     upper: float = 1.0
     lower: float = 0.0
     total_cost: float = 0.0
@@ -124,16 +123,10 @@ def growth_rate(history: list[float], mode: str = "last", window: int = DEFAULT_
     raise ValueError(f"growth mode must be one of {GROWTH_MODES}, got {mode!r}")
 
 
-def upper_bound(last: float, omega: float | None, pulls_left: float) -> float:
-    """Optimistic final reward: last value plus omega per pull left, capped at 1.
-
-    With fewer than two observations omega is unknowable and the only sound
-    bound is 1.
-    """
+def upper_bound(last: float, omega: float, pulls_left: float) -> float:
+    """Optimistic final reward: last value plus omega per pull left, capped at 1."""
     if pulls_left < 0:
         raise ValueError(f"pulls left must be >= 0, got {pulls_left}")
-    if omega is None:
-        return 1.0
     return min(last + omega * pulls_left, 1.0)
 
 
@@ -189,15 +182,16 @@ class Horizon:
             return self.t < self.trials
         return arm_id is None or self.spent + self.arms[arm_id - 1].peek_cost() <= self.budget + self.epsilon
 
-    def upper(self, state: ArmState) -> float:
-        """Upper bound of ``state`` over the pulls left after step t: trials
-        left, or budget left at the arm's mean pull cost so far."""
+    def upper(self, state: ArmState, omega: float) -> float:
+        """Upper bound of ``state``, growing at ``omega`` per pull, over the
+        pulls left after step t: trials left, or budget left at the arm's
+        mean pull cost so far."""
         if self.trials is not None:
             pulls_left = self.trials - self.t
         else:
             # The spend may pass the budget by up to epsilon: no pulls left.
             pulls_left = max(self.budget - self.spent, 0.0) / (state.total_cost / state.pulls)
-        return upper_bound(state.history[-1], state.growth, pulls_left)
+        return upper_bound(state.history[-1], omega, pulls_left)
 
 
 class Policy:
@@ -264,11 +258,13 @@ class RisingBanditPolicy(Policy):
             self._next, self._round_pulled = 0, False
 
     def observe(self, state: ArmState) -> None:
-        if len(self.candidates) == 1:
-            return  # only a sweep reads growth and upper, and none follows
-        if state.pulls >= 2:
-            state.growth = growth_rate(state.history, self._config.growth, self._config.smooth_window)
-        state.upper = self._horizon.upper(state)
+        # Only a sweep reads upper, and none follows once one candidate is
+        # left.  With one observation the growth rate is unknowable, so upper
+        # keeps its initial 1.0, the only sound bound.
+        if len(self.candidates) == 1 or state.pulls < 2:
+            return
+        omega = growth_rate(state.history, self._config.growth, self._config.smooth_window)
+        state.upper = self._horizon.upper(state, omega)
 
 
 def run_policy(policy: Policy, arms: list[ArmProcess], config: BanditConfig) -> PolicyTrace:
@@ -286,7 +282,7 @@ def run_policy(policy: Policy, arms: list[ArmProcess], config: BanditConfig) -> 
     steps: list[StepRecord] = []
     # Bound once per run: the loop body runs once per pull.
     select, observe, fits, record = policy.select, policy.observe, horizon.fits, steps.append
-    t = 0
+    t, arm_id = 0, None
     while fits():
         arm_id = select(states, t + 1)
         if arm_id is None:
@@ -308,6 +304,12 @@ def run_policy(policy: Policy, arms: list[ArmProcess], config: BanditConfig) -> 
         record(StepRecord(t, arm_id, reward, cost, len(policy.candidates)))
         observe(st)
     if not steps:
+        # A baseline ends at its first pick that does not fit, even when another arm would.
+        if arm_id is not None and any(map(fits, range(1, k + 1))):
+            raise ConfigurationError(
+                f"policy {policy.name!r} chose arm {arm_id} for its first pull, at cost "
+                f"{arms[arm_id - 1].peek_cost()}, above the budget {config.budget}"
+            )
         raise ConfigurationError("budget too small for a single pull")
     # max returns the first maximal step, as the trace's best_step promises.
     best = max(steps, key=attrgetter("reward"))

@@ -7,7 +7,9 @@ named invariant suites.  Outputs are byte-for-byte reproducible for a fixed
 base seed, except for the manifest's timestamp field.
 
 Exit codes: 0 success, 1 configuration, usage or file error, 2 invariant
-violation.
+violation, 143 stopped by ``SIGTERM``.  ``main`` turns ``SIGTERM`` into
+``SystemExit(143)``, so a stopped run removes its staged files and leaves the
+previous artifacts as they were; the caller's handler is restored on return.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 import time
 from collections.abc import Iterable, Iterator
 
@@ -24,7 +28,7 @@ from .arms import ConfigurationError
 from .bandit import PolicyTrace
 from .config import ExperimentConfig, parse_experiment
 from .harness import PolicyResult, build_report, simulate
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 TRACE_COLUMNS = (
     "step",
@@ -187,11 +191,7 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
 
 
 def run_verify(suite_name: str) -> int:
-    try:
-        result = run_suite(suite_name)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = SUITES[suite_name]()
     for failure in result.failures:
         print(f"FAIL {result.name}: {failure}")
     print(f"{result.name}: {result.passed}/{result.total} checks passed")
@@ -205,6 +205,10 @@ class _UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(f"{self.prog}: {message}")
+
+
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -221,8 +225,16 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--seed", type=int, default=None, help="override the base seed")
 
     verify_parser = sub.add_parser("verify", help="run a named invariant suite")
-    verify_parser.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
+    verify_parser.add_argument("suite", choices=sorted(SUITES))
 
+    # Every run and suite needs it, and numpy imports it on first use, where C
+    # code can lose the exception the handler raises: import it first.
+    import numpy.random  # noqa: F401
+
+    # Only the main thread may set a handler, and it is the one Python runs handlers in.
+    in_main_thread = threading.current_thread() is threading.main_thread()
+    if in_main_thread:
+        previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
@@ -234,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if in_main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

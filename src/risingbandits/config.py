@@ -12,15 +12,17 @@ epsilon, policies (comma list), replications, base_seed, and optional
 policy parameters (ucb_coefficient, softmax_temperature, thompson_alpha,
 thompson_beta).
 
-Arm keys: kind (exponential | power | tabulated | staircase | hpo) plus the
-kind's parameters; curve arms accept cost and noise_amplitude, hpo arms
-accept objective, dimension, strategy, mean_cost.
+Arm keys: kind (exponential | power | tabulated | staircase | hpo, the keys
+of ARM_KINDS), then one key per field of the dataclass the kind builds, under
+the field's name and parsed by its annotation: the curve class, followed by
+CurveArmSpec's fields after ``curve`` (cost, noise_amplitude), or HpoArmSpec.
+A key is optional exactly when its field has a default, which then applies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .arms import (
     ArmSpec,
@@ -62,6 +64,16 @@ POLICY_PARAMS = {
 
 GLOBAL_KEYS = {*BANDIT_FIELDS, *POLICY_PARAMS, "policies", "replications", "base_seed"}
 
+# Arm kind -> the class its block builds. A curve kind wraps its curve in a
+# CurveArmSpec, whose fields after ``curve`` the block may set as well.
+ARM_KINDS = {
+    "exponential": ExponentialCurve,
+    "power": PowerCurve,
+    "tabulated": TabulatedCurve,
+    "staircase": StaircaseCurve,
+    "hpo": HpoArmSpec,
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -99,6 +111,28 @@ def _parse_scalar(key: str, raw: str, kind: type) -> float | int | str:
     return value
 
 
+# The parser of each annotation an arm field may carry; the annotations are
+# strings, as the dataclass modules import annotations from __future__.
+_PARSERS = {
+    "int": lambda key, raw: _parse_scalar(key, raw, int),
+    "float": lambda key, raw: _parse_scalar(key, raw, float),
+    "str": lambda key, raw: raw,
+    "tuple[float, ...]": lambda key, raw: tuple(_parse_scalar(key, v, float) for v in raw.split(",")),
+}
+
+
+def _field_keys(cls_fields) -> tuple[tuple[str, object, bool], ...]:
+    """(key, parser, required) for each field: required exactly when it has no default."""
+    return tuple(
+        (f.name, _PARSERS[f.type], f.default is MISSING and f.default_factory is MISSING) for f in cls_fields
+    )
+
+
+# Listed once, at import, so an annotation without a parser fails here.
+_ARM_FIELDS = {cls: _field_keys(fields(cls)) for cls in ARM_KINDS.values()}
+_ARM_FIELDS[CurveArmSpec] = _field_keys(fields(CurveArmSpec)[1:])
+
+
 def _parse_blocks(text: str) -> tuple[dict[str, str], list[dict[str, str]]]:
     global_block: dict[str, str] = {}
     arm_blocks: list[dict[str, str]] = []
@@ -123,58 +157,37 @@ def _parse_blocks(text: str) -> tuple[dict[str, str], list[dict[str, str]]]:
     return global_block, arm_blocks
 
 
+def _read_fields(cls: type, block: dict[str, str], index: int, **given):
+    """Build ``cls`` from the keys of ``block`` named after its fields, read in
+    field order so a bad block names its first bad field.  Only the keys the
+    block sets are passed on, so an omitted optional key takes the default."""
+    for key, parse, required in _ARM_FIELDS[cls]:
+        if key in block:
+            given[key] = parse(f"arm {index}.{key}", block.pop(key))
+        elif required:
+            raise ConfigurationError(f"arm {index}: missing field {key!r}")
+    return cls(**given)
+
+
 def _build_arm(block: dict[str, str], index: int) -> ArmSpec:
     block = dict(block)
-
-    def take(key: str, kind: type, default=None):
-        if key not in block:
-            if default is None:
-                raise ConfigurationError(f"arm {index}: missing field {key!r}")
-            return default
-        return _parse_scalar(f"arm {index}.{key}", block.pop(key), kind)
-
     kind = block.pop("kind", None)
     if kind is None:
         raise ConfigurationError(f"arm {index}: missing field 'kind'")
+    if kind not in ARM_KINDS:
+        raise ConfigurationError(f"arm {index}: unknown kind {kind!r}")
+    cls = ARM_KINDS[kind]
     try:
-        if kind == "hpo":
-            spec: ArmSpec = HpoArmSpec(
-                objective=block.pop("objective", "sphere"),
-                dimension=take("dimension", int, 2),
-                strategy=block.pop("strategy", "random"),
-                mean_cost=take("mean_cost", float, 1.0),
-            )
-        else:
-            if kind == "exponential":
-                curve = ExponentialCurve(
-                    limit=take("limit", float), initial=take("initial", float), decay=take("decay", float)
-                )
-            elif kind == "power":
-                curve = PowerCurve(
-                    limit=take("limit", float), scale=take("scale", float), exponent=take("exponent", float)
-                )
-            elif kind == "tabulated":
-                values = take("values", str).split(",")
-                curve = TabulatedCurve([_parse_scalar(f"arm {index}.values", v, float) for v in values])
-            elif kind == "staircase":
-                curve = StaircaseCurve(
-                    initial=take("initial", float),
-                    limit=take("limit", float),
-                    plateau_length=take("plateau_length", int),
-                    jump_fraction=take("jump_fraction", float),
-                )
-            else:
-                raise ConfigurationError(f"arm {index}: unknown kind {kind!r}")
-            spec = CurveArmSpec(
-                curve, cost=take("cost", float, 1.0), noise_amplitude=take("noise_amplitude", float, 0.0)
-            )
-        if block:
-            raise ConfigurationError(f"arm {index}: unknown fields {sorted(block)}")
-        return spec
+        spec = _read_fields(cls, block, index)
+        if cls is not HpoArmSpec:
+            spec = _read_fields(CurveArmSpec, block, index, curve=spec)
     except ConfigurationError:
         raise
     except ValueError as exc:
         raise ConfigurationError(f"arm {index}: {exc}") from exc
+    if block:
+        raise ConfigurationError(f"arm {index}: unknown fields {sorted(block)}")
+    return spec
 
 
 def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:

@@ -14,7 +14,7 @@ import math
 import operator
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -358,23 +358,14 @@ class RegretReport:
     interpretation_notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "policies": {
-                name: {"j_mean": res.j_mean, "j_per_replication": res.j_values}
-                for name, res in self.policies.items()
-            },
-            "j_oracle": self.j_oracle,
-            "oracle_arm": self.oracle_arm,
-            "regrets": self.regrets,
-            "gamma": self.gamma,
-            "gamma_per_arm": list(self.gamma_per_arm) if self.gamma_per_arm is not None else None,
-            "theorem1_bound": self.theorem1_bound,
-            "theorem1_vacuous": self.theorem1_vacuous,
-            "corollary1_condition_holds": self.corollary1_condition_holds,
-            "avg_policy_regret": self.avg_policy_regret,
-            "interpretation_notes": self.interpretation_notes,
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["policies"] = {
+            name: {"j_mean": res.j_mean, "j_per_replication": res.j_values}
+            for name, res in self.policies.items()
         }
+        if self.gamma_per_arm is not None:
+            out["gamma_per_arm"] = list(self.gamma_per_arm)
+        return out
 
 
 def build_report(

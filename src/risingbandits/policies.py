@@ -123,21 +123,17 @@ class ThompsonPolicy(Policy):
         return _argmax(draws)
 
 
-POLICY_NAMES = ("average", "ucb", "softmax", "thompson", "rising_bandit")
+POLICIES = {
+    cls.name: cls for cls in (AveragePolicy, UCBPolicy, SoftmaxPolicy, ThompsonPolicy, RisingBanditPolicy)
+}
+POLICY_NAMES = tuple(POLICIES)
 
 
 def make_policy(name: str, **params) -> Policy:
     """Build a policy by name; unknown names or parameters raise ValueError."""
-    factories = {
-        "average": AveragePolicy,
-        "ucb": UCBPolicy,
-        "softmax": SoftmaxPolicy,
-        "thompson": ThompsonPolicy,
-        "rising_bandit": RisingBanditPolicy,
-    }
-    if name not in factories:
+    if name not in POLICIES:
         raise ValueError(f"unknown policy {name!r}, expected one of {POLICY_NAMES}")
     try:
-        return factories[name](**params)
+        return POLICIES[name](**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for policy {name!r}: {exc}") from exc

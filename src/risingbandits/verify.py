@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arms import CurveArmSpec, InstanceSpec
-from .bandit import BanditConfig, PolicyTrace, offline_max_run, rising_bandit_run
+from .bandit import BanditConfig, offline_max_run, rising_bandit_run
 from .curves import ExponentialCurve, PowerCurve, RewardCurve, StaircaseCurve, TabulatedCurve
 from .harness import (
     PolicyResult,
@@ -110,9 +110,10 @@ def random_dominant_instance(rng: np.random.Generator) -> tuple[list[RewardCurve
 
 @dataclass
 class ConcaveCase:
-    """One battery instance: the elimination run and the report the CLI would write."""
+    """One battery instance: the elimination run's candidate sets and the
+    report the CLI would write.  The run's step records are not kept."""
 
-    trace: PolicyTrace
+    candidate_history: list[tuple[int, ...]]
     report: RegretReport
 
 
@@ -126,7 +127,7 @@ def concave_battery(count: int = CONCAVE_BATTERY_COUNT, seed: int = CONCAVE_BATT
         config = BanditConfig(trials=horizon)
         trace = rising_bandit_run([spec.build(rng) for spec in instance.arms], config)
         report = build_report(instance, config, {"rising_bandit": PolicyResult([trace.final_j])})
-        cases.append(ConcaveCase(trace=trace, report=report))
+        cases.append(ConcaveCase(trace.candidate_history, report))
         assert report.oracle_arm == k_star
     return cases
 
@@ -152,7 +153,7 @@ def suite_safety(battery: list[ConcaveCase] | None = None) -> SuiteResult:
     result = SuiteResult(name="safety", total=len(battery))
     for i, case in enumerate(battery):
         optimal_arm = case.report.oracle_arm
-        if any(optimal_arm not in snapshot for snapshot in case.trace.candidate_history):
+        if any(optimal_arm not in snapshot for snapshot in case.candidate_history):
             result.failures.append(f"instance {i}: optimal arm {optimal_arm} eliminated")
     return result
 
@@ -285,9 +286,3 @@ SUITES = {
     "corollary1": suite_corollary1,
     "theorem2": suite_theorem2,
 }
-
-
-def run_suite(name: str) -> SuiteResult:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}, expected one of {sorted(SUITES)}")
-    return SUITES[name]()

@@ -73,7 +73,7 @@ class TestPullClamp:
     @example([math.inf])
     @example([0.9, 1.0, 1.5])
     def test_matches_max_of_clamp(self, values):
-        arm = CurveArm(_Playback(values))
+        arm = CurveArm(_Playback(values), cost=1.0)
         best = 0.0
         for raw in values:
             best = max(best, min(1.0, max(0.0, raw)))

@@ -102,8 +102,21 @@ class TestUpperBound:
     def test_zero_growth_pins_upper_to_lower(self):
         assert upper_bound(0.95, omega=0.0, pulls_left=497) == pytest.approx(0.95)
 
-    def test_cold_start_returns_one(self):
-        assert upper_bound(0.5, omega=None, pulls_left=4) == 1.0
+    @pytest.mark.parametrize(
+        "config", [BanditConfig(trials=6), BanditConfig(budget=6.0)], ids=["trials", "budget"]
+    )
+    def test_upper_stays_one_after_first_pull(self, config):
+        # One observation gives no growth rate, so 1 is the only sound bound.
+        seen = []
+
+        class Recording(RisingBanditPolicy):
+            def observe(self, state):
+                super().observe(state)
+                if state.pulls == 1:
+                    seen.append(state.upper)
+
+        run_policy(Recording(), _arms(ARM1, ARM2), config)
+        assert seen == [1.0, 1.0]
 
     def test_rejects_step_beyond_horizon(self):
         with pytest.raises(ValueError):
@@ -111,40 +124,36 @@ class TestUpperBound:
         horizon = Horizon(BanditConfig(trials=5), _arms(ARM1))
         horizon.t = 6
         with pytest.raises(ValueError):
-            horizon.upper(ArmState(arm_id=1, pulls=2, history=[0.5, 0.6], growth=0.1))
+            horizon.upper(ArmState(arm_id=1, pulls=2, history=[0.5, 0.6]), 0.1)
 
     def test_trial_horizon_extrapolates_over_trials_left(self):
         horizon = Horizon(BanditConfig(trials=5), _arms(ARM1))
         horizon.t = 2
-        state = ArmState(arm_id=1, pulls=2, history=[0.5, 0.6], growth=0.1)
-        assert horizon.upper(state) == pytest.approx(0.9)
+        state = ArmState(arm_id=1, pulls=2, history=[0.5, 0.6])
+        assert horizon.upper(state, 0.1) == pytest.approx(0.9)
 
 
 class TestCostAwareUpperBound:
     """The budget-mode bound of ``Horizon.upper``: pulls left are the budget
     left at the arm's mean pull cost so far."""
 
-    def _upper(self, state, budget, spent=0.0):
+    def _upper(self, state, omega, budget, spent=0.0):
         horizon = Horizon(BanditConfig(budget=budget), _arms(ARM1))
         horizon.spent = spent
-        return horizon.upper(state)
+        return horizon.upper(state, omega)
 
     def test_affordable_pulls_scale_extrapolation(self):
-        state = ArmState(arm_id=1, pulls=2, history=[0.5, 0.6], growth=0.05, total_cost=4.0)
+        state = ArmState(arm_id=1, pulls=2, history=[0.5, 0.6], total_cost=4.0)
         # Mean cost 2, budget 10 -> five affordable pulls of growth 0.05 each.
-        assert self._upper(state, budget=14.0, spent=4.0) == pytest.approx(0.85)
+        assert self._upper(state, 0.05, budget=14.0, spent=4.0) == pytest.approx(0.85)
 
     def test_capped_at_one(self):
-        state = ArmState(arm_id=1, pulls=2, history=[0.5, 0.9], growth=0.5, total_cost=2.0)
-        assert self._upper(state, budget=100.0) == 1.0
-
-    def test_cold_start_returns_one(self):
-        state = ArmState(arm_id=1, pulls=1, history=[0.5], total_cost=1.0)
-        assert self._upper(state, budget=10.0) == 1.0
+        state = ArmState(arm_id=1, pulls=2, history=[0.5, 0.9], total_cost=2.0)
+        assert self._upper(state, 0.5, budget=100.0) == 1.0
 
     def test_spend_past_budget_within_epsilon_leaves_no_pulls(self):
-        state = ArmState(arm_id=1, pulls=3, history=[0.5, 0.6, 0.7], growth=0.1, total_cost=3.0)
-        assert self._upper(state, budget=3.0, spent=3.0 + 1e-13) == 0.7
+        state = ArmState(arm_id=1, pulls=3, history=[0.5, 0.6, 0.7], total_cost=3.0)
+        assert self._upper(state, 0.1, budget=3.0, spent=3.0 + 1e-13) == 0.7
 
 
 def _eliminate_pairwise(candidates, states, epsilon):
@@ -331,7 +340,7 @@ class TestRisingBanditRunBudget:
 
 class _AlwaysSweeping(Policy):
     """Reference elimination policy: every round ends with a sweep and every
-    pull updates the arm's growth rate and upper bound, however many
+    pull from an arm's second on updates its upper bound, however many
     candidates are left."""
 
     name = "rising_bandit"
@@ -357,8 +366,8 @@ class _AlwaysSweeping(Policy):
 
     def observe(self, state):
         if state.pulls >= 2:
-            state.growth = growth_rate(state.history, self._config.growth, self._config.smooth_window)
-        state.upper = self._horizon.upper(state)
+            omega = growth_rate(state.history, self._config.growth, self._config.smooth_window)
+            state.upper = self._horizon.upper(state, omega)
 
 
 @st.composite

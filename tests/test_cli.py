@@ -4,9 +4,12 @@ import json
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import weakref
 
 import pytest
@@ -156,6 +159,13 @@ limit = 0.95
 initial = 0.3
 decay = 0.8
 """
+
+
+def _subprocess_env():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
 
 
 @pytest.fixture()
@@ -315,12 +325,63 @@ class TestRunCommand:
             f"assert cli.main(['run', {config_path!r}, '--output', {out!r}]) == 0\n"
             "assert 'concurrent.futures' not in sys.modules, 'a --jobs 1 run imported the process pool'\n"
         )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True
+        )
         assert result.returncode == 0, result.stderr
         assert sorted(os.listdir(out)) == ["manifest.json", "report.json", "trace.csv"]
+
+    def test_sigterm_keeps_the_previous_artifacts(self, config_path, tmp_path):
+        out = tmp_path / "results"
+        assert main(["run", config_path, "--output", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        long_path = tmp_path / "long.cfg"
+        # Minutes of runs: the signal always arrives mid-experiment.
+        long_path.write_text(
+            "horizon_trials = 200000\nreplications = 1000\n[arm]\nkind = tabulated\nvalues = 0.5\n"
+        )
+        argv = [sys.executable, "-m", "risingbandits.cli", "run", str(long_path), "--output", str(out)]
+        proc = subprocess.Popen(
+            argv, env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        try:
+            # The staged trace exists once the runs have started streaming into it.
+            deadline = time.monotonic() + 60
+            while not any(path.name.endswith(".tmp") for path in out.iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 143, err
+        assert "Traceback" not in err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_main_restores_the_sigterm_handler(self, config_path, tmp_path, capsys):
+        def handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            assert main(["run", config_path, "--output", str(tmp_path / "results")]) == 0
+            assert signal.getsignal(signal.SIGTERM) is handler
+            assert main(["verify", "no_such_suite"]) == 1
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_main_runs_outside_the_main_thread(self, config_path, tmp_path, capsys):
+        # Only the main thread may set a signal handler, so main sets none there.
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(main(["run", config_path, "--output", str(tmp_path / "results")]))
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert codes == [0]
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
@@ -637,3 +698,6 @@ class TestVerifyCommand:
 
     def test_unknown_suite_exits_one(self, capsys):
         assert main(["verify", "no_such_suite"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "invalid choice: 'no_such_suite'" in err

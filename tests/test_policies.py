@@ -18,6 +18,7 @@ from risingbandits import (
     make_policy,
     simulate,
 )
+from risingbandits.policies import POLICIES, POLICY_NAMES
 
 CURVE = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
 
@@ -171,6 +172,11 @@ class TestMakePolicy:
     def test_builds_each_known_policy(self):
         for name in ("average", "ucb", "softmax", "thompson", "rising_bandit"):
             assert make_policy(name).name == name
+
+    def test_policy_names_keep_their_order(self):
+        # The order in which error messages list the policies.
+        assert POLICY_NAMES == ("average", "ucb", "softmax", "thompson", "rising_bandit")
+        assert all(POLICIES[name].name == name for name in POLICY_NAMES)
 
     def test_forwards_parameters(self):
         assert make_policy("ucb", exploration_coefficient=1.5).exploration_coefficient == 1.5
