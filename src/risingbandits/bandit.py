@@ -14,8 +14,8 @@ observes each pull.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +78,7 @@ class BanditConfig:
 
 
 class StepRecord(NamedTuple):
-    """One pull of a run; a named tuple, since one is built per pull."""
+    """One pull of a run, as a sink receives it; a named tuple, since one is built per pull."""
 
     t: int
     arm: int
@@ -87,21 +87,21 @@ class StepRecord(NamedTuple):
     candidate_set_size: int
 
 
+# Receives each pull of a run as it happens, e.g. ``steps.append``.
+StepSink = Callable[[StepRecord], object]
+
+
 @dataclass
 class PolicyTrace:
-    """Full record of one run."""
+    """Summary of one run; its steps go to the run's sink, if one is given."""
 
-    steps: list[StepRecord]
+    horizon: int  # pulls made
     pull_counts: list[int]
     total_cost: float
     best_arm: int
     best_step: int
     final_j: float
     candidate_history: list[tuple[int, ...]] = field(default_factory=list)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.steps)
 
 
 def growth_rate(history: list[float], mode: str = "last", window: int = DEFAULT_SMOOTH_WINDOW) -> float:
@@ -267,11 +267,14 @@ class RisingBanditPolicy(Policy):
         state.upper = self._horizon.upper(state, omega)
 
 
-def run_policy(policy: Policy, arms: list[ArmProcess], config: BanditConfig) -> PolicyTrace:
-    """Run ``policy`` on ``arms``: the one loop that pulls arms and records pulls.
+def run_policy(
+    policy: Policy, arms: list[ArmProcess], config: BanditConfig, sink: StepSink | None = None
+) -> PolicyTrace:
+    """Run ``policy`` on ``arms``: the one loop that pulls arms.
 
-    The run ends when the horizon is used up, when the policy returns None,
-    or at the first selected pull that does not fit.
+    Each pull is passed to ``sink`` as a :class:`StepRecord`; with no sink no
+    record is built.  The run ends when the horizon is used up, when the
+    policy returns None, or at the first selected pull that does not fit.
     """
     k = len(arms)
     if k == 0:
@@ -279,10 +282,12 @@ def run_policy(policy: Policy, arms: list[ArmProcess], config: BanditConfig) -> 
     states = [ArmState(arm_id=i) for i in range(1, k + 1)]
     horizon = Horizon(config, arms)
     policy.start(states, config, horizon)
-    steps: list[StepRecord] = []
     # Bound once per run: the loop body runs once per pull.
-    select, observe, fits, record = policy.select, policy.observe, horizon.fits, steps.append
+    select, observe, fits = policy.select, policy.observe, horizon.fits
     t, arm_id = 0, None
+    # Only a strictly greater reward moves the best, so best_step is the
+    # first step that reaches final_j.
+    final_j, best_step, best_arm = -math.inf, 0, 0
     while fits():
         arm_id = select(states, t + 1)
         if arm_id is None:
@@ -301,9 +306,12 @@ def run_policy(policy: Policy, arms: list[ArmProcess], config: BanditConfig) -> 
         st.reward_sum += reward
         st.lower = reward
         st.total_cost += cost
-        record(StepRecord(t, arm_id, reward, cost, len(policy.candidates)))
+        if reward > final_j:
+            final_j, best_step, best_arm = reward, t, arm_id
+        if sink is not None:
+            sink(StepRecord(t, arm_id, reward, cost, len(policy.candidates)))
         observe(st)
-    if not steps:
+    if t == 0:
         # A baseline ends at its first pick that does not fit, even when another arm would.
         if arm_id is not None and any(map(fits, range(1, k + 1))):
             raise ConfigurationError(
@@ -311,15 +319,13 @@ def run_policy(policy: Policy, arms: list[ArmProcess], config: BanditConfig) -> 
                 f"{arms[arm_id - 1].peek_cost()}, above the budget {config.budget}"
             )
         raise ConfigurationError("budget too small for a single pull")
-    # max returns the first maximal step, as the trace's best_step promises.
-    best = max(steps, key=attrgetter("reward"))
     return PolicyTrace(
-        steps=steps,
+        horizon=t,
         pull_counts=[st.pulls for st in states],
         total_cost=sum(st.total_cost for st in states),
-        best_arm=best.arm,
-        best_step=best.t,
-        final_j=best.reward,
+        best_arm=best_arm,
+        best_step=best_step,
+        final_j=final_j,
         candidate_history=policy.candidate_history,
     )
 

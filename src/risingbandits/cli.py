@@ -21,14 +21,15 @@ import signal
 import sys
 import threading
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable
+from functools import partial
 
 from . import __version__
 from .arms import ConfigurationError
-from .bandit import PolicyTrace
+from .bandit import PolicyTrace, StepRecord, StepSink
 from .config import ExperimentConfig, parse_experiment
 from .harness import PolicyResult, build_report, simulate
-from .verify import SUITES
+from .verify import SUITES, FixtureError
 
 TRACE_COLUMNS = (
     "step",
@@ -48,15 +49,32 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _run_one(config: ExperimentConfig, policy_name: str, replication: int) -> PolicyTrace:
-    policy = next(p for p in config.build_policies() if p.name == policy_name)
-    return simulate(policy, config.instance, config.bandit, config.base_seed, replication)
+def _run_one(
+    config: ExperimentConfig, policy_name: str, replication: int, sink: StepSink | None = None
+) -> PolicyTrace:
+    policy = config.build_policy(policy_name)
+    return simulate(policy, config.instance, config.bandit, config.base_seed, replication, sink)
 
 
-def _trace_lines(runs: Iterable[tuple[str, int, PolicyTrace]]) -> Iterator[str]:
-    """The lines of ``trace.csv`` after its header, one per pull, as a stream.
+def _run_listed(
+    config: ExperimentConfig, policy_name: str, replication: int
+) -> tuple[float, list[StepRecord]]:
+    """One run in a worker process: its final J and its steps, for the parent to write."""
+    steps: list[StepRecord] = []
+    return _run_one(config, policy_name, replication, steps.append).final_j, steps
 
-    Each line is one template, with the ``\r\n`` terminator ``csv.writer``
+
+RowSinks = Callable[[str, int], StepSink]
+
+
+def _write_trace(path: str, runs: Callable[[RowSinks], None]) -> None:
+    """Write ``trace.csv`` at ``path`` while ``runs(rows)`` makes the runs.
+
+    ``runs`` calls ``rows(policy_name, replication)`` as each run starts, in
+    task order, and passes the run's steps to the sink it returns.  Each row
+    is written as its step arrives, so no step record outlives its pull.
+
+    Each row is one template, with the ``\r\n`` terminator ``csv.writer``
     uses.  No field ever needs CSV quoting: each is an int, a ``.17g`` float
     text or a name from ``POLICY_NAMES``, all free of commas, quotes and line
     breaks.  An arm's cost is formatted again only when it differs from that
@@ -67,52 +85,56 @@ def _trace_lines(runs: Iterable[tuple[str, int, PolicyTrace]]) -> Iterator[str]:
     ``reward``.
     """
     cost_memo: dict[int, tuple[float, str]] = {}
-    for policy_name, replication, trace in runs:
-        prefix = f"{policy_name},{replication},"
-        best, best_text = 0.0, _fmt(0.0)
-        for t, arm, reward, cost, candidate_set_size in trace.steps:
-            reward_text = f"{reward:.17g}"
-            if reward > best:
-                best, best_text = reward, reward_text
-            memo = cost_memo.get(arm)
-            if memo is None or memo[0] != cost:
-                memo = cost_memo[arm] = (cost, _fmt(cost))
-            yield f"{t},{prefix}{arm},{reward_text},{memo[1]},{candidate_set_size},{best_text}\r\n"
-        del trace  # released before the next run is drawn from ``runs``
-
-
-def _write_trace(path: str, runs: Iterable[tuple[str, int, PolicyTrace]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(TRACE_COLUMNS) + "\r\n")
-        handle.writelines(_trace_lines(runs))
+        write = handle.write
+        write(",".join(TRACE_COLUMNS) + "\r\n")
+
+        def rows(policy_name: str, replication: int) -> StepSink:
+            prefix = f"{policy_name},{replication},"
+            best, best_text = 0.0, _fmt(0.0)
+
+            def row(step: StepRecord) -> None:
+                nonlocal best, best_text
+                t, arm, reward, cost, candidate_set_size = step
+                reward_text = f"{reward:.17g}"
+                if reward > best:
+                    best, best_text = reward, reward_text
+                memo = cost_memo.get(arm)
+                if memo is None or memo[0] != cost:
+                    memo = cost_memo[arm] = (cost, _fmt(cost))
+                write(f"{t},{prefix}{arm},{reward_text},{memo[1]},{candidate_set_size},{best_text}\r\n")
+
+            return row
+
+        runs(rows)
 
 
-def _recorded(
-    tasks: list[tuple[str, int]], traces: Iterator[PolicyTrace], results: dict[str, PolicyResult]
-) -> Iterator[tuple[str, int, PolicyTrace]]:
-    # next() rather than zip(): zip reuses its result tuple, which would hold
-    # the previous trace until the next run has finished.
-    for policy_name, replication in tasks:
-        trace = next(traces)
-        results.setdefault(policy_name, PolicyResult()).j_values.append(trace.final_j)
-        yield policy_name, replication, trace
-        del trace  # released before the next run starts
-
-
-def _runs(
-    config: ExperimentConfig, tasks: list[tuple[str, int]], workers: int, results: dict[str, PolicyResult]
-) -> Iterator[tuple[str, int, PolicyTrace]]:
-    """Each task's ``(policy, replication, trace)`` in task order, with each
-    run's final J recorded into ``results``.  A serial experiment starts a
-    run only when its trace is drawn, so it holds one run's trace at a time."""
+def _run_tasks(
+    config: ExperimentConfig,
+    tasks: list[tuple[str, int]],
+    workers: int,
+    results: dict[str, PolicyResult],
+    rows: RowSinks,
+) -> None:
+    """Make each task's run, in task order, passing its steps to ``rows(policy, replication)``
+    and recording its final J into ``results``.  A serial run passes each step
+    on as it is made; a worker's run returns its steps, which are passed on here."""
     if workers > 1:
         # Imported here only: a serial run never needs it, and it costs milliseconds and loads logging.
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from _recorded(tasks, pool.map(_run_one, [config] * len(tasks), *zip(*tasks)), results)
+            outcomes = pool.map(_run_listed, [config] * len(tasks), *zip(*tasks))
+            for policy_name, replication in tasks:
+                final_j, steps = next(outcomes)
+                results.setdefault(policy_name, PolicyResult()).j_values.append(final_j)
+                sink = rows(policy_name, replication)
+                for step in steps:
+                    sink(step)
     else:
-        yield from _recorded(tasks, (_run_one(config, name, rep) for name, rep in tasks), results)
+        for policy_name, replication in tasks:
+            final_j = _run_one(config, policy_name, replication, rows(policy_name, replication)).final_j
+            results.setdefault(policy_name, PolicyResult()).j_values.append(final_j)
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -147,12 +169,12 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
 
     # Each artifact goes to a temporary file, and all three move into place
     # only once all are written: a failed run cannot leave a new trace.csv
-    # next to an old report.json.  The runs stream into the trace as they
-    # finish, so a run that fails mid-experiment is cleaned up here too.
+    # next to an old report.json.  Rows go into the staged trace as the pulls
+    # are made, so a run that fails mid-experiment is cleaned up here too.
     staged = {name: os.path.join(output_dir, f".{name}.{os.getpid()}.tmp") for name in ARTIFACTS}
     results: dict[str, PolicyResult] = {}
     try:
-        _write_trace(staged["trace.csv"], _runs(config, tasks, workers, results))
+        _write_trace(staged["trace.csv"], partial(_run_tasks, config, tasks, workers, results))
         report = build_report(config.instance, config.bandit, results)
         for note in report.interpretation_notes:
             print(f"note: {note}")
@@ -191,7 +213,11 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
 
 
 def run_verify(suite_name: str) -> int:
-    result = SUITES[suite_name]()
+    try:
+        result = SUITES[suite_name]()
+    except FixtureError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 2
     for failure in result.failures:
         print(f"FAIL {result.name}: {failure}")
     print(f"{result.name}: {result.passed}/{result.total} checks passed")

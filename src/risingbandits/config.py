@@ -36,13 +36,13 @@ from .curves import ExponentialCurve, PowerCurve, StaircaseCurve, TabulatedCurve
 from .policies import POLICY_NAMES, Policy, make_policy
 
 # run_experiment lists every (policy, replication) task before the first run,
-# and a run's rows stream into the trace, so the count bounds the task list
-# and the time a file may ask for, not the step records held.
+# so the count bounds the task list and the time a file may ask for.
 MAX_REPLICATIONS = 10_000
-# A run keeps one step record per pull in memory, about 150 bytes each
-# (peak RSS of 400k-pull runs minus 200k-pull ones), so a run is capped at
-# about 150 MB of records; a larger horizon would run on for minutes while
-# its trace grows.
+# A serial run holds no step records: each row goes to the trace as its pull
+# is made.  The cap bounds a run's time and its rows in the trace: one noisy
+# arm at the cap took about 8 s on a 2-CPU VM and wrote 68 MB of rows.  With
+# --jobs > 1 a worker returns its run's steps as a list, about 150 bytes a
+# pull, so there the cap also bounds each run's list to about 150 MB.
 MAX_PULLS_PER_RUN = 1_000_000
 
 # Optional global key -> (BanditConfig field, type).
@@ -85,20 +85,21 @@ class ExperimentConfig:
     policy_params: dict[str, float] = field(default_factory=dict)
 
     def build_policies(self) -> list[Policy]:
-        out = []
-        for name in self.policy_names:
-            keys = [
-                key
-                for key, (policy, _) in POLICY_PARAMS.items()
-                if policy == name and key in self.policy_params
-            ]
-            params = {POLICY_PARAMS[key][1]: self.policy_params[key] for key in keys}
-            try:
-                out.append(make_policy(name, **params))
-            except ValueError as exc:
-                given = "".join(f", {key} = {self.policy_params[key]}" for key in keys)
-                raise ConfigurationError(f"policy {name!r}{given}: {exc}") from exc
-        return out
+        return [self.build_policy(name) for name in self.policy_names]
+
+    def build_policy(self, name: str) -> Policy:
+        """The named policy, with the parameters this experiment sets for it."""
+        keys = [
+            key
+            for key, (policy, _) in POLICY_PARAMS.items()
+            if policy == name and key in self.policy_params
+        ]
+        params = {POLICY_PARAMS[key][1]: self.policy_params[key] for key in keys}
+        try:
+            return make_policy(name, **params)
+        except ValueError as exc:
+            given = "".join(f", {key} = {self.policy_params[key]}" for key in keys)
+            raise ConfigurationError(f"policy {name!r}{given}: {exc}") from exc
 
 
 def _parse_scalar(key: str, raw: str, kind: type) -> float | int | str:

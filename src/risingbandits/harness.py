@@ -19,7 +19,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .arms import ConfigurationError, InstanceSpec, make_instance
-from .bandit import DEFAULT_EPSILON, BanditConfig, Policy, PolicyTrace, offline_max_run, run_policy, upper_bound
+from .bandit import (
+    DEFAULT_EPSILON,
+    BanditConfig,
+    Policy,
+    PolicyTrace,
+    StepSink,
+    offline_max_run,
+    run_policy,
+    upper_bound,
+)
 from .curves import RewardCurve
 
 # Count vectors the exact oracle may visit. At the cap, one instance with 1
@@ -53,8 +62,9 @@ def simulate(
     config: BanditConfig,
     seed: int = 0,
     replication: int = 0,
+    sink: StepSink | None = None,
 ) -> PolicyTrace:
-    """Run one policy on a fresh copy of the instance.
+    """Run one policy on a fresh copy of the instance, passing each pull to ``sink``.
 
     Every run builds its own arm processes from the spec, so policies never
     share arm state; arm and policy RNG streams derive from (seed, policy
@@ -64,7 +74,7 @@ def simulate(
     arms = make_instance(instance, run_seed)
     policy_stream = np.random.SeedSequence(entropy=run_seed.entropy, spawn_key=run_seed.spawn_key + (0,))
     policy.reset(np.random.Generator(np.random.PCG64(policy_stream)))
-    return run_policy(policy, arms, config)
+    return run_policy(policy, arms, config, sink)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,10 @@ ALLOCATION_GOLDEN_SHARE = 0.596
 ALLOCATION_SHARE_THRESHOLD = 0.40
 
 
+class FixtureError(RuntimeError):
+    """A generator made an instance that breaks the guarantee its suites rely on."""
+
+
 @dataclass
 class SuiteResult:
     name: str
@@ -111,7 +115,7 @@ def random_dominant_instance(rng: np.random.Generator) -> tuple[list[RewardCurve
 @dataclass
 class ConcaveCase:
     """One battery instance: the elimination run's candidate sets and the
-    report the CLI would write.  The run's step records are not kept."""
+    report the CLI would write."""
 
     candidate_history: list[tuple[int, ...]]
     report: RegretReport
@@ -121,14 +125,18 @@ def concave_battery(count: int = CONCAVE_BATTERY_COUNT, seed: int = CONCAVE_BATT
     """Shared instance set for the safety / regret-bound / round-robin suites."""
     rng = np.random.default_rng(seed)
     cases = []
-    for _ in range(count):
+    for i in range(count):
         curves, horizon, k_star = random_dominant_instance(rng)
         instance = InstanceSpec([CurveArmSpec(c) for c in curves])
         config = BanditConfig(trials=horizon)
         trace = rising_bandit_run([spec.build(rng) for spec in instance.arms], config)
         report = build_report(instance, config, {"rising_bandit": PolicyResult([trace.final_j])})
+        if report.oracle_arm != k_star:
+            raise FixtureError(
+                f"battery instance {i}: the generator made arm {k_star} dominant, "
+                f"but the oracle picks arm {report.oracle_arm}"
+            )
         cases.append(ConcaveCase(trace.candidate_history, report))
-        assert report.oracle_arm == k_star
     return cases
 
 

@@ -7,6 +7,7 @@ golden values frozen from the first oracle run.
 
 import json
 import os
+import pathlib
 import time
 
 import pytest
@@ -133,13 +134,11 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
         outputs.append(out)
 
     for name in ("trace.csv", "report.json"):
-        first = open(os.path.join(outputs[0], name), "rb").read()
-        second = open(os.path.join(outputs[1], name), "rb").read()
+        first = pathlib.Path(outputs[0], name).read_bytes()
+        second = pathlib.Path(outputs[1], name).read_bytes()
         assert first == second, f"{name} differs between identical runs"
 
-    manifests = [
-        json.load(open(os.path.join(out, "manifest.json"))) for out in outputs
-    ]
+    manifests = [json.loads(pathlib.Path(out, "manifest.json").read_text()) for out in outputs]
     for manifest in manifests:
         manifest.pop("timestamp")
     assert manifests[0] == manifests[1]

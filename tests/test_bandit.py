@@ -310,9 +310,10 @@ class TestRisingBanditRunTrials:
             rising_bandit_run([], BanditConfig(trials=5))
 
     def test_best_step_is_earliest_maximum(self):
-        trace = rising_bandit_run(_arms(ARM1), BanditConfig(trials=4))
+        steps = []
+        trace = run_policy(RisingBanditPolicy(), _arms(ARM1), BanditConfig(trials=4), steps.append)
         assert trace.best_step == 4
-        assert trace.steps[trace.best_step - 1].reward == trace.final_j
+        assert steps[trace.best_step - 1].reward == trace.final_j
 
 
 class TestRisingBanditRunBudget:
@@ -405,7 +406,9 @@ def _run_recording_selects(policy, instance, config, seed):
         return selected[-1]
 
     policy.select = recording
-    return run_policy(policy, make_instance(instance, seed), config), selected
+    steps = []
+    trace = run_policy(policy, make_instance(instance, seed), config, steps.append)
+    return trace, steps, selected
 
 
 class TestSettledCandidateSet:
@@ -413,9 +416,11 @@ class TestSettledCandidateSet:
     @given(elimination_cases())
     def test_matches_the_always_sweeping_policy(self, case):
         instance, config, seed = case
-        trace, selected = _run_recording_selects(RisingBanditPolicy(), instance, config, seed)
-        expected, expected_selected = _run_recording_selects(_AlwaysSweeping(), instance, config, seed)
-        assert trace.steps == expected.steps
+        trace, steps, selected = _run_recording_selects(RisingBanditPolicy(), instance, config, seed)
+        expected, expected_steps, expected_selected = _run_recording_selects(
+            _AlwaysSweeping(), instance, config, seed
+        )
+        assert steps == expected_steps
         assert trace.pull_counts == expected.pull_counts
         assert trace.final_j == expected.final_j
         assert trace.candidate_history == expected.candidate_history
@@ -427,7 +432,7 @@ class TestSettledCandidateSet:
     def test_settled_set_ends_a_budget_run_when_its_arm_no_longer_fits(self):
         # Arm 2 stops growing and is dropped after round 2, with 6.5 of the
         # budget left; arm 1 (cost 3) fits twice more, then no candidate fits.
-        trace, selected = _run_recording_selects(
+        trace, _, selected = _run_recording_selects(
             RisingBanditPolicy(),
             InstanceSpec([CurveArmSpec(ARM1, cost=3.0), CurveArmSpec(TabulatedCurve([0.1]), cost=1.0)]),
             BanditConfig(budget=14.5),

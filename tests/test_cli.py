@@ -10,15 +10,17 @@ import sys
 import tempfile
 import threading
 import time
-import weakref
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, InstanceSpec, cli
+from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, InstanceSpec, cli, verify
+from risingbandits import config as config_module
 from risingbandits.bandit import BanditConfig
 from risingbandits.cli import main, worker_count
+from risingbandits.config import parse_experiment
 from risingbandits.curves import ExponentialCurve
 from risingbandits.harness import simulate
 from risingbandits.hpo import SEARCH_STRATEGIES
@@ -185,7 +187,7 @@ class TestRunCommand:
     def test_trace_has_expected_shape(self, config_path, tmp_path):
         out = str(tmp_path / "results")
         main(["run", config_path, "--output", out])
-        lines = open(os.path.join(out, "trace.csv")).read().splitlines()
+        lines = pathlib.Path(out, "trace.csv").read_text().splitlines()
         header = lines[0].split(",")
         assert header == [
             "step",
@@ -203,7 +205,7 @@ class TestRunCommand:
     def test_report_contents(self, config_path, tmp_path):
         out = str(tmp_path / "results")
         main(["run", config_path, "--output", out])
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = json.loads(pathlib.Path(out, "report.json").read_text())
         assert report["horizon"] == 10
         assert report["oracle_arm"] == 1
         assert set(report["policies"]) == {"rising_bandit", "average"}
@@ -212,7 +214,7 @@ class TestRunCommand:
     def test_manifest_echoes_config_and_seed(self, config_path, tmp_path):
         out = str(tmp_path / "results")
         main(["run", config_path, "--output", out, "--seed", "77"])
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
         assert manifest["base_seed"] == 77
         assert manifest["config_echo"] == CONFIG
         assert manifest["replications"] == 2
@@ -221,7 +223,7 @@ class TestRunCommand:
         monkeypatch.setenv("RB_SEED", "123")
         out = str(tmp_path / "results")
         main(["run", config_path, "--output", out])
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
         assert manifest["base_seed"] == 123
 
     # The HPO arms draw a cost per pull, so the steps that cross the process
@@ -236,10 +238,8 @@ class TestRunCommand:
         parallel = str(tmp_path / "parallel")
         main(["run", str(config_path), "--output", serial])
         main(["run", str(config_path), "--output", parallel, "--jobs", "2"])
-        assert (
-            open(os.path.join(serial, "trace.csv"), "rb").read()
-            == open(os.path.join(parallel, "trace.csv"), "rb").read()
-        )
+        serial_trace = pathlib.Path(serial, "trace.csv").read_bytes()
+        assert pathlib.Path(parallel, "trace.csv").read_bytes() == serial_trace
 
     def test_config_file_read_once(self, config_path, tmp_path, monkeypatch):
         opened = []
@@ -253,7 +253,8 @@ class TestRunCommand:
         out = str(tmp_path / "results")
         assert main(["run", config_path, "--output", out]) == 0
         assert opened.count(config_path) == 1
-        manifest = json.load(real_open(os.path.join(out, "manifest.json")))
+        with real_open(os.path.join(out, "manifest.json")) as handle:
+            manifest = json.load(handle)
         assert manifest["config_echo"] == CONFIG
 
     def test_leaves_only_the_artifacts(self, config_path, tmp_path, capsys):
@@ -289,11 +290,11 @@ class TestRunCommand:
         real_run_one = cli._run_one
         started = []
 
-        def failing_second_run(config, policy_name, replication):
+        def failing_second_run(config, policy_name, replication, sink):
             started.append((policy_name, replication))
             if len(started) == 2:
                 raise ConfigurationError("the second run failed")
-            return real_run_one(config, policy_name, replication)
+            return real_run_one(config, policy_name, replication, sink)
 
         # The first run's rows are already in the staged trace when the second fails.
         monkeypatch.setattr(cli, "_run_one", failing_second_run)
@@ -302,20 +303,33 @@ class TestRunCommand:
         assert len(started) == 2
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
-    def test_each_trace_is_released_before_the_next_run(self, config_path, tmp_path, monkeypatch, capsys):
-        real_run_one = cli._run_one
-        traces, alive_at_start = [], []
+    def test_serial_run_holds_no_steps(self, tmp_path, capsys):
+        # 100,000 pulls: held as step records they would take about 15 MB.
+        path = tmp_path / "long.cfg"
+        path.write_text("horizon_trials = 100000\npolicies = rising_bandit\n[arm]\nkind = tabulated\nvalues = 0.5\n")
+        tracemalloc.start()
+        try:
+            assert main(["run", str(path), "--output", str(tmp_path / "results")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # What still grows with the pulls: the arm's reward history, and one
+        # candidate set per elimination round, which with one arm is one per
+        # pull; about 1.6 MB of lists here.
+        assert peak < 3_000_000
 
-        def tracked_run(config, policy_name, replication):
-            alive_at_start.append(sum(ref() is not None for ref in traces))
-            trace = real_run_one(config, policy_name, replication)
-            traces.append(weakref.ref(trace))
-            return trace
+    def test_a_run_builds_only_its_policy(self, monkeypatch):
+        config = parse_experiment(CONFIG)
+        built = []
+        real = config_module.make_policy
 
-        monkeypatch.setattr(cli, "_run_one", tracked_run)
-        assert main(["run", config_path, "--output", str(tmp_path / "results")]) == 0
-        # 2 policies x 2 replications, each started with no earlier trace alive.
-        assert alive_at_start == [0, 0, 0, 0]
+        def counting(name, **params):
+            built.append(name)
+            return real(name, **params)
+
+        monkeypatch.setattr(config_module, "make_policy", counting)
+        cli._run_one(config, "average", 0)
+        assert built == ["average"]
 
     def test_serial_run_imports_no_process_pool(self, config_path, tmp_path):
         out = str(tmp_path / "results")
@@ -426,9 +440,9 @@ def _reference_write_trace(path, runs):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(cli.TRACE_COLUMNS)
-        for policy_name, replication, trace in runs:
+        for policy_name, replication, steps in runs:
             best = 0.0
-            for step in trace.steps:
+            for step in steps:
                 best = max(best, step.reward)
                 writer.writerow(
                     (
@@ -471,11 +485,25 @@ def trace_runs(draw):
         config = BanditConfig(budget=draw(st.floats(4.0, 30.0)))
     names = draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=2, max_size=3, unique=True))
     replications, seed = draw(st.integers(2, 3)), draw(st.integers(0, 2**16))
-    return [
-        (name, rep, simulate(make_policy(name), instance, config, seed, rep))
-        for name in names
-        for rep in range(replications)
-    ]
+    runs = []
+    for name in names:
+        for rep in range(replications):
+            steps = []
+            simulate(make_policy(name), instance, config, seed, rep, steps.append)
+            runs.append((name, rep, steps))
+    return runs
+
+
+def _replay(runs):
+    """``runs`` as ``cli._write_trace`` takes them: a function that passes each run's steps on."""
+
+    def replay(rows):
+        for policy_name, replication, steps in runs:
+            sink = rows(policy_name, replication)
+            for step in steps:
+                sink(step)
+
+    return replay
 
 
 class TestTraceWriter:
@@ -484,14 +512,14 @@ class TestTraceWriter:
     def test_matches_the_per_row_reference(self, runs):
         with tempfile.TemporaryDirectory() as tmp:
             written, expected = os.path.join(tmp, "written.csv"), os.path.join(tmp, "expected.csv")
-            cli._write_trace(written, runs)
+            cli._write_trace(written, _replay(runs))
             _reference_write_trace(expected, runs)
             with open(written, "rb") as a, open(expected, "rb") as b:
                 assert a.read() == b.read()
 
 
 def test_policy_names_need_no_csv_quoting():
-    # cli._trace_lines writes each policy name into the trace unquoted.
+    # cli._write_trace writes each policy name into the trace unquoted.
     assert all(re.fullmatch(r"[a-z_]+", name) for name in POLICY_NAMES)
 
 
@@ -701,3 +729,16 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "invalid choice: 'no_such_suite'" in err
+
+    def test_inconsistent_battery_exits_two(self, monkeypatch, capsys):
+        real = verify.random_dominant_instance
+
+        def misnamed(rng):
+            curves, horizon, k_star = real(rng)
+            return curves, horizon, k_star % len(curves) + 1
+
+        monkeypatch.setattr(verify, "random_dominant_instance", misnamed)
+        assert main(["verify", "safety"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: battery instance 0:")
+        assert len(err.strip().splitlines()) == 1

@@ -11,6 +11,7 @@ from risingbandits import (
     ConfigurationError,
     CurveArmSpec,
     ExponentialCurve,
+    HpoArmSpec,
     InstanceSpec,
     Policy,
     PowerCurve,
@@ -20,6 +21,8 @@ from risingbandits import (
     run_policy,
     simulate,
 )
+from risingbandits.arms import HPO_COST_HIGH
+from risingbandits.hpo import SEARCH_STRATEGIES
 from risingbandits.policies import POLICY_NAMES
 
 ARM = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
@@ -40,28 +43,42 @@ def arm_specs(draw):
 
 
 @st.composite
-def experiments(draw):
-    instance = InstanceSpec(draw(st.lists(arm_specs(), min_size=1, max_size=4)))
+def hpo_arm_specs(draw):
+    return HpoArmSpec(
+        objective=draw(st.sampled_from(["sphere", "rosenbrock", "quadratic"])),
+        dimension=draw(st.integers(2, 3)),
+        strategy=draw(st.sampled_from(SEARCH_STRATEGIES)),
+        mean_cost=draw(st.sampled_from([0.5, 1.0, 2.5])),
+    )
+
+
+def _dearest_pull(spec):
+    return HPO_COST_HIGH * spec.mean_cost if isinstance(spec, HpoArmSpec) else spec.cost
+
+
+@st.composite
+def experiments(draw, arms=arm_specs()):
+    instance = InstanceSpec(draw(st.lists(arms, min_size=1, max_size=4)))
     growth = draw(st.sampled_from(["last", "smooth"]))
     window = draw(st.integers(1, 5))
     if draw(st.booleans()):
         config = BanditConfig(trials=draw(st.integers(1, 40)), growth=growth, smooth_window=window)
     else:
         # At least the dearest arm's cost, so every policy's first pull fits.
-        most = max(spec.cost for spec in instance.arms)
+        most = max(map(_dearest_pull, instance.arms))
         budget = most * draw(st.floats(1.0, 12.0))
         config = BanditConfig(budget=budget, growth=growth, smooth_window=window)
     return instance, config, draw(st.integers(0, 2**16))
 
 
-def _rounds(trace):
+def _rounds(steps):
     """Index of the elimination round each step belongs to.
 
     Within a round candidates are pulled in increasing id order, so a step
     whose arm is not above the previous step's arm opens the next round.
     """
     out, r, prev = [], 0, 0
-    for step in trace.steps:
+    for step in steps:
         if step.arm <= prev:
             r += 1
         out.append(r)
@@ -74,17 +91,20 @@ def _rounds(trace):
 def test_engine_invariants(case):
     instance, config, seed = case
     for name in POLICY_NAMES:
-        trace = simulate(make_policy(name), instance, config, seed=seed)
-        n = len(trace.steps)
+        steps = []
+        trace = simulate(make_policy(name), instance, config, seed=seed, sink=steps.append)
+        n = len(steps)
+        assert trace.horizon == n
         if config.trials is not None:
             assert n == config.trials
         else:
             assert trace.total_cost <= config.budget + 1e-12
         assert sum(trace.pull_counts) == n
-        assert [s.t for s in trace.steps] == list(range(1, n + 1))
-        assert trace.final_j == max(s.reward for s in trace.steps)
-        assert trace.steps[trace.best_step - 1].reward == trace.final_j
-        assert all(s.reward < trace.final_j for s in trace.steps[: trace.best_step - 1])
+        assert [s.t for s in steps] == list(range(1, n + 1))
+        assert trace.final_j == max(s.reward for s in steps)
+        assert steps[trace.best_step - 1].reward == trace.final_j
+        assert steps[trace.best_step - 1].arm == trace.best_arm
+        assert all(s.reward < trace.final_j for s in steps[: trace.best_step - 1])
 
         history = trace.candidate_history
         assert history[0] == tuple(range(1, instance.k + 1))
@@ -92,10 +112,10 @@ def test_engine_invariants(case):
             assert set(after) <= set(before)
         if name != "rising_bandit":
             assert len(history) == 1
-            assert all(s.candidate_set_size == instance.k for s in trace.steps)
+            assert all(s.candidate_set_size == instance.k for s in steps)
             continue
-        rounds = _rounds(trace)
-        for step, r in zip(trace.steps, rounds):
+        rounds = _rounds(steps)
+        for step, r in zip(steps, rounds):
             assert step.arm in history[r]
             assert step.candidate_set_size == len(history[r])
         if config.trials is not None:
@@ -106,6 +126,17 @@ def test_engine_invariants(case):
             assert len(history) == rounds[-1] + 2
             left = config.budget - trace.total_cost
             assert all(instance.arms[a - 1].cost > left - 1e-9 for a in history[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(experiments(st.one_of(arm_specs(), hpo_arm_specs())))
+def test_a_sink_does_not_change_the_run(case):
+    instance, config, seed = case
+    for name in POLICY_NAMES:
+        steps = []
+        with_sink = simulate(make_policy(name), instance, config, seed=seed, sink=steps.append)
+        assert simulate(make_policy(name), instance, config, seed=seed) == with_sink
+        assert len(steps) == with_sink.horizon
 
 
 def _sum_left_to_right(values):

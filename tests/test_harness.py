@@ -28,6 +28,7 @@ from risingbandits import (
     theorem2_condition_check,
 )
 from risingbandits.harness import PolicyResult, derive_seed, theorem1_is_vacuous
+from risingbandits import verify
 from risingbandits.verify import LEMMA1_COUNT, LEMMA1_SEED, random_small_instance
 
 ARM1 = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
@@ -51,16 +52,18 @@ class TestSimulate:
     def test_deterministic_per_seed(self):
         instance = InstanceSpec([CurveArmSpec(ARM1, noise_amplitude=0.1), CurveArmSpec(ARM2)])
         config = BanditConfig(trials=20)
-        a = simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1)
-        b = simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1)
-        assert a.steps == b.steps
+        a, b = [], []
+        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1, sink=a.append)
+        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1, sink=b.append)
+        assert a == b
 
     def test_replications_differ(self):
         instance = InstanceSpec([CurveArmSpec(ARM1, noise_amplitude=0.2), CurveArmSpec(ARM2)])
         config = BanditConfig(trials=20)
-        a = simulate(SoftmaxPolicy(), instance, config, seed=5, replication=0)
-        b = simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1)
-        assert a.steps != b.steps
+        a, b = [], []
+        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=0, sink=a.append)
+        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1, sink=b.append)
+        assert a != b
 
     def test_budget_mode_stops_before_overshoot(self):
         instance = InstanceSpec([CurveArmSpec(ARM1, cost=3.0)])
@@ -70,10 +73,11 @@ class TestSimulate:
 
     def test_policy_trace_accounting(self):
         instance = InstanceSpec([CurveArmSpec(ARM1), CurveArmSpec(ARM2)])
-        trace = simulate(AveragePolicy(), instance, BanditConfig(trials=6), seed=0)
+        steps = []
+        trace = simulate(AveragePolicy(), instance, BanditConfig(trials=6), seed=0, sink=steps.append)
         assert trace.pull_counts == [3, 3]
-        assert trace.final_j == max(s.reward for s in trace.steps)
-        assert trace.steps[trace.best_step - 1].reward == trace.final_j
+        assert trace.final_j == max(s.reward for s in steps)
+        assert steps[trace.best_step - 1].reward == trace.final_j
 
 
 class TestComputeGamma:
@@ -309,6 +313,18 @@ class TestBatteryInvariants:
 
     def test_bounds_nonnegative(self, concave_battery):
         assert all(case.report.theorem1_bound >= 0.0 for case in concave_battery)
+
+    def test_generator_inconsistency_raises(self, monkeypatch):
+        real = verify.random_dominant_instance
+
+        def misnamed(rng):
+            curves, horizon, k_star = real(rng)
+            return curves, horizon, k_star % len(curves) + 1
+
+        # A check that raises, not an assert, so it holds under python -O too.
+        monkeypatch.setattr(verify, "random_dominant_instance", misnamed)
+        with pytest.raises(verify.FixtureError, match="^battery instance 0: the generator made arm"):
+            verify.concave_battery(count=3)
 
 
 class TestBuildReport:
