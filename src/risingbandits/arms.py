@@ -8,6 +8,7 @@ and a toy hyperparameter-tuning process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +180,11 @@ class HpoArmSpec:
                 f"unknown search strategy {self.strategy!r}, expected one of {hpo.SEARCH_STRATEGIES}"
             )
         _check_cost("mean cost", self.mean_cost)
+        if not math.isfinite(HPO_COST_HIGH * self.mean_cost):
+            raise ConfigurationError(
+                f"mean cost {self.mean_cost} overflows: a pull may cost up to "
+                f"{HPO_COST_HIGH} times the mean cost, which must stay finite"
+            )
         try:
             hpo.check_objective(self.objective, self.dimension)
         except ValueError as exc:

@@ -39,10 +39,13 @@ from .policies import POLICY_NAMES, Policy, make_policy
 # so the count bounds the task list and the time a file may ask for.
 MAX_REPLICATIONS = 10_000
 # A serial run holds no step records: each row goes to the trace as its pull
-# is made.  The cap bounds a run's time and its rows in the trace: one noisy
-# arm at the cap took about 8 s on a 2-CPU VM and wrote 68 MB of rows.  With
-# --jobs > 1 a worker returns its run's steps as a list, about 150 bytes a
-# pull, so there the cap also bounds each run's list to about 150 MB.
+# is made.  The cap bounds a run's rows in the trace: one noisy arm at the
+# cap took about 8 s on a 2-CPU VM and wrote 68 MB of rows.  It bounds the
+# run's time only where a pull costs the same at any history length: a
+# density_estimator hpo arm's propose is linear in its trials (0.4 ms at
+# 1,000, 7.4 ms at 16,000), so one such arm at the cap would run for days.
+# With --jobs > 1 a worker returns its run's steps as a list, about 150 bytes
+# a pull, so there the cap also bounds each run's list to about 150 MB.
 MAX_PULLS_PER_RUN = 1_000_000
 
 # Optional global key -> (BanditConfig field, type).

@@ -74,12 +74,15 @@ class SearchState:
 
     ``points`` holds the trials in arrival order and ``order`` their indices
     sorted by loss, equal losses in arrival order (what a stable argsort of
-    the losses gives). Both are views of buffers that double when full, so
-    recording a trial never re-stacks the history.
+    the losses gives). The sampler reads a third copy, the points themselves
+    in that loss order, so each half of the split is a slice, not a gather.
+    All three are views of buffers that double when full, so recording a
+    trial never re-stacks the history.
     """
 
     def __init__(self) -> None:
         self._points = np.empty((0, 0))
+        self._ranked = np.empty((0, 0))
         self._order = np.empty(0, dtype=np.intp)
         self._sorted_losses: list[float] = []
 
@@ -95,18 +98,23 @@ class SearchState:
         """Record one trial."""
         n = len(self._sorted_losses)
         if n == len(self._order):
-            points = np.empty((max(2 * n, _INITIAL_CAPACITY), len(point)))
-            order = np.empty(len(points), dtype=np.intp)
+            capacity = max(2 * n, _INITIAL_CAPACITY)
+            points = np.empty((capacity, len(point)))
+            ranked = np.empty_like(points)
+            order = np.empty(capacity, dtype=np.intp)
             if n:
                 points[:n] = self._points
+                ranked[:n] = self._ranked
                 order[:n] = self._order
-            self._points, self._order = points, order
+            self._points, self._ranked, self._order = points, ranked, order
         self._points[n] = point
         # bisect_right puts the new trial after every equal loss.
         i = bisect.bisect_right(self._sorted_losses, loss)
         self._sorted_losses.insert(i, loss)
         self._order[i + 1 : n + 1] = self._order[i:n]
         self._order[i] = n
+        self._ranked[i + 1 : n + 1] = self._ranked[i:n]
+        self._ranked[i] = point
 
 
 def propose(
@@ -118,59 +126,78 @@ def propose(
     """Pick the next trial point according to the configured strategy."""
     hw = objective.halfwidth
     dim = objective.dimension
-    if strategy == "random" or len(state.points) < _WARMUP_TRIALS:
+    n = len(state._sorted_losses)
+    if strategy == "random" or n < _WARMUP_TRIALS:
         return rng.uniform(-hw, hw, size=dim)
     if strategy != "density_estimator":
         raise ValueError(f"unknown search strategy {strategy!r}")
 
     # Split trials at the median loss, model the good half with an
     # axis-aligned Gaussian kernel density, and keep the candidate with the
-    # best good/bad density ratio.
-    order = state.order
-    pts = state.points
-    n_good = max(2, len(order) // 2)
-    good = pts[order[:n_good]]
-    bad = pts[order[n_good:]]
-    if len(bad) < 2:
-        return rng.uniform(-hw, hw, size=dim)
+    # best good/bad density ratio. Past the warm-up each half holds at least
+    # _WARMUP_TRIALS // 2 points.
+    n_good = n // 2
+    good = state._ranked[:n_good]
+    bad = state._ranked[n_good:n]
 
     good_bw = _bandwidths(good, hw)
     bad_bw = _bandwidths(bad, hw)
 
-    centers = good[rng.integers(0, len(good), size=_N_CANDIDATES)]
+    centers = good[rng.integers(0, n_good, size=_N_CANDIDATES)]
     candidates = centers + rng.normal(size=(_N_CANDIDATES, dim)) * good_bw
-    candidates = np.clip(candidates, -hw, hw)
-    scores = _log_density(candidates, good, good_bw) - _log_density(candidates, bad, bad_bw)
+    # np.clip's result, without its wrapper: clipping only selects values.
+    np.maximum(candidates, -hw, out=candidates)
+    np.minimum(candidates, hw, out=candidates)
+    scores = _log_density(candidates, good, good_bw)
+    scores -= _log_density(candidates, bad, bad_bw)
     return candidates[int(np.argmax(scores))]
 
 
 def _bandwidths(points: np.ndarray, halfwidth: float) -> np.ndarray:
-    # Scott-style per-dimension bandwidth with a floor so the kernel never collapses.
+    # Scott-style per-dimension bandwidth with a floor so the kernel never
+    # collapses. The standard deviation is np.std(points, axis=0) computed by
+    # the ufunc steps np.std runs, without its wrapper. Both sums run down
+    # the columns of the (n, dim) C-order array, which adds the rows one at a
+    # time, as np.std does. A sum along a contiguous row (say, of a transposed
+    # copy) adds pairwise, and np.add.reduceat over both halves adds in yet
+    # another order: each rounds differently and moves the sampler's choices.
     n = len(points)
-    sigma = np.std(points, axis=0)
-    return np.maximum(sigma * n ** (-0.2), 1e-3 * halfwidth)
+    mean = np.add.reduce(points, axis=0)
+    mean /= n
+    dev = points - mean
+    dev *= dev
+    var = np.add.reduce(dev, axis=0)
+    var /= n
+    sigma = np.sqrt(var, out=var)
+    sigma *= n ** (-0.2)
+    return np.maximum(sigma, 1e-3 * halfwidth, out=sigma)
 
 
 def _log_density(query: np.ndarray, data: np.ndarray, bw: np.ndarray) -> np.ndarray:
     # Product of per-axis Gaussian KDEs, evaluated in log space in one
-    # (queries, data) array that is updated in place. The squared scaled
-    # distances are summed one axis at a time, left to right (d0 + d1, then
-    # + d2, ...): that is the order numpy's sum over a short last axis takes,
-    # so the result is bit for bit that of summing a (queries, data, dim)
-    # broadcast. Another order, such as d0 + (d1 + d2), rounds differently
-    # and moves the sampler's choices.
-    sq = None
+    # (queries, data) array that is updated in place, with one scratch array
+    # for the other axes. The squared scaled distances are summed one axis at
+    # a time, left to right (d0 + d1, then + d2, ...): that is the order
+    # numpy's sum over a short last axis takes, so the result is bit for bit
+    # that of summing a (queries, data, dim) broadcast. Another order, such as
+    # d0 + (d1 + d2), rounds differently and moves the sampler's choices.
+    shape = (len(query), len(data))
+    log_kernels = np.empty(shape)
+    d = np.empty(shape)
     for k in range(data.shape[1]):
-        d = (query[:, k, None] - data[None, :, k]) / bw[k]
-        d *= d
-        if sq is None:
-            sq = d
-        else:
-            sq += d
-    log_kernels = sq
+        out = log_kernels if k == 0 else d
+        np.subtract(query[:, k, None], data[None, :, k], out=out)
+        out /= bw[k]
+        out *= out
+        if k:
+            log_kernels += d
     log_kernels *= -0.5
-    log_kernels -= np.sum(np.log(bw))
-    m = np.max(log_kernels, axis=1)
+    log_kernels -= np.add.reduce(np.log(bw))
+    m = np.maximum.reduce(log_kernels, axis=1)
     log_kernels -= m[:, None]
     np.exp(log_kernels, out=log_kernels)
-    return m + np.log(np.sum(log_kernels, axis=1) / len(data))
+    sums = np.add.reduce(log_kernels, axis=1)
+    sums /= len(data)
+    np.log(sums, out=sums)
+    sums += m
+    return sums

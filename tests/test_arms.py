@@ -145,26 +145,44 @@ class TestHpoArm:
 
     # SHA-256 over 150 density_estimator pulls at SeedSequence(2024), one
     # "reward cost" line of float.hex per pull, recorded before the sampler
-    # kept its history incrementally; any change is a change of the sampler.
+    # kept its history incrementally (dimensions 3 and 4: before it kept a
+    # loss-ordered copy of the points); any change is a change of the sampler.
     DENSITY_DIGESTS = {
         (2, "sphere"): "053fefe28f35cbde760b2e42b5736c5a2b51dcbf70d6429369a8a4b76c16316f",
         (2, "rosenbrock"): "c0fc7d7397ad37b4e2e421cfad01c89840fb8dc8fc9cf3f008f472a777b68724",
         (2, "quadratic"): "b28567b2a013cd4b9d16f0b6bfe88045c14c86de1be2ef37f765b5ce7f3fecd4",
+        (3, "sphere"): "aa05d9aa6eb14cc7b00f1f708f23056ee1c6bf7cc5e0be4949ba246c737faf86",
+        (3, "rosenbrock"): "3610e86968b36ae892cebb9d3b2db0ada4ef81ecb0b44d8f9e6f6c3f689a51b2",
+        (3, "quadratic"): "4d8ae9fb91719b345ea3559352119c77cca7b14610ce44bcef9181908b936d16",
+        (4, "sphere"): "547088b1441928964ebaf60aae584e540654e4cc1cd4932ee29a0a4b0baa8a70",
+        (4, "rosenbrock"): "06c1ac3b95d988525f7ca84935f2fd040bced7e5deb232313d7b5988e7031150",
+        (4, "quadratic"): "01ee05ba9c2b664de884d970b69e0d4c640b3d424085122fceb60832ff5854a2",
         (5, "sphere"): "7dafde3f8a8e094eff93ac3689580cc14d1096d1f249299940a91b19669642ff",
         (5, "rosenbrock"): "9591053dcf35f19faa3d24fac9a076d292fe0f2dfaee0cc78a5b9b2fa2dead03",
         (5, "quadratic"): "28c48fadc45a182d0984db81d8af74e78d0c0330b65feccf049c627396d8913e",
     }
 
-    @pytest.mark.parametrize("dimension, objective", sorted(DENSITY_DIGESTS))
-    def test_density_golden_digests(self, dimension, objective):
+    @staticmethod
+    def _density_digest(dimension, objective, pulls):
         arm = HpoArmSpec(
             objective=objective, dimension=dimension, strategy="density_estimator", mean_cost=1.5
         ).build(_rng(2024))
         digest = hashlib.sha256()
-        for _ in range(150):
+        for _ in range(pulls):
             reward, cost = arm.pull()
             digest.update(f"{float(reward).hex()} {float(cost).hex()}\n".encode())
-        assert digest.hexdigest() == self.DENSITY_DIGESTS[dimension, objective]
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("dimension, objective", sorted(DENSITY_DIGESTS))
+    def test_density_golden_digests(self, dimension, objective):
+        assert self._density_digest(dimension, objective, 150) == self.DENSITY_DIGESTS[dimension, objective]
+
+    def test_density_golden_digest_long_history(self):
+        # The history lengths a budget run's surviving arm reaches (about a
+        # thousand trials at dimension 3), past four doublings of the buffers.
+        assert self._density_digest(3, "rosenbrock", 1000) == (
+            "378651a4816f6f832fa3a6d8747a2af375fdc420c4908c01e12fbefd177e5e1e"
+        )
 
     def test_reward_monotone_and_in_unit_interval(self):
         for objective in ("sphere", "rosenbrock", "quadratic"):
@@ -202,6 +220,11 @@ class TestHpoArm:
             HpoArmSpec(objective="sphere", dimension=2, strategy="nope").build(_rng())
         with pytest.raises(ConfigurationError):
             HpoArmSpec(objective="sphere", dimension=2, mean_cost=0.0).build(_rng())
+
+    def test_largest_mean_cost_draws_finite_costs(self):
+        # 1.6e308 is rejected (tests/test_config.py): 1.2 times it overflows.
+        arm = HpoArmSpec(objective="sphere", dimension=2, mean_cost=1.4e308).build(_rng(3))
+        assert all(math.isfinite(arm.pull()[1]) for _ in range(20))
 
 
 class TestInstanceSpec:

@@ -606,6 +606,7 @@ class TestErrorBoundary:
             ("kind = hpo\nobjective = cubic", "unknown objective"),
             ("kind = hpo\nstrategy = grid", "unknown search strategy"),
             ("kind = hpo\nmean_cost = 0", "mean cost must be positive"),
+            ("kind = hpo\nmean_cost = 1.6e308", "mean cost 1.6e+308 overflows"),
             ("kind = exponential\nlimit = 0.9\ninitial = 0.5\ndecay = 0.5\ncost = -1", "per-pull cost"),
             ("kind = power\nlimit = 0.9\nscale = 0.5\nexponent = 1\nnoise_amplitude = -0.1", "noise amplitude"),
         ],

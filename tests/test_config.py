@@ -246,6 +246,7 @@ class TestParseErrors:
             ("objective = sphere", "objective = cubic", 3, "unknown objective"),
             ("strategy = density_estimator", "strategy = grid", 3, "unknown search strategy"),
             ("strategy = density_estimator", "mean_cost = 0", 3, "mean cost"),
+            ("strategy = density_estimator", "mean_cost = 1.6e308", 3, "mean cost .* overflows"),
         ],
     )
     def test_bad_arm_parameters_name_the_arm(self, old, new, arm, message):
