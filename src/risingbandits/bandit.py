@@ -14,7 +14,9 @@ observes each pull.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import sys
+from collections import deque
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,17 +40,18 @@ class InsufficientHistoryError(ValueError):
 
 @dataclass
 class ArmState:
-    """Per-arm bookkeeping maintained by a run."""
+    """Per-arm bookkeeping maintained by a run; ``history`` is the last
+    ``smooth_window + 1`` rewards, oldest first, all that ``growth_rate`` reads."""
 
     arm_id: int
     pulls: int = 0
-    history: list[float] = field(default_factory=list)
+    history: deque[float] = field(default_factory=deque)
     upper: float = 1.0
     lower: float = 0.0
     total_cost: float = 0.0
-    # Running sum of ``history``, added left to right as ``sum()`` does on
-    # Python 3.11, so means match ``sum(history)`` exactly there; from 3.12
-    # ``sum()`` compensates float rounding and may differ in the last bit.
+    # Sum of every reward, added left to right as ``sum()`` does on Python
+    # 3.11, so means match ``sum(rewards)`` exactly there; from 3.12 ``sum()``
+    # compensates float rounding and may differ in the last bit.
     reward_sum: float = 0.0
 
 
@@ -93,7 +96,9 @@ StepSink = Callable[[StepRecord], object]
 
 @dataclass
 class PolicyTrace:
-    """Summary of one run; its steps go to the run's sink, if one is given."""
+    """Summary of one run; its steps go to the run's sink, if one is given.
+    ``candidates`` is the final candidate set: sets only shrink, so an arm in
+    it was a candidate throughout the run."""
 
     horizon: int  # pulls made
     pull_counts: list[int]
@@ -101,10 +106,10 @@ class PolicyTrace:
     best_arm: int
     best_step: int
     final_j: float
-    candidate_history: list[tuple[int, ...]] = field(default_factory=list)
+    candidates: tuple[int, ...]
 
 
-def growth_rate(history: list[float], mode: str = "last", window: int = DEFAULT_SMOOTH_WINDOW) -> float:
+def growth_rate(history: Sequence[float], mode: str = "last", window: int = DEFAULT_SMOOTH_WINDOW) -> float:
     """Growth rate of an observed reward sequence.
 
     ``last`` is the most recent increment; ``smooth`` averages the last
@@ -209,7 +214,6 @@ class Policy:
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         """Begin a run over ``states``."""
         self.candidates = [st.arm_id for st in states]
-        self.candidate_history = [tuple(self.candidates)]
 
     def select(self, states: list[ArmState], t: int) -> int | None:
         raise NotImplementedError
@@ -228,6 +232,7 @@ class RisingBanditPolicy(Policy):
 
     Once one candidate is left the set is settled: a sweep would keep it, so
     none runs, and the bounds only a sweep reads are no longer updated.
+    Sweeps only remove arms, so the sets are nested.
     """
 
     name = "rising_bandit"
@@ -251,10 +256,6 @@ class RisingBanditPolicy(Policy):
                 return None
             if len(self.candidates) > 1:
                 self.candidates = eliminate(self.candidates, states, self._config.epsilon)
-                self.candidate_history.append(tuple(self.candidates))
-            else:
-                # Settled: one snapshot per round still, the same one.
-                self.candidate_history.append(self.candidate_history[-1])
             self._next, self._round_pulled = 0, False
 
     def observe(self, state: ArmState) -> None:
@@ -279,7 +280,10 @@ def run_policy(
     k = len(arms)
     if k == 0:
         raise ConfigurationError("an instance needs at least one arm")
-    states = [ArmState(arm_id=i) for i in range(1, k + 1)]
+    # growth_rate reads at most the last smooth_window + 1 rewards; no deque
+    # can hold sys.maxsize, so the clamp changes nothing.
+    keep = min(config.smooth_window + 1, sys.maxsize)
+    states = [ArmState(arm_id=i, history=deque(maxlen=keep)) for i in range(1, k + 1)]
     horizon = Horizon(config, arms)
     policy.start(states, config, horizon)
     # Bound once per run: the loop body runs once per pull.
@@ -326,7 +330,7 @@ def run_policy(
         best_arm=best_arm,
         best_step=best_step,
         final_j=final_j,
-        candidate_history=policy.candidate_history,
+        candidates=tuple(policy.candidates),
     )
 
 

@@ -19,7 +19,7 @@ SEARCH_STRATEGIES = ("random", "density_estimator")
 # Random exploration before the density model has anything to fit.
 _WARMUP_TRIALS = 8
 _N_CANDIDATES = 24
-# Trials the history buffers hold before they first double.
+# Trials the history buffer holds before it first doubles.
 _INITIAL_CAPACITY = 64
 
 
@@ -72,47 +72,32 @@ def make_objective(name: str, dimension: int, rng: np.random.Generator) -> ToyOb
 class SearchState:
     """Trial history of one tuning process.
 
-    ``points`` holds the trials in arrival order and ``order`` their indices
-    sorted by loss, equal losses in arrival order (what a stable argsort of
-    the losses gives). The sampler reads a third copy, the points themselves
-    in that loss order, so each half of the split is a slice, not a gather.
-    All three are views of buffers that double when full, so recording a
-    trial never re-stacks the history.
+    ``points`` holds the trials best first: sorted by loss, equal losses in
+    arrival order (the order a stable argsort of the losses gives), so each
+    half of the sampler's split is a slice, not a gather. It is a view of a
+    buffer that doubles when full, so recording a trial never re-stacks the
+    history.
     """
 
     def __init__(self) -> None:
-        self._points = np.empty((0, 0))
         self._ranked = np.empty((0, 0))
-        self._order = np.empty(0, dtype=np.intp)
         self._sorted_losses: list[float] = []
 
     @property
     def points(self) -> np.ndarray:
-        return self._points[: len(self._sorted_losses)]
-
-    @property
-    def order(self) -> np.ndarray:
-        return self._order[: len(self._sorted_losses)]
+        return self._ranked[: len(self._sorted_losses)]
 
     def add(self, point: np.ndarray, loss: float) -> None:
         """Record one trial."""
         n = len(self._sorted_losses)
-        if n == len(self._order):
-            capacity = max(2 * n, _INITIAL_CAPACITY)
-            points = np.empty((capacity, len(point)))
-            ranked = np.empty_like(points)
-            order = np.empty(capacity, dtype=np.intp)
+        if n == len(self._ranked):
+            ranked = np.empty((max(2 * n, _INITIAL_CAPACITY), len(point)))
             if n:
-                points[:n] = self._points
                 ranked[:n] = self._ranked
-                order[:n] = self._order
-            self._points, self._ranked, self._order = points, ranked, order
-        self._points[n] = point
+            self._ranked = ranked
         # bisect_right puts the new trial after every equal loss.
         i = bisect.bisect_right(self._sorted_losses, loss)
         self._sorted_losses.insert(i, loss)
-        self._order[i + 1 : n + 1] = self._order[i:n]
-        self._order[i] = n
         self._ranked[i + 1 : n + 1] = self._ranked[i:n]
         self._ranked[i] = point
 

@@ -114,10 +114,10 @@ def random_dominant_instance(rng: np.random.Generator) -> tuple[list[RewardCurve
 
 @dataclass
 class ConcaveCase:
-    """One battery instance: the elimination run's candidate sets and the
-    report the CLI would write."""
+    """One battery instance: the elimination run's final candidate set and
+    the report the CLI would write."""
 
-    candidate_history: list[tuple[int, ...]]
+    candidates: tuple[int, ...]
     report: RegretReport
 
 
@@ -136,7 +136,7 @@ def concave_battery(count: int = CONCAVE_BATTERY_COUNT, seed: int = CONCAVE_BATT
                 f"battery instance {i}: the generator made arm {k_star} dominant, "
                 f"but the oracle picks arm {report.oracle_arm}"
             )
-        cases.append(ConcaveCase(trace.candidate_history, report))
+        cases.append(ConcaveCase(trace.candidates, report))
     return cases
 
 
@@ -161,7 +161,8 @@ def suite_safety(battery: list[ConcaveCase] | None = None) -> SuiteResult:
     result = SuiteResult(name="safety", total=len(battery))
     for i, case in enumerate(battery):
         optimal_arm = case.report.oracle_arm
-        if any(optimal_arm not in snapshot for snapshot in case.candidate_history):
+        # Candidate sets only shrink: an arm in the last was in every one.
+        if optimal_arm not in case.candidates:
             result.failures.append(f"instance {i}: optimal arm {optimal_arm} eliminated")
     return result
 

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from risingbandits import (
     run_policy,
     upper_bound,
 )
+from risingbandits import bandit
 from risingbandits.bandit import MAX_EPSILON, Horizon
 
 ARM1 = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
@@ -90,6 +93,17 @@ class TestGrowthRate:
     def test_smooth_rate_nonnegative_for_rising_history(self, increments, window):
         history = list(np.cumsum([0.1] + increments))
         assert growth_rate(history, mode="smooth", window=window) >= 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        history=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=30),
+        window=st.integers(1, 12),
+        mode=st.sampled_from(["last", "smooth"]),
+    )
+    def test_reads_only_the_last_window_plus_one(self, history, window, mode):
+        # A run keeps each arm's last smooth_window + 1 rewards in a deque.
+        kept = deque(history, maxlen=window + 1)
+        assert growth_rate(kept, mode, window) == growth_rate(history, mode, window)
 
 
 class TestUpperBound:
@@ -278,19 +292,24 @@ class TestRisingBanditRunTrials:
         assert trace.final_j == ARM1.eval(10)
         assert trace.best_arm == 1
 
-    def test_two_arm_example(self):
+    def test_two_arm_example(self, record_sweeps):
         # Frozen from the enumeration-backed oracle run: arm 2 is eliminated
-        # after round 2 and arm 1 finishes with its three-pull value.
-        trace = rising_bandit_run(_arms(ARM1, ARM2), BanditConfig(trials=5))
+        # after round 2 and arm 1 finishes with its three-pull value.  Round 3
+        # uses up the trials, so no sweep follows it.
+        with record_sweeps() as sweeps:
+            trace = rising_bandit_run(_arms(ARM1, ARM2), BanditConfig(trials=5))
         assert trace.pull_counts == [3, 2]
         assert trace.best_arm == 1
         assert trace.final_j == pytest.approx(0.8, abs=1e-12)
-        assert trace.candidate_history == [(1, 2), (1, 2), (1,)]
+        assert sweeps == [((1, 2), (1, 2)), ((1, 2), (1,))]
+        assert trace.candidates == (1,)
 
-    def test_identical_arms_never_eliminated(self):
-        trace = rising_bandit_run(_arms(ARM1, ARM1), BanditConfig(trials=6))
+    def test_identical_arms_never_eliminated(self, record_sweeps):
+        with record_sweeps() as sweeps:
+            trace = rising_bandit_run(_arms(ARM1, ARM1), BanditConfig(trials=6))
         assert trace.pull_counts == [3, 3]
-        assert all(snapshot == (1, 2) for snapshot in trace.candidate_history)
+        assert sweeps == [((1, 2), (1, 2))] * 2
+        assert trace.candidates == (1, 2)
         assert trace.final_j == ARM1.eval(3)
 
     def test_mid_round_truncation(self):
@@ -342,7 +361,8 @@ class TestRisingBanditRunBudget:
 class _AlwaysSweeping(Policy):
     """Reference elimination policy: every round ends with a sweep and every
     pull from an arm's second on updates its upper bound, however many
-    candidates are left."""
+    candidates are left.  It looks ``eliminate`` up on the module, as the
+    elimination policy does, so ``record_sweeps`` sees its sweeps."""
 
     name = "rising_bandit"
 
@@ -361,8 +381,7 @@ class _AlwaysSweeping(Policy):
                     return arm_id
             if not self._round_pulled:
                 return None
-            self.candidates = eliminate(self.candidates, states, self._config.epsilon)
-            self.candidate_history.append(tuple(self.candidates))
+            self.candidates = bandit.eliminate(self.candidates, states, self._config.epsilon)
             self._next, self._round_pulled = 0, False
 
     def observe(self, state):
@@ -413,33 +432,39 @@ def _run_recording_selects(policy, instance, config, seed):
 
 class TestSettledCandidateSet:
     @settings(max_examples=150, deadline=None)
-    @given(elimination_cases())
-    def test_matches_the_always_sweeping_policy(self, case):
+    @given(case=elimination_cases())
+    def test_matches_the_always_sweeping_policy(self, record_sweeps, case):
         instance, config, seed = case
-        trace, steps, selected = _run_recording_selects(RisingBanditPolicy(), instance, config, seed)
-        expected, expected_steps, expected_selected = _run_recording_selects(
-            _AlwaysSweeping(), instance, config, seed
-        )
+        with record_sweeps() as sweeps:
+            trace, steps, selected = _run_recording_selects(RisingBanditPolicy(), instance, config, seed)
+        with record_sweeps() as expected_sweeps:
+            expected, expected_steps, expected_selected = _run_recording_selects(
+                _AlwaysSweeping(), instance, config, seed
+            )
         assert steps == expected_steps
-        assert trace.pull_counts == expected.pull_counts
-        assert trace.final_j == expected.final_j
-        assert trace.candidate_history == expected.candidate_history
+        assert trace == expected
         # Down to the last select, which ends a budget run with None.
         assert selected == expected_selected
-        history = trace.candidate_history
-        assert all(after is before for before, after in zip(history, history[1:]) if len(before) == 1)
+        # The same sweeps until one candidate is left; the reference then
+        # sweeps once per round and keeps that arm, the policy not at all.
+        assert sweeps == expected_sweeps[: len(sweeps)]
+        assert all(len(before) > 1 for before, _ in sweeps)
+        assert all(len(before) == 1 and after == before for before, after in expected_sweeps[len(sweeps) :])
 
-    def test_settled_set_ends_a_budget_run_when_its_arm_no_longer_fits(self):
+    def test_settled_set_ends_a_budget_run_when_its_arm_no_longer_fits(self, record_sweeps):
         # Arm 2 stops growing and is dropped after round 2, with 6.5 of the
-        # budget left; arm 1 (cost 3) fits twice more, then no candidate fits.
-        trace, _, selected = _run_recording_selects(
-            RisingBanditPolicy(),
-            InstanceSpec([CurveArmSpec(ARM1, cost=3.0), CurveArmSpec(TabulatedCurve([0.1]), cost=1.0)]),
-            BanditConfig(budget=14.5),
-            0,
-        )
+        # budget left; arm 1 (cost 3) fits twice more, in two settled rounds
+        # with no sweep, then no candidate fits.
+        with record_sweeps() as sweeps:
+            trace, _, selected = _run_recording_selects(
+                RisingBanditPolicy(),
+                InstanceSpec([CurveArmSpec(ARM1, cost=3.0), CurveArmSpec(TabulatedCurve([0.1]), cost=1.0)]),
+                BanditConfig(budget=14.5),
+                0,
+            )
         assert trace.pull_counts == [4, 2]
-        assert trace.candidate_history == [(1, 2), (1, 2), (1,), (1,), (1,)]
+        assert sweeps == [((1, 2), (1, 2)), ((1, 2), (1,))]
+        assert trace.candidates == (1,)
         assert selected == [1, 2, 1, 2, 1, 1, None]
 
 

@@ -304,19 +304,40 @@ class TestRunCommand:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_serial_run_holds_no_steps(self, tmp_path, capsys):
-        # 100,000 pulls: held as step records they would take about 15 MB.
-        path = tmp_path / "long.cfg"
-        path.write_text("horizon_trials = 100000\npolicies = rising_bandit\n[arm]\nkind = tabulated\nvalues = 0.5\n")
-        tracemalloc.start()
-        try:
-            assert main(["run", str(path), "--output", str(tmp_path / "results")]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # What still grows with the pulls: the arm's reward history, and one
-        # candidate set per elimination round, which with one arm is one per
-        # pull; about 1.6 MB of lists here.
-        assert peak < 3_000_000
+        # 100,000 pulls: held as step records they would take about 15 MB,
+        # and a list of every reward, or of one candidate set per round,
+        # about 0.8 MB each. A run keeps the last smooth_window + 1 rewards
+        # per arm and its current candidate set, so nothing grows with them.
+        for policy in ("rising_bandit", "average"):
+            paths = {}
+            for trials in (100, 100000):
+                paths[trials] = tmp_path / f"{policy}-{trials}.cfg"
+                paths[trials].write_text(
+                    f"horizon_trials = {trials}\npolicies = {policy}\n[arm]\nkind = tabulated\nvalues = 0.5\n"
+                )
+            # A short run first, so the traced one pays for no first-use imports.
+            assert main(["run", str(paths[100]), "--output", str(tmp_path / "warm-up")]) == 0
+            tracemalloc.start()
+            try:
+                assert main(["run", str(paths[100000]), "--output", str(tmp_path / policy)]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 400_000, policy
+
+    def test_huge_smooth_window_matches_one_spanning_the_horizon(self, tmp_path, capsys):
+        # Either window exceeds every arm's increments, so the smooth growth
+        # rate is always the mean increment so far; the huge one must not
+        # reach a container size.
+        traces = []
+        for window in ("100000000000000000000", "60"):
+            path = tmp_path / f"window-{len(window)}.cfg"
+            with open(DEMO_CONFIG) as handle:
+                path.write_text(handle.read().replace("smooth_window = 7", f"smooth_window = {window}"))
+            out = tmp_path / f"out-{len(window)}"
+            assert main(["run", str(path), "--output", str(out)]) == 0
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
 
     def test_a_run_builds_only_its_policy(self, monkeypatch):
         config = parse_experiment(CONFIG)

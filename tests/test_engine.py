@@ -87,12 +87,14 @@ def _rounds(steps):
 
 
 @settings(max_examples=60, deadline=None)
-@given(experiments())
-def test_engine_invariants(case):
+@given(case=experiments())
+def test_engine_invariants(record_sweeps, case):
     instance, config, seed = case
+    everyone = tuple(range(1, instance.k + 1))
     for name in POLICY_NAMES:
         steps = []
-        trace = simulate(make_policy(name), instance, config, seed=seed, sink=steps.append)
+        with record_sweeps() as sweeps:
+            trace = simulate(make_policy(name), instance, config, seed=seed, sink=steps.append)
         n = len(steps)
         assert trace.horizon == n
         if config.trials is not None:
@@ -106,26 +108,35 @@ def test_engine_invariants(case):
         assert steps[trace.best_step - 1].arm == trace.best_arm
         assert all(s.reward < trace.final_j for s in steps[: trace.best_step - 1])
 
-        history = trace.candidate_history
-        assert history[0] == tuple(range(1, instance.k + 1))
-        for before, after in zip(history, history[1:]):
-            assert set(after) <= set(before)
         if name != "rising_bandit":
-            assert len(history) == 1
+            assert sweeps == []
+            assert trace.candidates == everyone
             assert all(s.candidate_set_size == instance.k for s in steps)
             continue
+        # The set in force after each sweep: each sweep starts from the set
+        # the last one left, keeps a subset of it, and none runs once one
+        # candidate is left.
+        sets = [everyone] + [after for _, after in sweeps]
+        for (before, after), previous in zip(sweeps, sets):
+            assert before == previous
+            assert len(before) > 1
+            assert set(after) <= set(before)
+        assert trace.candidates == sets[-1]
         rounds = _rounds(steps)
         for step, r in zip(steps, rounds):
-            assert step.arm in history[r]
-            assert step.candidate_set_size == len(history[r])
+            in_force = sets[min(r, len(sweeps))]
+            assert step.arm in in_force
+            assert step.candidate_set_size == len(in_force)
         if config.trials is not None:
             # No sweep follows the round that uses up the trials.
-            assert len(history) == rounds[-1] + 1
+            due = rounds[-1]
         else:
             # The run ends only when no candidate's next pull fits.
-            assert len(history) == rounds[-1] + 2
+            due = rounds[-1] + 1
             left = config.budget - trace.total_cost
-            assert all(instance.arms[a - 1].cost > left - 1e-9 for a in history[-1])
+            assert all(instance.arms[a - 1].cost > left - 1e-9 for a in trace.candidates)
+        # Every round due a sweep ends with one, until the set is settled.
+        assert len(sweeps) == due or (len(sweeps) < due and len(trace.candidates) == 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,13 +171,17 @@ def test_reward_sums_match_histories(case):
             start(states, config, horizon)
 
         policy.start = capture
-        simulate(policy, instance, config, seed=seed)
+        steps = []
+        simulate(policy, instance, config, seed=seed, sink=steps.append)
         for state in runs[0]:
+            rewards = [step.reward for step in steps if step.arm == state.arm_id]
             # Up to Python 3.11 sum() adds left to right, as the engine does;
             # from 3.12 it compensates rounding, so compare with a plain loop.
-            expected = sum(state.history) if sys.version_info < (3, 12) else _sum_left_to_right(state.history)
+            expected = sum(rewards) if sys.version_info < (3, 12) else _sum_left_to_right(rewards)
             assert state.reward_sum == expected
-            assert len(state.history) == state.pulls
+            assert len(rewards) == state.pulls
+            # The state keeps only the rewards growth_rate reads.
+            assert list(state.history) == rewards[-(config.smooth_window + 1) :]
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)

@@ -15,18 +15,19 @@ def _broadcast_log_density(query, data, bw):
     return m + np.log(np.sum(np.exp(log_kernels - m[:, None]), axis=1) / len(data))
 
 
-def _reference_propose(state, objective, strategy, rng):
-    # The sampler before SearchState kept its points in loss order: each half
-    # gathered through ``order``, bandwidths from np.std, candidates through
-    # np.clip, densities from the broadcast formula (which
-    # test_log_density_matches_broadcast_formula holds equal to the per-axis
-    # sum). Kept here as the reference hpo.propose must equal bit for bit.
+def _reference_propose(points, losses, objective, strategy, rng):
+    # The sampler before SearchState kept its points in loss order: the trials
+    # in arrival order, each half gathered through a stable argsort of the
+    # losses, bandwidths from np.std, candidates through np.clip, densities
+    # from the broadcast formula (which test_log_density_matches_broadcast_formula
+    # holds equal to the per-axis sum). Kept here as the reference
+    # hpo.propose must equal bit for bit.
     hw = objective.halfwidth
     dim = objective.dimension
-    if strategy == "random" or len(state.points) < hpo._WARMUP_TRIALS:
+    if strategy == "random" or len(points) < hpo._WARMUP_TRIALS:
         return rng.uniform(-hw, hw, size=dim)
-    order = state.order
-    pts = state.points
+    order = np.argsort(losses, kind="stable")
+    pts = np.stack(points)
     n_good = max(2, len(order) // 2)
     good = pts[order[:n_good]]
     bad = pts[order[n_good:]]
@@ -69,16 +70,19 @@ def test_propose_matches_the_reference_sampler(objective, dim, n, levels, spread
     rng = np.random.default_rng(seed)
     obj = hpo.make_objective(objective, dim, rng)
     state = hpo.SearchState()
+    points, losses = [], []
     for _ in range(n):
         # A narrow spread puts every bandwidth on its floor; a few loss
         # levels make many equal losses.
         point = rng.uniform(-obj.halfwidth, obj.halfwidth, size=dim) * spread
         loss = obj.loss(point) if levels is None else float(rng.integers(levels))
         state.add(point, loss)
+        points.append(point)
+        losses.append(loss)
     got_rng = np.random.default_rng(seed + 1)
     want_rng = np.random.default_rng(seed + 1)
     got = hpo.propose(state, obj, "density_estimator", got_rng)
-    want = _reference_propose(state, obj, "density_estimator", want_rng)
+    want = _reference_propose(points, losses, obj, "density_estimator", want_rng)
     assert np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -134,10 +138,12 @@ def test_log_density_matches_broadcast_formula(dim, n, bandwidth, seed):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.5, 1e9]), min_size=1, max_size=200))
 def test_order_is_a_stable_argsort_of_the_losses(losses):
+    # Trial i is the point (i, -i), so the store's rows name their trials.
     state = hpo.SearchState()
     for i, loss in enumerate(losses):
         state.add(np.array([float(i), -float(i)]), loss)
-        assert np.array_equal(state.order, np.argsort(losses[: i + 1], kind="stable"))
+        order = np.argsort(losses[: i + 1], kind="stable")
+        assert np.array_equal(state.points, np.stack([order, -order], axis=1).astype(float))
 
 
 @settings(max_examples=20, deadline=None)
@@ -146,12 +152,12 @@ def test_buffer_keeps_every_point_as_it_grows(dim, count):
     rng = np.random.default_rng(count)
     state = hpo.SearchState()
     added = [rng.normal(size=dim) for _ in range(count)]
-    for point in added:
-        state.add(point, float(rng.random()))
-    assert len(state.points) == len(state.order) == count
+    losses = [float(rng.random()) for _ in range(count)]
+    for point, loss in zip(added, losses):
+        state.add(point, loss)
+    assert len(state.points) == count
     if count:
-        assert np.array_equal(state.points, np.stack(added))
-        assert np.array_equal(state._ranked[:count], state.points[state.order])
+        assert np.array_equal(state.points, np.stack(added)[np.argsort(losses, kind="stable")])
 
 
 def test_buffer_holds_copies_of_the_points():
