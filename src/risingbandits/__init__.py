@@ -29,6 +29,7 @@ from .bandit import (
     StepRecord,
     eliminate,
     growth_rate,
+    list_sink,
     offline_max_run,
     rising_bandit_run,
     run_policy,

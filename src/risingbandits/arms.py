@@ -28,18 +28,20 @@ HPO_COST_LOW, HPO_COST_HIGH = 0.8, 1.2
 class ArmProcess:
     """Base class: a reward source with best-so-far semantics.
 
-    ``peek_cost`` returns the exact cost the next ``pull`` will incur without
-    consuming randomness, which lets budgeted runs refuse a pull that would
-    overshoot.
+    ``_next_cost`` holds the exact cost of the next ``pull``, and
+    ``peek_cost`` returns it without consuming randomness, which lets
+    budgeted runs refuse a pull that would overshoot.  An arm whose cost
+    varies draws the following pull's cost in ``_raw_reward``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, cost: float) -> None:
         self.pulls_so_far = 0
         self._best = 0.0
+        self._next_cost = cost
 
     def pull(self) -> tuple[float, float]:
         """Consume one unit of resource; return (reward, cost)."""
-        cost = self.peek_cost()
+        cost = self._next_cost
         n = self.pulls_so_far + 1
         self.pulls_so_far = n
         raw = self._raw_reward(n)
@@ -47,29 +49,21 @@ class ArmProcess:
         # NaN or -0.0 keeps best, and one above 1 (or +inf) gives 1.0.
         if raw > self._best:
             self._best = raw if raw < 1.0 else 1.0
-        self._advance_cost()
         return self._best, cost
 
     def peek_cost(self) -> float:
-        raise NotImplementedError
+        return self._next_cost
 
     def _raw_reward(self, n: int) -> float:
         raise NotImplementedError
-
-    def _advance_cost(self) -> None:
-        pass
 
 
 class CurveArm(ArmProcess):
     """Plays back a reward curve exactly, at a constant per-pull cost."""
 
     def __init__(self, curve: RewardCurve, cost: float) -> None:
-        super().__init__()
+        super().__init__(float(cost))
         self.curve = curve
-        self.cost = float(cost)
-
-    def peek_cost(self) -> float:
-        return self.cost
 
     def _raw_reward(self, n: int) -> float:
         return self.curve.eval(n)
@@ -87,10 +81,12 @@ class NoisyCurveArm(CurveArm):
     ) -> None:
         super().__init__(curve, cost)
         self.noise_amplitude = float(noise_amplitude)
-        self._rng = rng
+        self._random = rng.random
 
     def _raw_reward(self, n: int) -> float:
-        return self.curve.eval(n) - self._rng.uniform(0.0, self.noise_amplitude)
+        # rng.uniform(0, a) returns 0 + (a - 0) * rng.random(), the same
+        # draw from the same stream; a bare random() call costs less.
+        return self.curve.eval(n) - self.noise_amplitude * self._random()
 
 
 class HpoArm(ArmProcess):
@@ -98,31 +94,30 @@ class HpoArm(ArmProcess):
 
     Reward after n trials is 1 - (best_loss - global_min) / (first_loss -
     global_min), clamped to [0, 1]; all objectives here have global_min 0.
-    Per-pull cost is mean_cost scaled by U(0.8, 1.2), pre-drawn so that
-    ``peek_cost`` is exact.
+    Per-pull cost is mean_cost scaled by U(0.8, 1.2), drawn one pull ahead
+    from a stream of its own so that ``peek_cost`` is exact.
     """
 
     def __init__(
         self, objective: str, dimension: int, rng: np.random.Generator, strategy: str, mean_cost: float
     ) -> None:
-        super().__init__()
         self.strategy = strategy
         self.mean_cost = float(mean_cost)
         self._search_rng = rng
-        self._cost_rng = np.random.Generator(np.random.PCG64(rng.integers(0, 2**63)))
+        self._cost_random = np.random.Generator(np.random.PCG64(rng.integers(0, 2**63))).random
+        super().__init__(self._draw_cost())
         self.objective = hpo.make_objective(objective, dimension, rng)
         self._state = hpo.SearchState()
         self._first_loss: float | None = None
         self._best_loss = float("inf")
-        self._next_cost = self.mean_cost * self._cost_rng.uniform(HPO_COST_LOW, HPO_COST_HIGH)
 
-    def peek_cost(self) -> float:
-        return self._next_cost
-
-    def _advance_cost(self) -> None:
-        self._next_cost = self.mean_cost * self._cost_rng.uniform(HPO_COST_LOW, HPO_COST_HIGH)
+    def _draw_cost(self) -> float:
+        # rng.uniform(low, high) returns low + (high - low) * rng.random(),
+        # the same draw from the same stream.
+        return self.mean_cost * (HPO_COST_LOW + (HPO_COST_HIGH - HPO_COST_LOW) * self._cost_random())
 
     def _raw_reward(self, n: int) -> float:
+        self._next_cost = self._draw_cost()
         point = hpo.propose(self._state, self.objective, self.strategy, self._search_rng)
         loss = self.objective.loss(point)
         self._state.add(point, loss)
@@ -151,8 +146,9 @@ class CurveArmSpec:
     noise_amplitude: float = 0.0
 
     def check(self) -> None:
-        if self.noise_amplitude < 0.0:
-            raise ConfigurationError(f"noise amplitude must be >= 0, got {self.noise_amplitude}")
+        # Finite too: a pull subtracts amplitude times a draw in [0, 1).
+        if not (self.noise_amplitude >= 0.0 and math.isfinite(self.noise_amplitude)):
+            raise ConfigurationError(f"noise amplitude must be finite and >= 0, got {self.noise_amplitude}")
         _check_cost("per-pull cost", self.cost)
 
     @property

@@ -38,7 +38,7 @@ class InsufficientHistoryError(ValueError):
     """Raised when a growth rate is requested from fewer than two observations."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ArmState:
     """Per-arm bookkeeping maintained by a run; ``history`` is the last
     ``smooth_window + 1`` rewards, oldest first, all that ``growth_rate`` reads."""
@@ -81,7 +81,8 @@ class BanditConfig:
 
 
 class StepRecord(NamedTuple):
-    """One pull of a run, as a sink receives it; a named tuple, since one is built per pull."""
+    """One pull of a run, with the fields a sink receives, in that order: a
+    list sink (see :func:`list_sink`) keeps one per pull."""
 
     t: int
     arm: int
@@ -90,8 +91,18 @@ class StepRecord(NamedTuple):
     candidate_set_size: int
 
 
-# Receives each pull of a run as it happens, e.g. ``steps.append``.
-StepSink = Callable[[StepRecord], object]
+# Receives each pull of a run as it happens, as ``sink(t, arm, reward, cost,
+# candidate_set_size)``: the fields of a StepRecord, which it need not build.
+StepSink = Callable[[int, int, float, float, int], object]
+
+
+def list_sink(steps: list[StepRecord]) -> StepSink:
+    """A sink that appends each pull to ``steps`` as a :class:`StepRecord`."""
+
+    def keep(*fields) -> None:
+        steps.append(StepRecord(*fields))
+
+    return keep
 
 
 @dataclass
@@ -171,12 +182,19 @@ class Horizon:
     and how many pulls are left for an arm's upper bound.  A pull fits a
     budget within ``epsilon``, so float rounding in the running spend cannot
     refuse a pull that fits exactly.
+
+    ``priced`` says whether the arm matters to a fit.  In a trials run it
+    does not: the next pull of any arm fits exactly when ``fits()`` does, so
+    a caller that has just checked ``fits()`` need not check an arm.
     """
+
+    __slots__ = ("trials", "budget", "epsilon", "priced", "arms", "t", "spent")
 
     def __init__(self, config: BanditConfig, arms: list[ArmProcess]) -> None:
         self.trials = config.trials
         self.budget = config.budget
         self.epsilon = config.epsilon
+        self.priced = config.budget is not None
         self.arms = arms
         self.t = 0
         self.spent = 0.0
@@ -231,31 +249,44 @@ class RisingBanditPolicy(Policy):
     round with no pull ends the run.
 
     Once one candidate is left the set is settled: a sweep would keep it, so
-    none runs, and the bounds only a sweep reads are no longer updated.
-    Sweeps only remove arms, so the sets are nested.
+    ``select`` returns it with no round and no sweep, and the bounds only a
+    sweep reads are no longer updated.  Sweeps only remove arms, so the sets
+    are nested.
     """
 
     name = "rising_bandit"
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
-        self._config = config
-        self._horizon = horizon
+        self._upper = horizon.upper
+        self._epsilon = config.epsilon
+        self._growth, self._window = config.growth, config.smooth_window
+        # Budget mode only: skips a candidate whose next pull would overspend.
+        # In a trials run the engine calls select only when a pull fits, and
+        # then every candidate's does.
+        self._fits = horizon.fits if horizon.priced else None
         self._next = 0
         self._round_pulled = False
 
     def select(self, states: list[ArmState], t: int) -> int | None:
+        candidates, fits = self.candidates, self._fits
         while True:
-            while self._next < len(self.candidates):
-                arm_id = self.candidates[self._next]
-                self._next += 1
-                if self._horizon.fits(arm_id):
-                    self._round_pulled = True
+            if len(candidates) == 1:
+                # Settled, at the start or by the last sweep: the one candidate,
+                # until (budget mode) its pull no longer fits.
+                arm_id = candidates[0]
+                return arm_id if fits is None or fits(arm_id) else None
+            i, size = self._next, len(candidates)
+            while i < size:
+                arm_id = candidates[i]
+                i += 1
+                if fits is None or fits(arm_id):
+                    self._next, self._round_pulled = i, True
                     return arm_id
             if not self._round_pulled:
                 return None
-            if len(self.candidates) > 1:
-                self.candidates = eliminate(self.candidates, states, self._config.epsilon)
+            # Each round runs on two or more candidates: a set of one is settled above.
+            self.candidates = candidates = eliminate(candidates, states, self._epsilon)
             self._next, self._round_pulled = 0, False
 
     def observe(self, state: ArmState) -> None:
@@ -264,8 +295,7 @@ class RisingBanditPolicy(Policy):
         # keeps its initial 1.0, the only sound bound.
         if len(self.candidates) == 1 or state.pulls < 2:
             return
-        omega = growth_rate(state.history, self._config.growth, self._config.smooth_window)
-        state.upper = self._horizon.upper(state, omega)
+        state.upper = self._upper(state, growth_rate(state.history, self._growth, self._window))
 
 
 def run_policy(
@@ -273,9 +303,9 @@ def run_policy(
 ) -> PolicyTrace:
     """Run ``policy`` on ``arms``: the one loop that pulls arms.
 
-    Each pull is passed to ``sink`` as a :class:`StepRecord`; with no sink no
-    record is built.  The run ends when the horizon is used up, when the
-    policy returns None, or at the first selected pull that does not fit.
+    Each pull is passed to ``sink`` as ``sink(t, arm, reward, cost,
+    candidate_set_size)``.  The run ends when the horizon is used up, when
+    the policy returns None, or at the first selected pull that does not fit.
     """
     k = len(arms)
     if k == 0:
@@ -288,6 +318,9 @@ def run_policy(
     policy.start(states, config, horizon)
     # Bound once per run: the loop body runs once per pull.
     select, observe, fits = policy.select, policy.observe, horizon.fits
+    # Whether to check the selected arm after select: in a trials run the
+    # loop's check has just said that any arm's pull fits.
+    check_arm = horizon.priced
     t, arm_id = 0, None
     # Only a strictly greater reward moves the best, so best_step is the
     # first step that reaches final_j.
@@ -298,7 +331,9 @@ def run_policy(
             break
         if not 1 <= arm_id <= k:
             raise ConfigurationError(f"policy {policy.name!r} selected invalid arm {arm_id}")
-        if not fits(arm_id):
+        # Budget mode only: ends the run at a selected pull that would
+        # overspend, which a baseline may select.
+        if check_arm and not fits(arm_id):
             break
         reward, cost = arms[arm_id - 1].pull()
         t += 1
@@ -313,7 +348,7 @@ def run_policy(
         if reward > final_j:
             final_j, best_step, best_arm = reward, t, arm_id
         if sink is not None:
-            sink(StepRecord(t, arm_id, reward, cost, len(policy.candidates)))
+            sink(t, arm_id, reward, cost, len(policy.candidates))
         observe(st)
     if t == 0:
         # A baseline ends at its first pick that does not fit, even when another arm would.

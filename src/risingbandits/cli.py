@@ -26,7 +26,7 @@ from functools import partial
 
 from . import __version__
 from .arms import ConfigurationError
-from .bandit import PolicyTrace, StepRecord, StepSink
+from .bandit import PolicyTrace, StepRecord, StepSink, list_sink
 from .config import ExperimentConfig, parse_experiment
 from .harness import PolicyResult, build_report, simulate
 from .verify import SUITES, FixtureError
@@ -61,7 +61,7 @@ def _run_listed(
 ) -> tuple[float, list[StepRecord]]:
     """One run in a worker process: its final J and its steps, for the parent to write."""
     steps: list[StepRecord] = []
-    return _run_one(config, policy_name, replication, steps.append).final_j, steps
+    return _run_one(config, policy_name, replication, list_sink(steps)).final_j, steps
 
 
 RowSinks = Callable[[str, int], StepSink]
@@ -71,8 +71,9 @@ def _write_trace(path: str, runs: Callable[[RowSinks], None]) -> None:
     """Write ``trace.csv`` at ``path`` while ``runs(rows)`` makes the runs.
 
     ``runs`` calls ``rows(policy_name, replication)`` as each run starts, in
-    task order, and passes the run's steps to the sink it returns.  Each row
-    is written as its step arrives, so no step record outlives its pull.
+    task order, and passes each pull of the run to the sink it returns, as
+    ``sink(t, arm, reward, cost, candidate_set_size)``.  Each row is written
+    as its pull arrives, so a serial run builds no step record.
 
     Each row is one template, with the ``\r\n`` terminator ``csv.writer``
     uses.  No field ever needs CSV quoting: each is an int, a ``.17g`` float
@@ -93,9 +94,8 @@ def _write_trace(path: str, runs: Callable[[RowSinks], None]) -> None:
             prefix = f"{policy_name},{replication},"
             best, best_text = 0.0, _fmt(0.0)
 
-            def row(step: StepRecord) -> None:
+            def row(t: int, arm: int, reward: float, cost: float, candidate_set_size: int) -> None:
                 nonlocal best, best_text
-                t, arm, reward, cost, candidate_set_size = step
                 reward_text = f"{reward:.17g}"
                 if reward > best:
                     best, best_text = reward, reward_text
@@ -130,7 +130,7 @@ def _run_tasks(
                 results.setdefault(policy_name, PolicyResult()).j_values.append(final_j)
                 sink = rows(policy_name, replication)
                 for step in steps:
-                    sink(step)
+                    sink(*step)
     else:
         for policy_name, replication in tasks:
             final_j = _run_one(config, policy_name, replication, rows(policy_name, replication)).final_j
@@ -138,14 +138,21 @@ def _run_tasks(
 
 
 def worker_count(jobs: int, tasks: int) -> int:
-    """Worker processes for ``tasks`` runs: ``jobs``, capped by tasks and CPUs."""
+    """Worker processes for ``tasks`` runs: ``jobs``, capped by tasks and by
+    the CPUs this process may run on.  Those are its affinity set where the
+    platform has one (``taskset``, a cpuset), else every CPU, else one."""
     if jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
-    return min(jobs, tasks, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, tasks, cpus)
 
 
 def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int | None = None) -> int:
-    with open(config_path, "r", encoding="utf-8") as handle:
+    # utf-8-sig: the manifest echoes the text without a byte-order mark.
+    with open(config_path, "r", encoding="utf-8-sig") as handle:
         config_text = handle.read()
     config = parse_experiment(config_text)
     if seed is None and "RB_SEED" in os.environ:

@@ -214,7 +214,8 @@ def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:
 
 
 def parse_experiment(text: str) -> ExperimentConfig:
-    global_block, arm_blocks = _parse_blocks(text)
+    # Some editors save UTF-8 with a byte-order mark first.
+    global_block, arm_blocks = _parse_blocks(text.removeprefix("\ufeff"))
     if not arm_blocks:
         raise ConfigurationError("configuration defines no [arm] blocks")
     # Checked first, so a misspelt key is named rather than reported as the

@@ -109,16 +109,18 @@ def compute_gamma(
             per_arm.append(0)
             continue
         gamma_k = None
-        n = 1
+        # Each value is evaluated once: this step's is the next step's previous one.
+        previous = curve.eval(1)
+        n = 2
         while 2 * n <= horizon:
-            if n >= 2:
-                omega = curve.eval(n) - curve.eval(n - 1)
-                # Arm k's upper bound is computed at its own pull moment,
-                # global step 2n - 1 in the alternating schedule.
-                u = upper_bound(curve.eval(n), omega, horizon - (2 * n - 1))
-                if u <= star_curve.eval(n) + epsilon:
-                    gamma_k = n
-                    break
+            value = curve.eval(n)
+            # Arm k's upper bound is computed at its own pull moment,
+            # global step 2n - 1 in the alternating schedule.
+            u = upper_bound(value, value - previous, horizon - (2 * n - 1))
+            if u <= star_curve.eval(n) + epsilon:
+                gamma_k = n
+                break
+            previous = value
             n += 1
         if gamma_k is None:
             gamma_k = horizon

@@ -113,6 +113,23 @@ class TestNoisyCurveArm:
         with pytest.raises(ConfigurationError):
             CurveArmSpec(CURVE, noise_amplitude=-0.1).build(_rng())
 
+    @pytest.mark.parametrize("amplitude", [math.inf, math.nan])
+    def test_rejects_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ConfigurationError, match="noise amplitude must be finite"):
+            CurveArmSpec(CURVE, noise_amplitude=amplitude).build(_rng())
+
+    @settings(max_examples=60, deadline=None)
+    @given(amplitude=st.floats(1e-9, 2.0), seed=st.integers(0, 2**63))
+    def test_noise_is_a_uniform_draw_from_the_arm_stream(self, amplitude, seed):
+        # The arm draws amplitude * random(); Generator.uniform(0, a) returns
+        # 0 + (a - 0) * random() from the same stream, the same float.
+        arm = NoisyCurveArm(CURVE, amplitude, _rng(seed), cost=1.0)
+        twin = _rng(seed)
+        best = 0.0
+        for n in range(1, 40):
+            best = max(best, min(max(CURVE.eval(n) - twin.uniform(0.0, amplitude), 0.0), 1.0))
+            assert arm.pull()[0] == best
+
 
 class TestHpoArm:
     # Frozen from the first run at SeedSequence(12345); guards the search,
@@ -212,6 +229,17 @@ class TestHpoArm:
             assert 0.8 * 5.0 <= cost <= 1.2 * 5.0
             costs.append(cost)
         assert len(set(costs)) > 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(mean_cost=st.floats(1e-6, 1e6), seed=st.integers(0, 2**63))
+    def test_costs_are_uniform_draws_from_the_cost_stream(self, mean_cost, seed):
+        # The cost stream is seeded by the arm's first draw; the arm draws
+        # low + (high - low) * random(), which is what Generator.uniform returns.
+        arm = HpoArmSpec(objective="sphere", dimension=2, mean_cost=mean_cost).build(_rng(seed))
+        twin = np.random.Generator(np.random.PCG64(_rng(seed).integers(0, 2**63)))
+        for _ in range(12):
+            assert arm.peek_cost() == mean_cost * twin.uniform(0.8, 1.2)
+            arm.pull()
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ConfigurationError):

@@ -26,7 +26,7 @@ from risingbandits import (
     upper_bound,
 )
 from risingbandits import bandit
-from risingbandits.bandit import MAX_EPSILON, Horizon
+from risingbandits.bandit import MAX_EPSILON, Horizon, list_sink
 
 ARM1 = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
 ARM2 = ExponentialCurve(limit=0.95, initial=0.3, decay=0.8)
@@ -330,7 +330,7 @@ class TestRisingBanditRunTrials:
 
     def test_best_step_is_earliest_maximum(self):
         steps = []
-        trace = run_policy(RisingBanditPolicy(), _arms(ARM1), BanditConfig(trials=4), steps.append)
+        trace = run_policy(RisingBanditPolicy(), _arms(ARM1), BanditConfig(trials=4), list_sink(steps))
         assert trace.best_step == 4
         assert steps[trace.best_step - 1].reward == trace.final_j
 
@@ -426,7 +426,7 @@ def _run_recording_selects(policy, instance, config, seed):
 
     policy.select = recording
     steps = []
-    trace = run_policy(policy, make_instance(instance, seed), config, steps.append)
+    trace = run_policy(policy, make_instance(instance, seed), config, list_sink(steps))
     return trace, steps, selected
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, InstanceSpec, cli, verify
 from risingbandits import config as config_module
-from risingbandits.bandit import BanditConfig
+from risingbandits.bandit import BanditConfig, list_sink
 from risingbandits.cli import main, worker_count
 from risingbandits.config import parse_experiment
 from risingbandits.curves import ExponentialCurve
@@ -201,6 +201,21 @@ class TestRunCommand:
         ]
         # 2 policies x 2 replications x 10 steps.
         assert len(lines) == 1 + 40
+
+    def test_byte_order_mark_changes_no_artifact(self, tmp_path):
+        # Some editors save UTF-8 with a byte-order mark first.
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(BUDGET_CONFIG, encoding="utf-8")
+        marked.write_text(BUDGET_CONFIG, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        written = []
+        for path in (plain, marked):
+            out = tmp_path / f"{path.stem}-results"
+            assert main(["run", str(path), "--output", str(out)]) == 0
+            written.append({name: (out / name).read_bytes() for name in ("trace.csv", "report.json")})
+            written[-1]["config_echo"] = json.loads((out / "manifest.json").read_text())["config_echo"]
+        assert written[0] == written[1]
+        assert written[1]["config_echo"] == BUDGET_CONFIG
 
     def test_report_contents(self, config_path, tmp_path):
         out = str(tmp_path / "results")
@@ -510,7 +525,7 @@ def trace_runs(draw):
     for name in names:
         for rep in range(replications):
             steps = []
-            simulate(make_policy(name), instance, config, seed, rep, steps.append)
+            simulate(make_policy(name), instance, config, seed, rep, list_sink(steps))
             runs.append((name, rep, steps))
     return runs
 
@@ -522,7 +537,7 @@ def _replay(runs):
         for policy_name, replication, steps in runs:
             sink = rows(policy_name, replication)
             for step in steps:
-                sink(step)
+                sink(*step)
 
     return replay
 
@@ -723,15 +738,39 @@ class TestErrorBoundary:
 
 class TestWorkerCount:
     def test_capped_by_tasks_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         assert worker_count(1000, 15) == 8
         assert worker_count(3, 15) == 3
         assert worker_count(4, 2) == 2
         assert worker_count(1, 15) == 1
 
+    def test_capped_by_the_affinity_set_not_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert worker_count(4, 10) == 1
+
+    def test_capped_by_cpu_count_where_there_is_no_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert worker_count(1000, 15) == 8
+
     def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert worker_count(16, 15) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_a_process_pinned_to_one_cpu_gets_one_worker(self):
+        # As under ``taskset -c <cpu>``: the child pins itself before asking.
+        code = (
+            "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from risingbandits.cli import worker_count; print(worker_count(4, 10))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
 
     def test_rejects_below_one(self):
         with pytest.raises(ConfigurationError):

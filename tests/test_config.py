@@ -4,7 +4,7 @@ import pytest
 
 from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, arms
 from risingbandits.bandit import MAX_EPSILON, BanditConfig
-from risingbandits.config import MAX_PULLS_PER_RUN, MAX_REPLICATIONS, POLICY_PARAMS, parse_experiment
+from risingbandits.config import MAX_PULLS_PER_RUN, MAX_REPLICATIONS, POLICY_PARAMS, load_experiment, parse_experiment
 from risingbandits.config import ARM_KINDS
 
 GOOD = """
@@ -39,6 +39,12 @@ strategy = density_estimator
 
 
 class TestParseExperiment:
+    def test_loads_a_file_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "marked.cfg"
+        path.write_text(GOOD, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_experiment(str(path)) == parse_experiment(GOOD)
+
     def test_parses_complete_config(self):
         config = parse_experiment(GOOD)
         assert config.bandit.trials == 12

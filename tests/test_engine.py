@@ -1,6 +1,7 @@
 """Properties of the one simulation engine, over every policy and both horizons."""
 
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,14 @@ from risingbandits import (
     Policy,
     PowerCurve,
     TabulatedCurve,
+    list_sink,
     make_instance,
     make_policy,
     run_policy,
     simulate,
 )
 from risingbandits.arms import HPO_COST_HIGH
+from risingbandits.bandit import Horizon
 from risingbandits.hpo import SEARCH_STRATEGIES
 from risingbandits.policies import POLICY_NAMES
 
@@ -94,7 +97,7 @@ def test_engine_invariants(record_sweeps, case):
     for name in POLICY_NAMES:
         steps = []
         with record_sweeps() as sweeps:
-            trace = simulate(make_policy(name), instance, config, seed=seed, sink=steps.append)
+            trace = simulate(make_policy(name), instance, config, seed=seed, sink=list_sink(steps))
         n = len(steps)
         assert trace.horizon == n
         if config.trials is not None:
@@ -145,9 +148,34 @@ def test_a_sink_does_not_change_the_run(case):
     instance, config, seed = case
     for name in POLICY_NAMES:
         steps = []
-        with_sink = simulate(make_policy(name), instance, config, seed=seed, sink=steps.append)
+        with_sink = simulate(make_policy(name), instance, config, seed=seed, sink=list_sink(steps))
         assert simulate(make_policy(name), instance, config, seed=seed) == with_sink
         assert len(steps) == with_sink.horizon
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    specs=st.lists(st.one_of(arm_specs(), hpo_arm_specs()), min_size=1, max_size=4),
+    trials=st.integers(1, 40),
+    growth=st.sampled_from(["last", "smooth"]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_trials_run_makes_one_horizon_check_per_pull(specs, trials, growth, seed):
+    # A pull fits a trials horizon exactly when t < trials, whichever arm it
+    # is: the engine's loop check says so, and no check may name an arm.
+    instance, config = InstanceSpec(specs), BanditConfig(trials=trials, growth=growth)
+    real = Horizon.fits
+    for name in POLICY_NAMES:
+        checked = []
+
+        def fits(horizon, arm_id=None):
+            checked.append(arm_id)
+            return real(horizon, arm_id)
+
+        with mock.patch.object(Horizon, "fits", fits):
+            simulate(make_policy(name), instance, config, seed=seed)
+        # One before each pull, and the one that ends the run.
+        assert checked == [None] * (trials + 1), name
 
 
 def _sum_left_to_right(values):
@@ -172,7 +200,7 @@ def test_reward_sums_match_histories(case):
 
         policy.start = capture
         steps = []
-        simulate(policy, instance, config, seed=seed, sink=steps.append)
+        simulate(policy, instance, config, seed=seed, sink=list_sink(steps))
         for state in runs[0]:
             rewards = [step.reward for step in steps if step.arm == state.arm_id]
             # Up to Python 3.11 sum() adds left to right, as the engine does;

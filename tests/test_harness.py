@@ -15,17 +15,20 @@ from risingbandits import (
     PowerCurve,
     RisingBanditPolicy,
     SoftmaxPolicy,
+    StaircaseCurve,
     TabulatedCurve,
     brute_force_optimal,
     build_report,
     compute_gamma,
     corollary1_check,
     least_concave_majorant,
+    list_sink,
     offline_max_run,
     regret,
     simulate,
     theorem1_bound,
     theorem2_condition_check,
+    upper_bound,
 )
 from risingbandits.harness import PolicyResult, derive_seed, theorem1_is_vacuous
 from risingbandits import verify
@@ -53,16 +56,16 @@ class TestSimulate:
         instance = InstanceSpec([CurveArmSpec(ARM1, noise_amplitude=0.1), CurveArmSpec(ARM2)])
         config = BanditConfig(trials=20)
         a, b = [], []
-        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1, sink=a.append)
-        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1, sink=b.append)
+        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1, sink=list_sink(a))
+        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1, sink=list_sink(b))
         assert a == b
 
     def test_replications_differ(self):
         instance = InstanceSpec([CurveArmSpec(ARM1, noise_amplitude=0.2), CurveArmSpec(ARM2)])
         config = BanditConfig(trials=20)
         a, b = [], []
-        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=0, sink=a.append)
-        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1, sink=b.append)
+        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=0, sink=list_sink(a))
+        simulate(SoftmaxPolicy(), instance, config, seed=5, replication=1, sink=list_sink(b))
         assert a != b
 
     def test_budget_mode_stops_before_overshoot(self):
@@ -74,7 +77,7 @@ class TestSimulate:
     def test_policy_trace_accounting(self):
         instance = InstanceSpec([CurveArmSpec(ARM1), CurveArmSpec(ARM2)])
         steps = []
-        trace = simulate(AveragePolicy(), instance, BanditConfig(trials=6), seed=0, sink=steps.append)
+        trace = simulate(AveragePolicy(), instance, BanditConfig(trials=6), seed=0, sink=list_sink(steps))
         assert trace.pull_counts == [3, 3]
         assert trace.final_j == max(s.reward for s in steps)
         assert steps[trace.best_step - 1].reward == trace.final_j
@@ -241,6 +244,60 @@ def _oracle_instances(draw):
             curve = _ListCurve(draw(st.lists(_LEVELS, min_size=horizon, max_size=horizon)))
         curves.append(curve)
     return curves, horizon
+
+
+def _reference_gamma(curves, horizon, epsilon):
+    """``compute_gamma`` as it was, four ``eval`` calls per step, kept as its reference."""
+    k_star, _ = offline_max_run(curves, horizon)
+    star_curve = curves[k_star - 1]
+    per_arm, non_identifiable = [], []
+    for idx, curve in enumerate(curves, start=1):
+        if idx == k_star:
+            per_arm.append(0)
+            continue
+        gamma_k = None
+        n = 1
+        while 2 * n <= horizon:
+            if n >= 2:
+                omega = curve.eval(n) - curve.eval(n - 1)
+                u = upper_bound(curve.eval(n), omega, horizon - (2 * n - 1))
+                if u <= star_curve.eval(n) + epsilon:
+                    gamma_k = n
+                    break
+            n += 1
+        if gamma_k is None:
+            gamma_k = horizon
+            non_identifiable.append(idx)
+        per_arm.append(gamma_k)
+    return GammaResult(max(per_arm), tuple(per_arm), k_star, tuple(non_identifiable))
+
+
+@st.composite
+def _gamma_instances(draw):
+    curves = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["exponential", "power", "staircase", "tabulated"]))
+        limit = draw(st.floats(0.2, 0.98))
+        initial = draw(st.floats(0.05, 0.95)) * limit
+        if kind == "exponential":
+            curve = ExponentialCurve(limit=limit, initial=initial, decay=draw(st.floats(0.2, 0.9)))
+        elif kind == "power":
+            curve = PowerCurve(limit=limit, scale=limit - initial, exponent=draw(st.floats(0.5, 2.0)))
+        elif kind == "staircase":
+            curve = StaircaseCurve(initial, limit, draw(st.integers(1, 4)), draw(st.floats(0.1, 1.0)))
+        else:
+            # Exact levels, so bounds and lower values can tie.
+            curve = TabulatedCurve(sorted(draw(st.lists(_LEVELS, min_size=1, max_size=12))))
+        curves.append(curve)
+    return curves, draw(st.integers(1, 60)), draw(st.sampled_from([0.0, 1e-12, 1e-6]))
+
+
+class TestComputeGammaReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_gamma_instances())
+    def test_matches_the_four_eval_loop(self, case):
+        curves, horizon, epsilon = case
+        assert compute_gamma(curves, horizon, epsilon) == _reference_gamma(curves, horizon, epsilon)
 
 
 class TestBruteForceOptimal:
