@@ -156,9 +156,15 @@ class CurveArmSpec:
         """The cheapest pull this arm can make."""
         return self.cost
 
-    def build(self, rng: np.random.Generator) -> ArmProcess:
+    @property
+    def draws(self) -> bool:
+        """Whether the arm's pulls draw randomness: only noisy playback does."""
+        return self.noise_amplitude > 0.0
+
+    def build(self, rng: np.random.Generator | None) -> ArmProcess:
+        """The arm process; ``rng`` is its stream, which only an arm that draws needs."""
         self.check()
-        if self.noise_amplitude > 0.0:
+        if self.draws:
             return NoisyCurveArm(self.curve, self.noise_amplitude, rng, cost=self.cost)
         return CurveArm(self.curve, cost=self.cost)
 
@@ -190,6 +196,9 @@ class HpoArmSpec:
     def min_cost(self) -> float:
         """The cheapest pull this arm can make."""
         return HPO_COST_LOW * self.mean_cost
+
+    # Every search proposes from the stream, and every pull draws its cost.
+    draws = True
 
     def build(self, rng: np.random.Generator) -> ArmProcess:
         self.check()
@@ -231,19 +240,23 @@ class InstanceSpec:
 
 
 def make_instance(spec: InstanceSpec, seed: int | np.random.SeedSequence = 0) -> list[ArmProcess]:
-    """Build the arm processes with one derived RNG stream per arm.
+    """Build the arm processes with one derived RNG stream per arm that draws.
 
     Arm k (1-based) gets the stream spawned at key (k,) from the given seed,
-    so adding or reordering other arms never perturbs its randomness.
+    so adding or reordering other arms never perturbs its randomness.  An
+    arm that never draws (exact curve playback) gets no stream.
     """
     if spec.k == 0:
         raise ConfigurationError("an instance needs at least one arm")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     arms = []
     for idx, arm_spec in enumerate(spec.arms, start=1):
-        stream = np.random.SeedSequence(entropy=base.entropy, spawn_key=base.spawn_key + (idx,))
+        rng = None
+        if arm_spec.draws:
+            stream = np.random.SeedSequence(entropy=base.entropy, spawn_key=base.spawn_key + (idx,))
+            rng = np.random.Generator(np.random.PCG64(stream))
         try:
-            arms.append(arm_spec.build(np.random.Generator(np.random.PCG64(stream))))
+            arms.append(arm_spec.build(rng))
         except (ValueError, TypeError) as exc:
             raise ConfigurationError(f"arm {idx}: {exc}") from exc
     return arms

@@ -351,13 +351,16 @@ def run_policy(
             sink(t, arm_id, reward, cost, len(policy.candidates))
         observe(st)
     if t == 0:
-        # A baseline ends at its first pick that does not fit, even when another arm would.
-        if arm_id is not None and any(map(fits, range(1, k + 1))):
-            raise ConfigurationError(
-                f"policy {policy.name!r} chose arm {arm_id} for its first pull, at cost "
-                f"{arms[arm_id - 1].peek_cost()}, above the budget {config.budget}"
-            )
-        raise ConfigurationError("budget too small for a single pull")
+        if not any(map(fits, range(1, k + 1))):
+            raise ConfigurationError("budget too small for a single pull")
+        # A pull would fit: the policy ended the run, or (a baseline in budget
+        # mode) picked an arm that does not fit, even though another arm would.
+        if arm_id is None:
+            raise ConfigurationError(f"policy {policy.name!r} ended the run before its first pull")
+        raise ConfigurationError(
+            f"policy {policy.name!r} chose arm {arm_id} for its first pull, at cost "
+            f"{arms[arm_id - 1].peek_cost()}, above the budget {config.budget}"
+        )
     return PolicyTrace(
         horizon=t,
         pull_counts=[st.pulls for st in states],

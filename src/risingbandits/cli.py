@@ -29,7 +29,6 @@ from .arms import ConfigurationError
 from .bandit import PolicyTrace, StepRecord, StepSink, list_sink
 from .config import ExperimentConfig, parse_experiment
 from .harness import PolicyResult, build_report, simulate
-from .verify import SUITES, FixtureError
 
 TRACE_COLUMNS = (
     "step",
@@ -220,6 +219,14 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
 
 
 def run_verify(suite_name: str) -> int:
+    # Imported here only: a run never needs the suites.
+    from .verify import SUITES, FixtureError
+
+    if suite_name not in SUITES:
+        choices = ", ".join(map(repr, sorted(SUITES)))
+        raise _UsageError(
+            f"rising-bandits verify: argument suite: invalid choice: {suite_name!r} (choose from {choices})"
+        )
     try:
         result = SUITES[suite_name]()
     except FixtureError as exc:
@@ -258,7 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--seed", type=int, default=None, help="override the base seed")
 
     verify_parser = sub.add_parser("verify", help="run a named invariant suite")
-    verify_parser.add_argument("suite", choices=sorted(SUITES))
+    # No argparse choices: run_verify checks the name, so that a run need not import verify.
+    verify_parser.add_argument("suite", help="the suite to run; an unknown name lists them")
 
     # Every run and suite needs it, and numpy imports it on first use, where C
     # code can lose the exception the handler raises: import it first.

@@ -1,9 +1,13 @@
 """Baseline selection policies sharing one interface with elimination.
 
-A policy maps the observed arm states and the step index to the next arm to
-pull.  Policies only ever see observed histories, never ground-truth curves.
-Ties break towards the lowest arm id.  ``Policy`` and the elimination
-policy live in :mod:`bandit`, next to the engine that runs them.
+A run calls a policy's ``start`` once with the arm states, then alternates
+``select``, which names the next arm to pull, and ``observe``, which receives
+the pulled arm's updated state.  The baselines score arms from per-arm
+arrays that ``observe`` updates one slot at a time, so a ``select`` reads no
+arm state beyond the forced first pulls.  Policies only ever see observed
+histories, never ground-truth curves.  Ties break towards the lowest arm id.
+``Policy`` and the elimination policy live in :mod:`bandit`, next to the
+engine that runs them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import ArmState, Policy, RisingBanditPolicy
+from .bandit import ArmState, BanditConfig, Horizon, Policy, RisingBanditPolicy
 
 
 class AveragePolicy(Policy):
@@ -23,14 +27,6 @@ class AveragePolicy(Policy):
 
     def select(self, states: list[ArmState], t: int) -> int:
         return (t - 1) % len(states) + 1
-
-
-def _argmax(scores: list[float]) -> int:
-    best, best_score = 1, scores[0]
-    for idx, score in enumerate(scores[1:], start=2):
-        if score > best_score:
-            best, best_score = idx, score
-    return best
 
 
 def _first_unpulled(states: list[ArmState]) -> int | None:
@@ -51,13 +47,23 @@ class UCBPolicy(Policy):
         if self.exploration_coefficient <= 0.0:
             raise ValueError("exploration coefficient must be positive")
 
+    def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
+        super().start(states, config, horizon)
+        self._unpulled = {st.arm_id for st in states}
+        self._means = np.zeros(len(states))
+        self._pulls = np.zeros(len(states))
+
     def select(self, states: list[ArmState], t: int) -> int:
-        forced = _first_unpulled(states)
-        if forced is not None:
-            return forced
-        coefficient, log_t = self.exploration_coefficient, math.log(t)
-        scores = [st.reward_sum / st.pulls + coefficient * math.sqrt(log_t / st.pulls) for st in states]
-        return _argmax(scores)
+        if self._unpulled:
+            return _first_unpulled(states)
+        scores = self._means + self.exploration_coefficient * np.sqrt(math.log(t) / self._pulls)
+        return int(scores.argmax()) + 1
+
+    def observe(self, state: ArmState) -> None:
+        i = state.arm_id - 1
+        self._unpulled.discard(state.arm_id)
+        self._means[i] = state.reward_sum / state.pulls
+        self._pulls[i] = state.pulls
 
 
 @dataclass
@@ -78,20 +84,26 @@ class SoftmaxPolicy(Policy):
     def reset(self, rng: np.random.Generator) -> None:
         self._rng = rng
 
+    def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
+        super().start(states, config, horizon)
+        self._unpulled = {st.arm_id for st in states}
+        self._logits = np.zeros(len(states))
+
     def select(self, states: list[ArmState], t: int) -> int:
-        forced = _first_unpulled(states)
-        if forced is not None:
-            return forced
-        temperature = self.temperature
-        logits = np.array([st.reward_sum / st.pulls / temperature for st in states])
-        logits -= logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
+        if self._unpulled:
+            return _first_unpulled(states)
+        logits = self._logits
+        probs = np.exp(logits - logits.max())
+        probs /= np.add.reduce(probs)
         # The inverse-CDF draw that Generator.choice(K, p=probs) makes from
         # one random(), without its checks of p.
-        cdf = probs.cumsum()
+        cdf = np.add.accumulate(probs)
         cdf /= cdf[-1]
         return int(cdf.searchsorted(self._rng.random(), side="right")) + 1
+
+    def observe(self, state: ArmState) -> None:
+        self._unpulled.discard(state.arm_id)
+        self._logits[state.arm_id - 1] = state.reward_sum / state.pulls / self.temperature
 
 
 @dataclass
@@ -100,6 +112,8 @@ class ThompsonPolicy(Policy):
 
     Each reward r contributes r to the success count and 1 - r to the failure
     count, the standard continuous-reward adaptation of Thompson sampling.
+    One ``Generator.beta`` call over the per-arm parameter arrays draws the
+    values that one scalar call per arm, in arm order, would draw.
     """
 
     prior_alpha: float = 1.0
@@ -114,13 +128,18 @@ class ThompsonPolicy(Policy):
     def reset(self, rng: np.random.Generator) -> None:
         self._rng = rng
 
+    def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
+        super().start(states, config, horizon)
+        self._alpha = np.full(len(states), self.prior_alpha, dtype=np.float64)
+        self._beta = np.full(len(states), self.prior_beta, dtype=np.float64)
+
     def select(self, states: list[ArmState], t: int) -> int:
-        beta, alpha0, beta0 = self._rng.beta, self.prior_alpha, self.prior_beta
-        draws = []
-        for st in states:
-            successes = st.reward_sum
-            draws.append(beta(alpha0 + successes, beta0 + (st.pulls - successes)))
-        return _argmax(draws)
+        return int(self._rng.beta(self._alpha, self._beta).argmax()) + 1
+
+    def observe(self, state: ArmState) -> None:
+        i, successes = state.arm_id - 1, state.reward_sum
+        self._alpha[i] = self.prior_alpha + successes
+        self._beta[i] = self.prior_beta + (state.pulls - successes)
 
 
 POLICIES = {

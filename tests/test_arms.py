@@ -299,6 +299,36 @@ class TestMakeInstance:
         with pytest.raises(ConfigurationError, match="arm 2"):
             make_instance(spec, 0)
 
+    @pytest.mark.parametrize(
+        "kinds, keys",
+        [
+            (["exact", "exact", "exact"], []),
+            (["exact", "noisy", "hpo", "exact"], [(2,), (3,)]),
+        ],
+        ids=["exact_only", "mixed"],
+    )
+    def test_builds_a_stream_only_for_each_arm_that_draws(self, monkeypatch, kinds, keys):
+        # An exact arm never draws, so it gets no PCG64; one that draws keeps
+        # its spawn key (idx,).  The hpo arm seeds its cost stream's PCG64
+        # with an integer from its own stream.
+        specs = {
+            "exact": CurveArmSpec(CURVE),
+            "noisy": CurveArmSpec(CURVE, noise_amplitude=0.1),
+            "hpo": HpoArmSpec(objective="sphere"),
+        }
+        seeds = []
+        real = np.random.PCG64
+
+        def counted(seed):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "PCG64", counted)
+        make_instance(InstanceSpec([specs[kind] for kind in kinds]), 5)
+        streams = [seed for seed in seeds if isinstance(seed, np.random.SeedSequence)]
+        assert [seed.spawn_key for seed in streams] == keys
+        assert len(seeds) == len(keys) + kinds.count("hpo")
+
     def test_accepts_seed_sequence(self):
         seq = np.random.SeedSequence(7, spawn_key=(1, 2))
         spec = InstanceSpec([CurveArmSpec(CURVE, noise_amplitude=0.1)])

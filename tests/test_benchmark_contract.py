@@ -25,7 +25,7 @@ CONFIG = """
 horizon_trials = 40
 growth = smooth
 smooth_window = 3
-policies = rising_bandit, average
+policies = rising_bandit, average, ucb, softmax, thompson
 
 [arm]
 kind = exponential
@@ -106,6 +106,10 @@ def test_traced_run_counts_pulls_of_every_arm_kind(config_path, tmp_path):
     assert metrics["bandit.growth_rate.calls"] > 0
     assert metrics["bandit.eliminate.calls"] > 0
     assert metrics["bandit.upper_bound.s"] > 0
+    # The tracer wraps each baseline's select as (self, states, t): each
+    # run of the 40 trials makes one traced select per pull.
+    for name in ("average", "ucb", "softmax", "thompson"):
+        assert metrics[f"policies.{name}.select.calls"] == 40, name
     # A sweep span's ``a`` is the candidate-set size: a settled set of one
     # candidate is never swept.
     names = [str(name) for name in recorded["names"]]

@@ -381,6 +381,19 @@ class TestRunCommand:
         assert result.returncode == 0, result.stderr
         assert sorted(os.listdir(out)) == ["manifest.json", "report.json", "trace.csv"]
 
+    def test_run_imports_no_verify_suites(self, config_path, tmp_path):
+        out = str(tmp_path / "results")
+        code = (
+            "import sys\n"
+            "from risingbandits import cli\n"
+            f"assert cli.main(['run', {config_path!r}, '--output', {out!r}]) == 0\n"
+            "assert 'risingbandits.verify' not in sys.modules, 'a run imported the verify suites'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_sigterm_keeps_the_previous_artifacts(self, config_path, tmp_path):
         out = tmp_path / "results"
         assert main(["run", config_path, "--output", str(out)]) == 0

@@ -274,3 +274,26 @@ def test_one_select_and_one_observe_per_pull():
     arms = make_instance(InstanceSpec([CurveArmSpec(ARM)]), 0)
     run_policy(policy, arms, BanditConfig(trials=7))
     assert (policy.selects, policy.observes) == (7, 7)
+
+
+class _Quits(Policy):
+    name = "quits"
+
+    def select(self, states, t):
+        return None
+
+
+@pytest.mark.parametrize(
+    "config", [BanditConfig(trials=5), BanditConfig(budget=3.0)], ids=["trials", "budget"]
+)
+def test_a_policy_that_quits_before_its_first_pull_is_named(config):
+    # A pull would fit, so the budget is not what ended the run.
+    arms = make_instance(InstanceSpec([CurveArmSpec(ARM, cost=1.0), CurveArmSpec(ARM, cost=2.0)]), 0)
+    with pytest.raises(ConfigurationError, match="^policy 'quits' ended the run before its first pull$"):
+        run_policy(_Quits(), arms, config)
+
+
+def test_a_policy_that_quits_when_no_pull_fits_meets_the_budget_message():
+    arms = make_instance(InstanceSpec([CurveArmSpec(ARM, cost=1.0)]), 0)
+    with pytest.raises(ConfigurationError, match="^budget too small for a single pull$"):
+        run_policy(_Quits(), arms, BanditConfig(budget=0.5))

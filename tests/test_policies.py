@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,23 @@ from risingbandits import (
     BanditConfig,
     CurveArmSpec,
     ExponentialCurve,
+    HpoArmSpec,
     InstanceSpec,
+    Policy,
+    PowerCurve,
     RisingBanditPolicy,
     SoftmaxPolicy,
     ThompsonPolicy,
     UCBPolicy,
+    list_sink,
+    make_instance,
     make_policy,
+    run_policy,
     simulate,
 )
+from risingbandits.arms import HPO_COST_HIGH
+from risingbandits.bandit import Horizon
+from risingbandits.hpo import SEARCH_STRATEGIES
 from risingbandits.policies import POLICIES, POLICY_NAMES
 
 CURVE = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
@@ -32,6 +43,17 @@ def _states(*histories):
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _observed(policy, states):
+    """``states`` as ``policy`` knows them after the pulls they record: the
+    policy is started on them and observes each pulled arm's state once."""
+    config = BanditConfig(trials=sum(state.pulls for state in states) + 1)
+    policy.start(states, config, Horizon(config, []))
+    for state in states:
+        if state.pulls:
+            policy.observe(state)
+    return states
 
 
 class TestAveragePolicy:
@@ -49,17 +71,17 @@ class TestAveragePolicy:
 class TestUCBPolicy:
     def test_forces_initial_pulls(self):
         policy = UCBPolicy()
-        states = _states([0.9], [], [0.1])
+        states = _observed(policy, _states([0.9], [], [0.1]))
         assert policy.select(states, 3) == 2
 
     def test_prefers_higher_mean_at_equal_counts(self):
         policy = UCBPolicy(exploration_coefficient=1.0)
-        states = _states([0.9], [0.1])
+        states = _observed(policy, _states([0.9], [0.1]))
         assert policy.select(states, 3) == 1
 
     def test_bonus_pulls_undersampled_arm(self):
         policy = UCBPolicy(exploration_coefficient=10.0)
-        states = _states([0.9] * 50, [0.85])
+        states = _observed(policy, _states([0.9] * 50, [0.85]))
         assert policy.select(states, 52) == 2
 
     def test_rejects_nonpositive_coefficient(self):
@@ -80,13 +102,13 @@ class TestSoftmaxPolicy:
     def test_forces_initial_pulls(self):
         policy = SoftmaxPolicy()
         policy.reset(_rng())
-        states = _states([0.5], [])
+        states = _observed(policy, _states([0.5], []))
         assert policy.select(states, 2) == 2
 
     def test_near_uniform_at_high_temperature(self):
         policy = SoftmaxPolicy(temperature=1e6)
         policy.reset(_rng(1))
-        states = _states([0.9], [0.1], [0.5])
+        states = _observed(policy, _states([0.9], [0.1], [0.5]))
         draws = [policy.select(states, 4) for _ in range(3000)]
         counts = [draws.count(i) for i in (1, 2, 3)]
         assert stats.chisquare(counts).pvalue > 0.01
@@ -94,7 +116,7 @@ class TestSoftmaxPolicy:
     def test_concentrates_at_low_temperature(self):
         policy = SoftmaxPolicy(temperature=0.01)
         policy.reset(_rng(2))
-        states = _states([0.9], [0.1])
+        states = _observed(policy, _states([0.9], [0.1]))
         draws = [policy.select(states, 3) for _ in range(200)]
         assert draws.count(1) == 200
 
@@ -112,7 +134,7 @@ class TestSoftmaxPolicy:
     def test_smallest_normal_temperature_draws_the_best_arm(self):
         policy = SoftmaxPolicy(temperature=2.3e-308)
         policy.reset(_rng(5))
-        assert policy.select(_states([0.9], [1.0], [0.2]), 4) == 2
+        assert policy.select(_observed(policy, _states([0.9], [1.0], [0.2])), 4) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -127,6 +149,7 @@ class TestSoftmaxPolicy:
         ]
         policy = SoftmaxPolicy(temperature=temperature)
         policy.reset(_rng(seed))
+        _observed(policy, states)
         reference = _rng(seed)
         for t in range(5):
             assert policy.select(states, len(means) + t) == _softmax_by_choice(states, temperature, reference)
@@ -136,14 +159,14 @@ class TestThompsonPolicy:
     def test_mostly_picks_clearly_better_arm(self):
         policy = ThompsonPolicy()
         policy.reset(_rng(3))
-        states = _states([0.95] * 30, [0.05] * 30)
+        states = _observed(policy, _states([0.95] * 30, [0.05] * 30))
         draws = [policy.select(states, 61) for _ in range(300)]
         assert draws.count(1) > 280
 
     def test_unpulled_arms_draw_from_prior(self):
         policy = ThompsonPolicy()
         policy.reset(_rng(4))
-        states = _states([], [])
+        states = _observed(policy, _states([], []))
         draws = {policy.select(states, 1) for _ in range(50)}
         assert draws == {1, 2}
 
@@ -187,3 +210,130 @@ class TestMakePolicy:
             make_policy("epsilon_greedy")
         with pytest.raises(ValueError):
             make_policy("average", temperature=0.5)
+
+
+def _argmax(scores):
+    best, best_score = 1, scores[0]
+    for idx, score in enumerate(scores[1:], start=2):
+        if score > best_score:
+            best, best_score = idx, score
+    return best
+
+
+def _first_unpulled(states):
+    for state in states:
+        if state.pulls == 0:
+            return state.arm_id
+    return None
+
+
+class _ReferenceUCB(UCBPolicy):
+    """UCB scored from every arm's state at each select, as before the
+    policy kept per-arm arrays."""
+
+    start, observe = Policy.start, Policy.observe
+
+    def select(self, states, t):
+        forced = _first_unpulled(states)
+        if forced is not None:
+            return forced
+        coefficient, log_t = self.exploration_coefficient, math.log(t)
+        scores = [st.reward_sum / st.pulls + coefficient * math.sqrt(log_t / st.pulls) for st in states]
+        return _argmax(scores)
+
+
+class _ReferenceSoftmax(SoftmaxPolicy):
+    """Softmax with its logits rebuilt from the arm states at each select."""
+
+    start, observe = Policy.start, Policy.observe
+
+    def select(self, states, t):
+        forced = _first_unpulled(states)
+        if forced is not None:
+            return forced
+        logits = np.array([st.reward_sum / st.pulls / self.temperature for st in states])
+        logits -= logits.max()
+        probs = np.exp(logits)
+        probs /= probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(self._rng.random(), side="right")) + 1
+
+
+class _ReferenceThompson(ThompsonPolicy):
+    """Thompson sampling with one scalar Beta draw per arm state at each select."""
+
+    start, observe = Policy.start, Policy.observe
+
+    def select(self, states, t):
+        beta, alpha0, beta0 = self._rng.beta, self.prior_alpha, self.prior_beta
+        draws = []
+        for st in states:
+            successes = st.reward_sum
+            draws.append(beta(alpha0 + successes, beta0 + (st.pulls - successes)))
+        return _argmax(draws)
+
+
+REFERENCES = {"ucb": _ReferenceUCB, "softmax": _ReferenceSoftmax, "thompson": _ReferenceThompson}
+
+# A few shared curves, so that equal arms, and so ties between scores, are common.
+REFERENCE_CURVES = (
+    ExponentialCurve(limit=0.9, initial=0.5, decay=0.5),
+    ExponentialCurve(limit=0.8, initial=0.2, decay=0.9),
+    PowerCurve(limit=0.95, scale=0.6, exponent=0.7),
+)
+
+
+# An unpulled arm under the tiny prior draws 0.0 or 1.0 almost always, so
+# the first selects tie.
+THOMPSON_PRIORS = ((1, 1.0), (0.5, 0.2), (3.0, 2), (1e-3, 1e-3))
+
+
+@st.composite
+def reference_arms(draw):
+    kind = draw(st.sampled_from(["exact", "noisy", "hpo"]))
+    cost = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    if kind == "hpo":
+        return HpoArmSpec(strategy=draw(st.sampled_from(SEARCH_STRATEGIES)), mean_cost=cost)
+    curve = draw(st.sampled_from(REFERENCE_CURVES))
+    amplitude = draw(st.sampled_from([0.02, 0.2])) if kind == "noisy" else 0.0
+    return CurveArmSpec(curve, cost=cost, noise_amplitude=amplitude)
+
+
+@st.composite
+def reference_runs(draw):
+    k = draw(st.integers(1, 40))
+    instance = InstanceSpec(draw(st.lists(reference_arms(), min_size=k, max_size=k)))
+    # Past the forced first pulls, so that most selects score the arms.
+    pulls = k + draw(st.integers(0, 60))
+    if draw(st.sampled_from(["trials", "budget"])) == "trials":
+        config = BanditConfig(trials=pulls)
+    else:
+        # The dearest pull fits, so the first select's arm always does.
+        dearest = max(
+            HPO_COST_HIGH * spec.mean_cost if isinstance(spec, HpoArmSpec) else spec.cost
+            for spec in instance.arms
+        )
+        config = BanditConfig(budget=dearest * draw(st.floats(1.0, pulls)))
+    params = {
+        "ucb": {"exploration_coefficient": draw(st.sampled_from([0.1, math.sqrt(2.0), 3]))},
+        "softmax": {"temperature": draw(st.sampled_from([0.01, 0.1, 2]))},
+        "thompson": dict(zip(("prior_alpha", "prior_beta"), draw(st.sampled_from(THOMPSON_PRIORS)))),
+    }
+    return instance, config, params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(reference_runs())
+def test_baselines_select_what_the_state_reading_reference_selects(case):
+    # The per-arm arrays that observe keeps give the same pulls, the same
+    # trace and the same draws as scoring every arm state at each select.
+    instance, config, params, seed = case
+    for name, reference in REFERENCES.items():
+        runs = []
+        for cls in (POLICIES[name], reference):
+            policy, rng, steps = cls(**params[name]), _rng(seed), []
+            policy.reset(rng)
+            trace = run_policy(policy, make_instance(instance, seed), config, list_sink(steps))
+            runs.append((steps, trace, rng.bit_generator.state))
+        assert runs[0] == runs[1], name
