@@ -30,7 +30,6 @@ from .bandit import (
     eliminate,
     growth_rate,
     list_sink,
-    offline_max_run,
     rising_bandit_run,
     run_policy,
     upper_bound,
@@ -50,6 +49,7 @@ from .harness import (
     compute_gamma,
     corollary1_check,
     least_concave_majorant,
+    offline_max_run,
     regret,
     simulate,
     theorem1_bound,

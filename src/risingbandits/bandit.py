@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .arms import ArmProcess, ConfigurationError
-from .curves import RewardCurve
 
 DEFAULT_EPSILON = 1e-12
 # A budget admits a pull while spend + cost <= budget + epsilon, so a large
@@ -375,20 +374,3 @@ def run_policy(
 def rising_bandit_run(arms: list[ArmProcess], config: BanditConfig) -> PolicyTrace:
     """Run the elimination algorithm to the configured horizon."""
     return run_policy(RisingBanditPolicy(), arms, config)
-
-
-def offline_max_run(curves: list[RewardCurve], horizon: int) -> tuple[int, float]:
-    """Best single arm when the curves are known: argmax of the horizon value.
-
-    Returns (arm_id, value); ties go to the lowest arm id.
-    """
-    if not curves:
-        raise ConfigurationError("an instance needs at least one arm")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    best_arm, best_value = 1, curves[0].eval(horizon)
-    for idx, curve in enumerate(curves[1:], start=2):
-        value = curve.eval(horizon)
-        if value > best_value:
-            best_arm, best_value = idx, value
-    return best_arm, best_value

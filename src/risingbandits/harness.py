@@ -1,17 +1,15 @@
 """Simulation and verification machinery.
 
 Runs policies on instances, computes the best-observed-reward objective and
-its regret against the offline oracle, and provides the desk-scale checks:
-an exact oracle over all pull sequences, the separation-time quantity gamma, the
-regret-bound evaluation, the average-policy comparison condition, and the
-bias-ratio condition for the smooth growth rate.
+its regret against the offline oracle (the best single arm), and provides the
+desk-scale checks: the exact maximum over all pull sequences with a witness
+sequence, the separation-time quantity gamma, the regret-bound evaluation, the
+average-policy comparison condition, and the bias-ratio condition for the
+smooth growth rate.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-import operator
 import warnings
 import zlib
 from dataclasses import dataclass, field, fields
@@ -25,16 +23,10 @@ from .bandit import (
     Policy,
     PolicyTrace,
     StepSink,
-    offline_max_run,
     run_policy,
     upper_bound,
 )
 from .curves import RewardCurve
-
-# Count vectors the exact oracle may visit. At the cap, one instance with 1
-# to 20 arms took under 1.5 s and under 40 MB on a 2-CPU VM; more arms at a
-# small horizon cost more per state.
-BRUTE_FORCE_STATE_CAP = 250_000
 
 # Interpretation caveat carried into every report: the regret bound's arm
 # multiplicity is read as the number of arms K.
@@ -245,88 +237,51 @@ def theorem2_condition_check(
     return True
 
 
-def brute_force_optimal(curves: list[RewardCurve], horizon: int) -> tuple[float, tuple[int, ...]]:
-    """Exact maximum, over all K^T pull sequences, of the best-observed reward.
+def offline_max_run(curves: list[RewardCurve], horizon: int) -> tuple[int, float]:
+    """Best single arm when the curves are known: argmax of the horizon value.
 
-    A sequence's rewards depend only on how many times each arm has been
-    pulled so far, so the best value reachable from a count vector c obeys
-    V(c) = max over arms a of max(r_a(c_a + 1), V(c + e_a)), with V = -1.0
-    once the counts sum to the horizon, and the optimum is V(0). This is the
-    maximum over the same sequences the definition ranges over, and it
-    assumes neither monotone nor concave curves. It is computed on the count
-    lattice, C(T+K, K) states, in O(C(T+K, K)·K). The witness is the
-    lexicographically first optimal sequence. Intended for desk-scale
-    instances; refuses a lattice above the cap.
+    Returns (arm_id, value); ties go to the lowest arm id.
     """
-    k = len(curves)
-    if k == 0:
+    if not curves:
         raise ConfigurationError("an instance needs at least one arm")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    states = math.comb(horizon + k, k)
-    if states > BRUTE_FORCE_STATE_CAP:
-        raise ValueError(
-            f"instance too large: {k} arms over {horizon} pulls span {states} lattice states, "
-            f"above the cap {BRUTE_FORCE_STATE_CAP}"
-        )
-    tables = [[curve.eval(n) for n in range(1, horizon + 1)] for curve in curves]
-    weights = [(horizon + 1) ** a for a in range(k - 1)]
-    columns = _lattice_values(tables, horizon, weights)
-    best_j = columns[0][0]
+    best_arm, best_value = 1, curves[0].eval(horizon)
+    for idx, curve in enumerate(curves[1:], start=2):
+        value = curve.eval(horizon)
+        if value > best_value:
+            best_arm, best_value = idx, value
+    return best_arm, best_value
 
-    # Walk forward, taking at each step the smallest arm whose branch still
-    # attains the optimum. Every branch value is a max over the same table
-    # entries as best_j, so == is exact.
-    counts = [0] * k
-    running_max = -1.0
+
+def brute_force_optimal(curves: list[RewardCurve], horizon: int) -> tuple[float, tuple[int, ...]]:
+    """Exact maximum, over all K^T pull sequences, of the best-observed reward.
+
+    A sequence observes r_a(n) exactly when it pulls arm a at least n times,
+    and pulling arm a alone reaches every n <= T, so the maximum is the
+    largest r_a(n) with n <= T. This assumes neither monotone nor concave
+    curves, and takes O(K·T). The witness is the lexicographically first
+    optimal sequence.
+    """
+    if not curves:
+        raise ConfigurationError("an instance needs at least one arm")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    tables = [[curve.eval(n) for n in range(1, horizon + 1)] for curve in curves]
+    best_j = max(map(max, tables))
+    # gaps[b]: the pulls arm b still needs to first observe best_j (at most 0
+    # once it has), or horizon + 1 if it never does.
+    gaps = [table.index(best_j) + 1 if best_j in table else horizon + 1 for table in tables]
+
+    # A prefix can still reach best_j while some gap is at most the pulls
+    # left. Arm 1 keeps that true unless the smallest gap exceeds the pulls
+    # left after this one; then the first arm with that gap must go now.
     witness = []
-    for _ in range(horizon):
-        for arm in range(k):
-            counts[arm] += 1
-            reward = tables[arm][counts[arm] - 1]
-            later = columns[sum(map(operator.mul, counts, weights))][counts[-1]]
-            if max(running_max, reward, later) == best_j:
-                break
-            counts[arm] -= 1
-        running_max = max(running_max, reward)
+    for left in range(horizon - 1, -1, -1):
+        arm = 0 if min(gaps) <= left else gaps.index(left + 1)
+        gaps[arm] -= 1
         witness.append(arm + 1)
     return best_j, tuple(witness)
-
-
-def _lattice_values(
-    tables: list[list[float]], horizon: int, weights: list[int]
-) -> dict[int, list[float]]:
-    """V on the count lattice, one column per count vector of all arms but the last.
-
-    The column of counts p = (c_1, ..., c_{k-1}) sits at key sum(p_a *
-    weights[a]) and holds V at (*p, j) for j = 0, ..., horizon - sum(p); its
-    last entry is the terminal -1.0.
-    """
-    k = len(tables)
-    last = tables[-1]
-    columns: dict[int, list[float]] = {}
-    # Each cut list splits the horizon into k gaps: the pulls left for the
-    # last arm at j = 0, then c_1, ..., c_{k-1}. The lists come in
-    # lexicographic order, so by pulls left ascending: every column comes
-    # after the columns of p + e_a, which have one pull fewer left.
-    for cuts in itertools.combinations_with_replacement(range(horizon + 1), k - 1):
-        edges = (0, *cuts, horizon)
-        free, *prefix = map(operator.sub, edges[1:], edges)
-        key = sum(map(operator.mul, prefix, weights))
-        if free == 0:
-            columns[key] = [-1.0]
-            continue
-        # Pulling arm a < k moves to the column of p + e_a at the same j, and
-        # earns r_a(p_a + 1) whatever j is.
-        nexts = [columns[key + w] for w in weights]
-        floor = max([tables[a][prefix[a]] for a in range(k - 1)], default=-1.0)
-        # Pulling the last arm moves from j to j + 1 in this column, so V is a
-        # running max from the terminal entry back to j = 0.
-        branch = list(map(max, itertools.repeat(floor, free), last, *nexts))
-        column = list(itertools.accumulate(reversed(branch), max, initial=-1.0))
-        column.reverse()
-        columns[key] = column
-    return columns
 
 
 def regret(trace_j: float, j_oracle: float, epsilon: float = DEFAULT_EPSILON) -> float:

@@ -44,8 +44,8 @@ class UCBPolicy(Policy):
     name = "ucb"
 
     def __post_init__(self) -> None:
-        if self.exploration_coefficient <= 0.0:
-            raise ValueError("exploration coefficient must be positive")
+        if not 0.0 < self.exploration_coefficient < math.inf:
+            raise ValueError("exploration coefficient must be positive and finite")
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
@@ -121,8 +121,8 @@ class ThompsonPolicy(Policy):
     name = "thompson"
 
     def __post_init__(self) -> None:
-        if self.prior_alpha <= 0.0 or self.prior_beta <= 0.0:
-            raise ValueError("Beta prior parameters must be positive")
+        if not (0.0 < self.prior_alpha < math.inf and 0.0 < self.prior_beta < math.inf):
+            raise ValueError("Beta prior parameters must be positive and finite")
         self._rng: np.random.Generator | None = None
 
     def reset(self, rng: np.random.Generator) -> None:

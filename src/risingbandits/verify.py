@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arms import CurveArmSpec, InstanceSpec
-from .bandit import BanditConfig, offline_max_run, rising_bandit_run
+from .bandit import BanditConfig, rising_bandit_run
 from .curves import ExponentialCurve, PowerCurve, RewardCurve, StaircaseCurve, TabulatedCurve
 from .harness import (
     PolicyResult,
@@ -28,6 +28,7 @@ from .harness import (
     brute_force_optimal,
     build_report,
     least_concave_majorant,
+    offline_max_run,
     theorem2_condition_check,
 )
 
@@ -141,16 +142,17 @@ def concave_battery(count: int = CONCAVE_BATTERY_COUNT, seed: int = CONCAVE_BATT
 
 
 def suite_lemma1(count: int = LEMMA1_COUNT, seed: int = LEMMA1_SEED) -> SuiteResult:
-    """The exact maximum over all pull sequences equals the single-best-arm value."""
+    """The exact maximum over all pull sequences, the largest reward any
+    sequence observes within the horizon, equals the single-best-arm value."""
     rng = np.random.default_rng(seed)
     result = SuiteResult(name="lemma1", total=count)
     for i in range(count):
         curves, horizon = random_small_instance(rng)
-        enumerated, _ = brute_force_optimal(curves, horizon)
+        exact, _ = brute_force_optimal(curves, horizon)
         _, analytic = offline_max_run(curves, horizon)
-        if abs(enumerated - analytic) > TOLERANCE:
+        if abs(exact - analytic) > TOLERANCE:
             result.failures.append(
-                f"instance {i}: enumeration {enumerated} != analytic {analytic}"
+                f"instance {i}: exact maximum {exact} != analytic {analytic}"
             )
     return result
 

@@ -316,10 +316,19 @@ class TestBruteForceOptimal:
         value, _ = brute_force_optimal(curves, 7)
         assert value == pytest.approx(offline_max_run(curves, 7)[1], abs=1e-12)
 
-    def test_refuses_oversized_instance(self):
-        # 2 arms over 1000 pulls span C(1002, 2) = 501501 lattice states.
-        with pytest.raises(ValueError, match="too large"):
-            brute_force_optimal([ARM1, ARM2], 1000)
+    def test_long_horizon_witness_observes_the_optimum(self):
+        # 2 arms over 1000 pulls: 2^1000 sequences and C(1002, 2) = 501501
+        # count vectors, none of which the oracle has to visit.
+        curves = [ARM1, ARM2]
+        value, witness = brute_force_optimal(curves, 1000)
+        assert value == offline_max_run(curves, 1000)[1]
+        assert len(witness) == 1000
+        counts = [0, 0]
+        observed = []
+        for arm in witness:
+            counts[arm - 1] += 1
+            observed.append(curves[arm - 1].eval(counts[arm - 1]))
+        assert max(observed) == value
 
     @settings(deadline=None)
     @given(_oracle_instances())

@@ -88,6 +88,11 @@ class TestUCBPolicy:
         with pytest.raises(ValueError):
             UCBPolicy(exploration_coefficient=0.0)
 
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf])
+    def test_rejects_non_finite_coefficient(self, coefficient):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            UCBPolicy(exploration_coefficient=coefficient)
+
 
 def _softmax_by_choice(states, temperature, rng):
     """The softmax draw made through ``Generator.choice``."""
@@ -96,6 +101,18 @@ def _softmax_by_choice(states, temperature, rng):
     probs = np.exp(logits)
     probs /= probs.sum()
     return int(rng.choice(len(states), p=probs)) + 1
+
+
+class _FixedDraw(np.random.Generator):
+    """A generator whose every ``random()`` returns ``value``; its
+    ``choice`` draws through that override."""
+
+    def __init__(self, value):
+        super().__init__(np.random.PCG64(0))
+        self.value = value
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.value
 
 
 class TestSoftmaxPolicy:
@@ -154,6 +171,18 @@ class TestSoftmaxPolicy:
         for t in range(5):
             assert policy.select(states, len(means) + t) == _softmax_by_choice(states, temperature, reference)
 
+    def test_normalises_the_probabilities_before_accumulating_them(self):
+        # Accumulating the unnormalised exponentials and scaling the CDF
+        # afterwards rounds differently: at this draw it picks arm 1, where
+        # Generator.choice on the normalised probabilities picks arm 2.
+        draw = 0.9974964563848677
+        means = [0.9, 0.1, 0.1, 0.25, 0.1]
+        states = [ArmState(arm_id=i, pulls=1, reward_sum=mean) for i, mean in enumerate(means, start=1)]
+        policy = SoftmaxPolicy(temperature=0.1)
+        policy.reset(_FixedDraw(draw))
+        _observed(policy, states)
+        assert policy.select(states, 6) == _softmax_by_choice(states, 0.1, _FixedDraw(draw)) == 2
+
 
 class TestThompsonPolicy:
     def test_mostly_picks_clearly_better_arm(self):
@@ -175,6 +204,12 @@ class TestThompsonPolicy:
             ThompsonPolicy(prior_alpha=0.0)
         with pytest.raises(ValueError):
             ThompsonPolicy(prior_beta=-1.0)
+
+    @pytest.mark.parametrize("parameter", ["prior_alpha", "prior_beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_prior(self, parameter, value):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            ThompsonPolicy(**{parameter: value})
 
 
 class TestRisingBanditPolicy:
