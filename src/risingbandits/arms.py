@@ -230,13 +230,10 @@ class InstanceSpec:
                 raise ConfigurationError(f"arm {idx}: {exc}") from exc
 
     def curves(self) -> list[RewardCurve] | None:
-        """Ground-truth curves, or None if any arm has no exact curve."""
-        out = []
-        for spec in self.arms:
-            if not isinstance(spec, CurveArmSpec) or spec.noise_amplitude != 0.0:
-                return None
-            out.append(spec.curve)
-        return out
+        """Ground-truth curves, or None if any arm draws randomness, and so has no exact curve."""
+        if any(spec.draws for spec in self.arms):
+            return None
+        return [spec.curve for spec in self.arms]
 
 
 def make_instance(spec: InstanceSpec, seed: int | np.random.SeedSequence = 0) -> list[ArmProcess]:

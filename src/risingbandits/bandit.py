@@ -107,8 +107,9 @@ def list_sink(steps: list[StepRecord]) -> StepSink:
 @dataclass
 class PolicyTrace:
     """Summary of one run; its steps go to the run's sink, if one is given.
-    ``candidates`` is the final candidate set: sets only shrink, so an arm in
-    it was a candidate throughout the run."""
+    ``total_cost`` is the spend the budget checks compared, summed pull by
+    pull.  ``candidates`` is the final candidate set: sets only shrink, so an
+    arm in it was a candidate throughout the run."""
 
     horizon: int  # pulls made
     pull_counts: list[int]
@@ -363,7 +364,7 @@ def run_policy(
     return PolicyTrace(
         horizon=t,
         pull_counts=[st.pulls for st in states],
-        total_cost=sum(st.total_cost for st in states),
+        total_cost=horizon.spent,
         best_arm=best_arm,
         best_step=best_step,
         final_j=final_j,

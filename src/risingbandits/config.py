@@ -47,6 +47,9 @@ MAX_REPLICATIONS = 10_000
 # With --jobs > 1 a worker returns its run's steps as a list, about 150 bytes
 # a pull, so there the cap also bounds each run's list to about 150 MB.
 MAX_PULLS_PER_RUN = 1_000_000
+# Pulls of one density_estimator arm in one run: its proposes took 65 s of
+# process time in all at 16,000 trials (sphere, dimension 3, 2-CPU VM).
+MAX_DENSITY_PULLS_PER_RUN = 16_000
 
 # Optional global key -> (BanditConfig field, type).
 BANDIT_FIELDS = {
@@ -195,7 +198,17 @@ def _build_arm(block: dict[str, str], index: int) -> ArmSpec:
 
 
 def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:
-    """Reject a horizon that lets one run make more than MAX_PULLS_PER_RUN pulls."""
+    """Reject a horizon that lets one run make more than MAX_PULLS_PER_RUN
+    pulls, or more than MAX_DENSITY_PULLS_PER_RUN of one density_estimator arm."""
+    # A pull fits while spend + cost <= budget + epsilon, so the epsilon buys pulls too.
+    for index, spec in enumerate(instance.arms, start=1):
+        if isinstance(spec, HpoArmSpec) and spec.strategy == "density_estimator":
+            pulls = bandit.trials or (bandit.budget + bandit.epsilon) / spec.min_cost
+            if pulls > MAX_DENSITY_PULLS_PER_RUN:
+                raise ConfigurationError(
+                    f"field 'horizon_{'trials' if bandit.trials else 'budget'}': lets arm {index}, a density_estimator "
+                    f"search, make {pulls:.10g} pulls in one run, above its cap of {MAX_DENSITY_PULLS_PER_RUN} pulls"
+                )
     if bandit.trials is not None:
         if bandit.trials > MAX_PULLS_PER_RUN:
             raise ConfigurationError(
@@ -203,7 +216,6 @@ def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:
                 f"got {bandit.trials}"
             )
         return
-    # A pull fits while spend + cost <= budget + epsilon, so the epsilon buys pulls too.
     cheapest = min(spec.min_cost for spec in instance.arms)
     pulls = (bandit.budget + bandit.epsilon) / cheapest
     if pulls > MAX_PULLS_PER_RUN:

@@ -130,22 +130,22 @@ def theorem1_is_vacuous(k: int, gamma: int, horizon: int) -> bool:
     return (k - 1) * gamma >= horizon
 
 
-def theorem1_bound(curves: list[RewardCurve], horizon: int, gamma: int, k: int) -> float:
-    """Regret bound r*(T) - r*(T - (K-1)*gamma); 1.0 when vacuous."""
+def theorem1_bound(curves: list[RewardCurve], horizon: int, gamma: int) -> float:
+    """Regret bound r*(T) - r*(T - (K-1)*gamma), with K = len(curves); 1.0 when vacuous."""
+    k = len(curves)
     if theorem1_is_vacuous(k, gamma, horizon):
         return 1.0
     k_star, star_value = offline_max_run(curves, horizon)
     return star_value - curves[k_star - 1].eval(horizon - (k - 1) * gamma)
 
 
-def corollary1_check(
-    curves: list[RewardCurve], horizon: int, k: int, gamma: int
-) -> tuple[bool, float]:
+def corollary1_check(curves: list[RewardCurve], horizon: int, gamma: int) -> tuple[bool, float]:
     """Condition under which elimination beats round-robin, plus the analytic
-    round-robin regret from ground truth.
+    round-robin regret from ground truth, with K = len(curves).
 
     Uses floor(T/K) pulls per arm when the horizon does not divide evenly.
     """
+    k = len(curves)
     k_star, star_value = offline_max_run(curves, horizon)
     if k == 1:
         return True, 0.0
@@ -199,23 +199,20 @@ def least_concave_majorant(observed: list[float], limit: float | None = None) ->
     return out
 
 
-def theorem2_condition_check(
-    majorant: list[float],
-    observed: list[float],
-    window: int,
-    horizon: int | None = None,
-    zero_tol: float = 1e-12,
-) -> bool:
-    """Bias-ratio condition for the smooth growth rate.
+# A bias at or below this counts as zero, and a bias ratio may exceed its
+# bound by this much.
+BIAS_TOLERANCE = 1e-12
+
+
+def theorem2_condition_check(majorant: list[float], observed: list[float], window: int) -> bool:
+    """Bias-ratio condition for the smooth growth rate, over T = len(observed).
 
     With bias delta(t) = majorant(t) - observed(t), checks
     delta(t) / delta(t - C) <= (T - t) / (T - t + C) for every t in (C, T].
     A zero earlier bias with a positive later bias counts as a violation;
     both zero counts as satisfied.
     """
-    horizon = len(observed) if horizon is None else horizon
-    if horizon > len(observed):
-        raise ValueError(f"horizon {horizon} beyond observed length {len(observed)}")
+    horizon = len(observed)
     deltas = []
     for n in range(horizon):
         d = majorant[n] - observed[n]
@@ -223,7 +220,7 @@ def theorem2_condition_check(
             raise ValueError(
                 f"observed value {observed[n]} at pull {n + 1} exceeds the majorant {majorant[n]}"
             )
-        deltas.append(0.0 if d <= zero_tol else d)
+        deltas.append(0.0 if d <= BIAS_TOLERANCE else d)
     for t in range(window + 1, horizon + 1):
         d_now = deltas[t - 1]
         d_prev = deltas[t - window - 1]
@@ -232,7 +229,7 @@ def theorem2_condition_check(
                 return False
             continue
         bound = (horizon - t) / (horizon - t + window)
-        if d_now / d_prev > bound + zero_tol:
+        if d_now / d_prev > bound + BIAS_TOLERANCE:
             return False
     return True
 
@@ -373,12 +370,12 @@ def build_report(
             "horizon; their separation time is reported as the horizon itself"
         )
     report.theorem1_vacuous = theorem1_is_vacuous(k, gamma_result.gamma, horizon)
-    report.theorem1_bound = theorem1_bound(curves, horizon, gamma_result.gamma, k)
+    report.theorem1_bound = theorem1_bound(curves, horizon, gamma_result.gamma)
     if report.theorem1_vacuous:
         report.interpretation_notes.append(
             "regret bound vacuous: (K-1)*gamma reaches the horizon; reported as 1.0"
         )
-    condition, avg_regret = corollary1_check(curves, horizon, k, gamma_result.gamma)
+    condition, avg_regret = corollary1_check(curves, horizon, gamma_result.gamma)
     report.corollary1_condition_holds = condition
     report.avg_policy_regret = avg_regret
     if horizon % k != 0:

@@ -4,10 +4,11 @@ A run calls a policy's ``start`` once with the arm states, then alternates
 ``select``, which names the next arm to pull, and ``observe``, which receives
 the pulled arm's updated state.  The baselines score arms from per-arm
 arrays that ``observe`` updates one slot at a time, so a ``select`` reads no
-arm state beyond the forced first pulls.  Policies only ever see observed
-histories, never ground-truth curves.  Ties break towards the lowest arm id.
-``Policy`` and the elimination policy live in :mod:`bandit`, next to the
-engine that runs them.
+arm state.  UCB and softmax pull arm t at step t <= K: a run pulls the arm
+``select`` returns or ends, so arms 1..t-1 are pulled then and t..K not.
+Policies only ever see observed histories, never ground-truth curves.  Ties
+break towards the lowest arm id.  ``Policy`` and the elimination policy live
+in :mod:`bandit`, next to the engine that runs them.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ class AveragePolicy(Policy):
         return (t - 1) % len(states) + 1
 
 
-def _first_unpulled(states: list[ArmState]) -> int | None:
-    for st in states:
-        if st.pulls == 0:
-            return st.arm_id
-    return None
-
-
 @dataclass
 class UCBPolicy(Policy):
     """Stationary-bandit baseline: empirical mean plus an exploration bonus."""
@@ -49,19 +43,17 @@ class UCBPolicy(Policy):
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
-        self._unpulled = {st.arm_id for st in states}
         self._means = np.zeros(len(states))
         self._pulls = np.zeros(len(states))
 
     def select(self, states: list[ArmState], t: int) -> int:
-        if self._unpulled:
-            return _first_unpulled(states)
+        if t <= len(states):
+            return t
         scores = self._means + self.exploration_coefficient * np.sqrt(math.log(t) / self._pulls)
         return int(scores.argmax()) + 1
 
     def observe(self, state: ArmState) -> None:
         i = state.arm_id - 1
-        self._unpulled.discard(state.arm_id)
         self._means[i] = state.reward_sum / state.pulls
         self._pulls[i] = state.pulls
 
@@ -86,12 +78,11 @@ class SoftmaxPolicy(Policy):
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
-        self._unpulled = {st.arm_id for st in states}
         self._logits = np.zeros(len(states))
 
     def select(self, states: list[ArmState], t: int) -> int:
-        if self._unpulled:
-            return _first_unpulled(states)
+        if t <= len(states):
+            return t
         logits = self._logits
         probs = np.exp(logits - logits.max())
         probs /= np.add.reduce(probs)
@@ -102,7 +93,6 @@ class SoftmaxPolicy(Policy):
         return int(cdf.searchsorted(self._rng.random(), side="right")) + 1
 
     def observe(self, state: ArmState) -> None:
-        self._unpulled.discard(state.arm_id)
         self._logits[state.arm_id - 1] = state.reward_sum / state.pulls / self.temperature
 
 

@@ -255,7 +255,7 @@ def suite_theorem2(count: int = THEOREM2_COUNT, seed: int = THEOREM2_SEED) -> Su
         for arm_idx, curve in enumerate(curves, start=1):
             observed = [curve.eval(n) for n in range(1, horizon + 1)]
             majorant = least_concave_majorant(observed, limit=curve.limit)
-            if not theorem2_condition_check(majorant, observed, SMOOTH_WINDOW, horizon):
+            if not theorem2_condition_check(majorant, observed, SMOOTH_WINDOW):
                 result.failures.append(f"instance {i}: arm {arm_idx} fails the bias-ratio condition")
                 break
         else:

@@ -351,6 +351,20 @@ class TestRisingBanditRunBudget:
         assert trace.pull_counts[1] == 2
         assert trace.total_cost == pytest.approx(7.0)
 
+    def test_total_cost_is_the_spend_summed_in_pull_order(self):
+        # Three arms at cost 0.1, pulled twice each, in turn: summed pull by
+        # pull the spend is 0.6, while the per-arm totals of 0.2 sum to
+        # 0.6000000000000001.
+        steps = []
+        trace = run_policy(
+            RisingBanditPolicy(), _arms(ARM1, ARM1, ARM1, costs=[0.1] * 3), BanditConfig(budget=0.6), list_sink(steps)
+        )
+        assert [step.arm for step in steps] == [1, 2, 3, 1, 2, 3]
+        spent = 0.0
+        for step in steps:
+            spent += step.cost
+        assert trace.total_cost == spent == 0.6
+
     def test_cheaper_identical_arm_gets_more_pulls(self):
         trace = rising_bandit_run(
             _arms(ARM1, ARM1, costs=[10.0, 1.0]), BanditConfig(budget=115.0)

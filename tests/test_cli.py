@@ -699,6 +699,21 @@ class TestErrorBoundary:
         assert field in err and "cap" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "horizon, field",
+        # The hpo arm's cheapest pull costs 0.8: 12800.8 buys 16001 of them.
+        [("horizon_trials = 16001", "'horizon_trials'"), ("horizon_budget = 12800.8", "'horizon_budget'")],
+    )
+    def test_density_estimator_pulls_above_the_cap(self, horizon, field, tmp_path, capsys):
+        path = tmp_path / "density.cfg"
+        path.write_text(
+            CONFIG.replace("horizon_trials = 10", horizon) + "\n[arm]\nkind = hpo\nstrategy = density_estimator\n"
+        )
+        out = tmp_path / "out"
+        err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
+        assert field in err and "density_estimator" in err and "cap of 16000 " in err
+        assert not out.exists()
+
     def test_budget_stretched_by_epsilon(self, tmp_path, capsys):
         # Within the 1e-12 epsilon a pull of cost 1e-300 always fits: about
         # 1e288 pulls, which used to pass parsing and never end.

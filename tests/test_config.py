@@ -4,7 +4,14 @@ import pytest
 
 from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, arms
 from risingbandits.bandit import MAX_EPSILON, BanditConfig
-from risingbandits.config import MAX_PULLS_PER_RUN, MAX_REPLICATIONS, POLICY_PARAMS, load_experiment, parse_experiment
+from risingbandits.config import (
+    MAX_DENSITY_PULLS_PER_RUN,
+    MAX_PULLS_PER_RUN,
+    MAX_REPLICATIONS,
+    POLICY_PARAMS,
+    load_experiment,
+    parse_experiment,
+)
 from risingbandits.config import ARM_KINDS
 
 GOOD = """
@@ -205,10 +212,35 @@ class TestParseErrors:
             self._bad(GOOD.replace("replications = 2", f"replications = {value}"), "'replications'")
 
     def test_horizon_trials_bounded(self):
-        text = GOOD.replace("horizon_trials = 12", f"horizon_trials = {MAX_PULLS_PER_RUN}")
+        # A random search, so that only the cap on all pulls applies.
+        good = GOOD.replace("strategy = density_estimator", "strategy = random")
+        text = good.replace("horizon_trials = 12", f"horizon_trials = {MAX_PULLS_PER_RUN}")
         assert parse_experiment(text).bandit.trials == MAX_PULLS_PER_RUN
         for value in (MAX_PULLS_PER_RUN + 1, 99999999999999):
-            self._bad(GOOD.replace("horizon_trials = 12", f"horizon_trials = {value}"), "'horizon_trials'")
+            self._bad(good.replace("horizon_trials = 12", f"horizon_trials = {value}"), "'horizon_trials'")
+
+    def test_density_estimator_pulls_bounded_by_trials(self):
+        cap = MAX_DENSITY_PULLS_PER_RUN
+        text = GOOD.replace("horizon_trials = 12", f"horizon_trials = {cap}")
+        assert parse_experiment(text).bandit.trials == cap
+        self._bad(
+            GOOD.replace("horizon_trials = 12", f"horizon_trials = {cap + 1}"),
+            f"^field 'horizon_trials': lets arm 3, a density_estimator search, make {cap + 1} pulls .* cap of {cap} ",
+        )
+
+    def test_density_estimator_pulls_bounded_by_budget(self):
+        # Each arm's own cheapest pull counts: the hpo arm's is 0.8 * 2.5 = 2,
+        # and the tabulated arm's, 0.25, does not limit the hpo arm.
+        cap = MAX_DENSITY_PULLS_PER_RUN
+        arms = (
+            "[arm]\nkind = tabulated\nvalues = 0.5\ncost = 0.25\n"
+            "[arm]\nkind = hpo\nstrategy = density_estimator\nmean_cost = 2.5\n"
+        )
+        assert parse_experiment(f"horizon_budget = {2 * cap}\n" + arms).bandit.budget == 2 * cap
+        self._bad(
+            f"horizon_budget = {2 * (cap + 1)}\n" + arms,
+            f"^field 'horizon_budget': lets arm 2, a density_estimator search, make {cap + 1} pulls .* cap of {cap} ",
+        )
 
     @pytest.mark.parametrize(
         "arms, cheapest",

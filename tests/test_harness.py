@@ -106,28 +106,28 @@ class TestComputeGamma:
 class TestTheorem1Bound:
     def test_two_arm_example(self):
         want = ARM1.eval(5) - ARM1.eval(5 - 2)
-        assert theorem1_bound([ARM1, ARM2], 5, gamma=2, k=2) == pytest.approx(want, abs=1e-12)
+        assert theorem1_bound([ARM1, ARM2], 5, gamma=2) == pytest.approx(want, abs=1e-12)
 
     def test_vacuous_bound_is_one(self):
         assert theorem1_is_vacuous(k=3, gamma=5, horizon=10)
-        assert theorem1_bound([ARM1, ARM2, ARM1], 10, gamma=5, k=3) == 1.0
+        assert theorem1_bound([ARM1, ARM2, ARM1], 10, gamma=5) == 1.0
 
     def test_nonvacuous_bound_below_one(self):
         assert not theorem1_is_vacuous(k=2, gamma=2, horizon=5)
-        assert theorem1_bound([ARM1, ARM2], 5, gamma=2, k=2) < 1.0
+        assert theorem1_bound([ARM1, ARM2], 5, gamma=2) < 1.0
 
 
 class TestCorollary1Check:
     def test_spec_condition_example(self):
-        condition, _ = corollary1_check([ARM1, ARM2], 100, k=2, gamma=10)
+        condition, _ = corollary1_check([ARM1, ARM2], 100, gamma=10)
         assert condition  # 10 <= (2*100 - 100) / (2*1) = 50
 
     def test_condition_fails_for_large_gamma(self):
-        condition, _ = corollary1_check([ARM1, ARM2], 100, k=2, gamma=60)
+        condition, _ = corollary1_check([ARM1, ARM2], 100, gamma=60)
         assert not condition
 
     def test_round_robin_regret_value(self):
-        _, avg_regret = corollary1_check([ARM1, ARM2], 10, k=2, gamma=2)
+        _, avg_regret = corollary1_check([ARM1, ARM2], 10, gamma=2)
         want = offline_max_run([ARM1, ARM2], 10)[1] - max(ARM1.eval(5), ARM2.eval(5))
         assert avg_regret == pytest.approx(want, abs=1e-12)
 
@@ -178,10 +178,6 @@ class TestTheorem2ConditionCheck:
     def test_rejects_observation_above_majorant(self):
         with pytest.raises(ValueError):
             theorem2_condition_check([0.1, 0.1], [0.5, 0.5], window=1)
-
-    def test_rejects_horizon_beyond_history(self):
-        with pytest.raises(ValueError):
-            theorem2_condition_check([0.1, 0.2], [0.1, 0.2], window=1, horizon=5)
 
 
 def _enumerate_optimal(curves, horizon):
@@ -244,6 +240,32 @@ def _oracle_instances(draw):
             curve = _ListCurve(draw(st.lists(_LEVELS, min_size=horizon, max_size=horizon)))
         curves.append(curve)
     return curves, horizon
+
+
+@st.composite
+def _rising_instances(draw):
+    """Exponential and power curves, K from 2 to 5 and T from 1 to 20: past
+    what the K**T enumeration can check in a test."""
+    curves = []
+    for _ in range(draw(st.integers(2, 5))):
+        limit = draw(st.floats(0.2, 0.98))
+        initial = draw(st.floats(0.05, 0.95)) * limit
+        if draw(st.booleans()):
+            curve = ExponentialCurve(limit=limit, initial=initial, decay=draw(st.floats(0.2, 0.9)))
+        else:
+            curve = PowerCurve(limit=limit, scale=limit - initial, exponent=draw(st.floats(0.5, 2.0)))
+        curves.append(curve)
+    return curves, draw(st.integers(1, 20))
+
+
+def _replay(curves, witness):
+    """The largest reward that pulling ``witness`` in order observes."""
+    counts = [0] * len(curves)
+    observed = []
+    for arm in witness:
+        counts[arm - 1] += 1
+        observed.append(curves[arm - 1].eval(counts[arm - 1]))
+    return max(observed)
 
 
 def _reference_gamma(curves, horizon, epsilon):
@@ -323,12 +345,18 @@ class TestBruteForceOptimal:
         value, witness = brute_force_optimal(curves, 1000)
         assert value == offline_max_run(curves, 1000)[1]
         assert len(witness) == 1000
-        counts = [0, 0]
-        observed = []
-        for arm in witness:
-            counts[arm - 1] += 1
-            observed.append(curves[arm - 1].eval(counts[arm - 1]))
-        assert max(observed) == value
+        assert _replay(curves, witness) == value
+
+    @settings(deadline=None)
+    @given(_rising_instances())
+    def test_rising_curves_meet_the_best_single_arm(self, instance):
+        # Lemma 1: on non-decreasing curves no sequence beats the best arm
+        # pulled T times.
+        curves, horizon = instance
+        value, witness = brute_force_optimal(curves, horizon)
+        assert value == pytest.approx(offline_max_run(curves, horizon)[1], abs=1e-12)
+        assert len(witness) == horizon
+        assert _replay(curves, witness) == value
 
     @settings(deadline=None)
     @given(_oracle_instances())

@@ -70,9 +70,10 @@ class TestAveragePolicy:
 
 class TestUCBPolicy:
     def test_forces_initial_pulls(self):
+        # At step t <= K a run has pulled arms 1..t-1 once each and no other.
         policy = UCBPolicy()
-        states = _observed(policy, _states([0.9], [], [0.1]))
-        assert policy.select(states, 3) == 2
+        states = _observed(policy, _states([0.9], [], []))
+        assert policy.select(states, 2) == 2
 
     def test_prefers_higher_mean_at_equal_counts(self):
         policy = UCBPolicy(exploration_coefficient=1.0)
@@ -168,8 +169,10 @@ class TestSoftmaxPolicy:
         policy.reset(_rng(seed))
         _observed(policy, states)
         reference = _rng(seed)
-        for t in range(5):
-            assert policy.select(states, len(means) + t) == _softmax_by_choice(states, temperature, reference)
+        # The step that follows the pulls the states record.
+        step = len(means) * pulls + 1
+        for _ in range(5):
+            assert policy.select(states, step) == _softmax_by_choice(states, temperature, reference)
 
     def test_normalises_the_probabilities_before_accumulating_them(self):
         # Accumulating the unnormalised exponentials and scaling the CDF
