@@ -8,7 +8,7 @@ Supports a trial-count horizon and a cost-aware budget horizon.
 
 One engine, :func:`run_policy`, runs the elimination algorithm and the
 baselines alike: each is a :class:`Policy` that selects the next arm and
-observes each pull.
+observes each pull, until a trials run narrows its candidates to one arm.
 """
 
 from __future__ import annotations
@@ -221,7 +221,10 @@ class Policy:
     """An arm-selection policy run by :func:`run_policy`.
 
     ``select`` names the next arm, or None to end the run.  ``candidates`` is
-    the arm set in force, which only the elimination policy shrinks.
+    the arm set in force, which only the elimination policy shrinks.  A
+    policy that narrows it to one of K > 1 arms in a trials run has chosen
+    that arm for the rest of the run: the engine pulls it up to the horizon
+    and calls ``select`` and ``observe`` no more.
     """
 
     name = "policy"
@@ -250,8 +253,8 @@ class RisingBanditPolicy(Policy):
 
     Once one candidate is left the set is settled: a sweep would keep it, so
     ``select`` returns it with no round and no sweep, and the bounds only a
-    sweep reads are no longer updated.  Sweeps only remove arms, so the sets
-    are nested.
+    sweep reads are no longer updated; in a trials run the engine then pulls
+    it without asking.  Sweeps only remove arms, so the sets are nested.
     """
 
     name = "rising_bandit"
@@ -306,6 +309,15 @@ def run_policy(
     Each pull is passed to ``sink`` as ``sink(t, arm, reward, cost,
     candidate_set_size)``.  The run ends when the horizon is used up, when
     the policy returns None, or at the first selected pull that does not fit.
+
+    ``select`` and ``observe`` are called once per pull until a trials run's
+    policy has narrowed ``candidates`` to one of K > 1 arms.  From the pull
+    after that, the engine pulls that arm until the horizon is used up, with
+    one horizon check per pull and neither call.  In a trials run every
+    remaining pull fits, so the arm's pulls and the run's end are known.  A
+    budget run still asks the policy, which decides when the arm no longer
+    fits; with K = 1 the set is one arm from the start, and a policy may
+    still draw from its RNG on every select.
     """
     k = len(arms)
     if k == 0:
@@ -321,6 +333,9 @@ def run_policy(
     # Whether to check the selected arm after select: in a trials run the
     # loop's check has just said that any arm's pull fits.
     check_arm = horizon.priced
+    # Whether a set narrowed to one arm ends the run in the settled loop
+    # below (see the docstring for why only a trials run of K > 1 arms).
+    narrows = 1 < k and not horizon.priced
     t, arm_id = 0, None
     # Only a strictly greater reward moves the best, so best_step is the
     # first step that reaches final_j.
@@ -347,9 +362,32 @@ def run_policy(
         st.total_cost += cost
         if reward > final_j:
             final_j, best_step, best_arm = reward, t, arm_id
+        size = len(policy.candidates)
         if sink is not None:
-            sink(t, arm_id, reward, cost, len(policy.candidates))
+            sink(t, arm_id, reward, cost, size)
         observe(st)
+        if size == 1 and narrows:
+            # Settled: the one candidate is pulled up to the horizon with no
+            # select and no observe; its state, the best and the sink are
+            # updated as above.
+            arm_id = policy.candidates[0]
+            st, pull = states[arm_id - 1], arms[arm_id - 1].pull
+            append = st.history.append
+            while fits():
+                reward, cost = pull()
+                t += 1
+                horizon.t = t
+                horizon.spent += cost
+                st.pulls += 1
+                append(reward)
+                st.reward_sum += reward
+                st.lower = reward
+                st.total_cost += cost
+                if reward > final_j:
+                    final_j, best_step, best_arm = reward, t, arm_id
+                if sink is not None:
+                    sink(t, arm_id, reward, cost, 1)
+            break
     if t == 0:
         if not any(map(fits, range(1, k + 1))):
             raise ConfigurationError("budget too small for a single pull")

@@ -7,9 +7,10 @@ named invariant suites.  Outputs are byte-for-byte reproducible for a fixed
 base seed, except for the manifest's timestamp field.
 
 Exit codes: 0 success, 1 configuration, usage or file error, 2 invariant
-violation, 143 stopped by ``SIGTERM``.  ``main`` turns ``SIGTERM`` into
-``SystemExit(143)``, so a stopped run removes its staged files and leaves the
-previous artifacts as they were; the caller's handler is restored on return.
+violation, 130 stopped by ``SIGINT`` (Ctrl-C), 143 stopped by ``SIGTERM``.
+``main`` turns each signal into ``SystemExit(128 + signal)``, so a stopped
+run prints no traceback, removes its staged files and leaves the previous
+artifacts as they were; the caller's handlers are restored on return.
 """
 
 from __future__ import annotations
@@ -122,14 +123,22 @@ def _run_tasks(
         # Imported here only: a serial run never needs it, and it costs milliseconds and loads logging.
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_leave_stops_to_main
+        ) as pool:
             outcomes = pool.map(_run_listed, [config] * len(tasks), *zip(*tasks))
-            for policy_name, replication in tasks:
-                final_j, steps = next(outcomes)
-                results.setdefault(policy_name, PolicyResult()).j_values.append(final_j)
-                sink = rows(policy_name, replication)
-                for step in steps:
-                    sink(*step)
+            try:
+                for policy_name, replication in tasks:
+                    final_j, steps = next(outcomes)
+                    results.setdefault(policy_name, PolicyResult()).j_values.append(final_j)
+                    sink = rows(policy_name, replication)
+                    for step in steps:
+                        sink(*step)
+            except BaseException:
+                # An error or a stop signal: start no more runs.  Leaving the
+                # block waits only for the runs already in progress.
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
     else:
         for policy_name, replication in tasks:
             final_j = _run_one(config, policy_name, replication, rows(policy_name, replication)).final_j
@@ -247,8 +256,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+# Each ends main with SystemExit(128 + signal): 130 for Ctrl-C, 143 for kill.
+_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
 def _terminate(signum, frame):
     raise SystemExit(128 + signum)
+
+
+def _leave_stops_to_main() -> None:
+    """Ignore Ctrl-C and ``SIGTERM`` in a worker process.  A terminal sends
+    Ctrl-C to every process in its group, but only ``main`` acts on it: it
+    starts no more runs and waits for those in progress.  A worker stopped
+    while sending a run's steps would leave part of a message in the pipe
+    the pool reads from."""
+    for signum in _STOP_SIGNALS:
+        signal.signal(signum, signal.SIG_IGN)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -274,8 +297,10 @@ def main(argv: list[str] | None = None) -> int:
 
     # Only the main thread may set a handler, and it is the one Python runs handlers in.
     in_main_thread = threading.current_thread() is threading.main_thread()
+    previous = {}
     if in_main_thread:
-        previous = signal.signal(signal.SIGTERM, _terminate)
+        for signum in _STOP_SIGNALS:
+            previous[signum] = signal.signal(signum, _terminate)
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
@@ -288,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if in_main_thread:
-            signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import json
@@ -394,7 +395,11 @@ class TestRunCommand:
         )
         assert result.returncode == 0, result.stderr
 
-    def test_sigterm_keeps_the_previous_artifacts(self, config_path, tmp_path):
+    def _stop_mid_run(self, config_path, tmp_path, signum, jobs=1):
+        """Exit code and stderr of a long run stopped by ``signum`` once its
+        staged trace holds a megabyte of rows, after checking that it left
+        the artifacts of an earlier run as they were.  The signal goes to the run's whole process
+        group, as a terminal sends Ctrl-C, so worker processes get it too."""
         out = tmp_path / "results"
         assert main(["run", config_path, "--output", str(out)]) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
@@ -404,36 +409,65 @@ class TestRunCommand:
             "horizon_trials = 200000\nreplications = 1000\n[arm]\nkind = tabulated\nvalues = 0.5\n"
         )
         argv = [sys.executable, "-m", "risingbandits.cli", "run", str(long_path), "--output", str(out)]
+        argv += ["--jobs", str(jobs)]
         proc = subprocess.Popen(
-            argv, env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+            argv,
+            env=_subprocess_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
         )
         try:
-            # The staged trace exists once the runs have started streaming into it.
+            # Rows stream into the staged trace as runs end: once it holds a
+            # megabyte, the run is writing rows, not waiting for a worker.
             deadline = time.monotonic() + 60
-            while not any(path.name.endswith(".tmp") for path in out.iterdir()):
+            while not any(path.name.endswith(".tmp") and path.stat().st_size > 2**20 for path in out.iterdir()):
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
-            proc.send_signal(signal.SIGTERM)
+            os.killpg(proc.pid, signum)
             _, err = proc.communicate(timeout=60)
         finally:
-            proc.kill()
+            # Whatever of the run is left, its workers included.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-        assert proc.returncode == 143, err
-        assert "Traceback" not in err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        return proc.returncode, err
+
+    def test_sigterm_keeps_the_previous_artifacts(self, config_path, tmp_path):
+        code, err = self._stop_mid_run(config_path, tmp_path, signal.SIGTERM)
+        assert code == 143, err
+        assert "Traceback" not in err
+
+    def test_sigint_ends_in_one_line_and_keeps_the_previous_artifacts(self, config_path, tmp_path):
+        # Ctrl-C: an exit code, not a KeyboardInterrupt traceback.
+        code, err = self._stop_mid_run(config_path, tmp_path, signal.SIGINT)
+        assert code == 130, err
+        assert "Traceback" not in err
+
+    def test_ctrl_c_stops_a_parallel_run_without_waiting_for_every_run(self, config_path, tmp_path):
+        # The parent starts no more runs and waits only for those in
+        # progress: well within the timeout, where all 1000 take minutes.
+        code, err = self._stop_mid_run(config_path, tmp_path, signal.SIGINT, jobs=2)
+        assert code == 130, err
+        assert "Traceback" not in err
 
     def test_main_restores_the_sigterm_handler(self, config_path, tmp_path, capsys):
         def handler(signum, frame):
             pass
 
-        previous = signal.signal(signal.SIGTERM, handler)
+        # And the SIGINT one, which main also replaces while it runs.
+        stops = (signal.SIGTERM, signal.SIGINT)
+        previous = {signum: signal.signal(signum, handler) for signum in stops}
         try:
             assert main(["run", config_path, "--output", str(tmp_path / "results")]) == 0
-            assert signal.getsignal(signal.SIGTERM) is handler
+            assert all(signal.getsignal(signum) is handler for signum in stops)
             assert main(["verify", "no_such_suite"]) == 1
-            assert signal.getsignal(signal.SIGTERM) is handler
+            assert all(signal.getsignal(signum) is handler for signum in stops)
         finally:
-            signal.signal(signal.SIGTERM, previous)
+            for signum, restored in previous.items():
+                signal.signal(signum, restored)
 
     def test_main_runs_outside_the_main_thread(self, config_path, tmp_path, capsys):
         # Only the main thread may set a signal handler, so main sets none there.

@@ -1,8 +1,11 @@
 """Properties of the one simulation engine, over every policy and both horizons."""
 
+import math
 import sys
+from collections import deque
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +26,8 @@ from risingbandits import (
     run_policy,
     simulate,
 )
-from risingbandits.arms import HPO_COST_HIGH
-from risingbandits.bandit import Horizon
+from risingbandits.arms import HPO_COST_HIGH, ArmProcess
+from risingbandits.bandit import ArmState, Horizon, PolicyTrace, RisingBanditPolicy, StepSink
 from risingbandits.hpo import SEARCH_STRATEGIES
 from risingbandits.policies import POLICY_NAMES
 
@@ -297,3 +300,127 @@ def test_a_policy_that_quits_when_no_pull_fits_meets_the_budget_message():
     arms = make_instance(InstanceSpec([CurveArmSpec(ARM, cost=1.0)]), 0)
     with pytest.raises(ConfigurationError, match="^budget too small for a single pull$"):
         run_policy(_Quits(), arms, BanditConfig(budget=0.5))
+
+
+def _reference_run_policy(
+    policy: Policy, arms: list[ArmProcess], config: BanditConfig, sink: StepSink | None = None
+) -> PolicyTrace:
+    """The engine as it was before a settled trials run took its own loop:
+    ``select`` and ``observe`` once per pull, to the end of every run."""
+    k = len(arms)
+    if k == 0:
+        raise ConfigurationError("an instance needs at least one arm")
+    # growth_rate reads at most the last smooth_window + 1 rewards; no deque
+    # can hold sys.maxsize, so the clamp changes nothing.
+    keep = min(config.smooth_window + 1, sys.maxsize)
+    states = [ArmState(arm_id=i, history=deque(maxlen=keep)) for i in range(1, k + 1)]
+    horizon = Horizon(config, arms)
+    policy.start(states, config, horizon)
+    # Bound once per run: the loop body runs once per pull.
+    select, observe, fits = policy.select, policy.observe, horizon.fits
+    # Whether to check the selected arm after select: in a trials run the
+    # loop's check has just said that any arm's pull fits.
+    check_arm = horizon.priced
+    t, arm_id = 0, None
+    # Only a strictly greater reward moves the best, so best_step is the
+    # first step that reaches final_j.
+    final_j, best_step, best_arm = -math.inf, 0, 0
+    while fits():
+        arm_id = select(states, t + 1)
+        if arm_id is None:
+            break
+        if not 1 <= arm_id <= k:
+            raise ConfigurationError(f"policy {policy.name!r} selected invalid arm {arm_id}")
+        # Budget mode only: ends the run at a selected pull that would
+        # overspend, which a baseline may select.
+        if check_arm and not fits(arm_id):
+            break
+        reward, cost = arms[arm_id - 1].pull()
+        t += 1
+        horizon.t = t
+        horizon.spent += cost
+        st = states[arm_id - 1]
+        st.pulls += 1
+        st.history.append(reward)
+        st.reward_sum += reward
+        st.lower = reward
+        st.total_cost += cost
+        if reward > final_j:
+            final_j, best_step, best_arm = reward, t, arm_id
+        if sink is not None:
+            sink(t, arm_id, reward, cost, len(policy.candidates))
+        observe(st)
+    if t == 0:
+        if not any(map(fits, range(1, k + 1))):
+            raise ConfigurationError("budget too small for a single pull")
+        # A pull would fit: the policy ended the run, or (a baseline in budget
+        # mode) picked an arm that does not fit, even though another arm would.
+        if arm_id is None:
+            raise ConfigurationError(f"policy {policy.name!r} ended the run before its first pull")
+        raise ConfigurationError(
+            f"policy {policy.name!r} chose arm {arm_id} for its first pull, at cost "
+            f"{arms[arm_id - 1].peek_cost()}, above the budget {config.budget}"
+        )
+    return PolicyTrace(
+        horizon=t,
+        pull_counts=[st.pulls for st in states],
+        total_cost=horizon.spent,
+        best_arm=best_arm,
+        best_step=best_step,
+        final_j=final_j,
+        candidates=tuple(policy.candidates),
+    )
+
+
+@st.composite
+def settling_cases(draw):
+    """1-6 exact or noisy curve arms, fast-saturating enough that many trials
+    runs settle on one arm early, with a trials horizon of 1-80."""
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        limit = draw(st.floats(0.2, 0.98))
+        initial = draw(st.floats(0.05, 0.95)) * limit
+        if draw(st.booleans()):
+            curve = ExponentialCurve(limit=limit, initial=initial, decay=draw(st.floats(0.05, 0.9)))
+        else:
+            curve = PowerCurve(limit=limit, scale=limit - initial, exponent=draw(st.floats(0.5, 3.0)))
+        specs.append(CurveArmSpec(curve, noise_amplitude=draw(st.sampled_from([0.0, 0.0, 0.02, 0.1]))))
+    config = BanditConfig(
+        trials=draw(st.integers(1, 80)),
+        growth=draw(st.sampled_from(["last", "smooth"])),
+        smooth_window=draw(st.integers(1, 5)),
+    )
+    return InstanceSpec(specs), config, draw(st.integers(0, 2**16))
+
+
+def _run_with(engine, name, instance, config, seed):
+    steps, policy, rng = [], make_policy(name), np.random.default_rng(seed)
+    policy.reset(rng)
+    trace = engine(policy, make_instance(instance, seed), config, list_sink(steps))
+    return steps, trace, rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=settling_cases())
+def test_a_settled_run_matches_the_select_and_observe_loop(case):
+    # The steps, the trace and what the policy drew from its stream are
+    # those of a loop that asks the policy for every pull.
+    instance, config, seed = case
+    for name in POLICY_NAMES:
+        expected = _run_with(_reference_run_policy, name, instance, config, seed)
+        assert _run_with(run_policy, name, instance, config, seed) == expected, name
+
+
+def test_a_settled_trials_run_calls_neither_select_nor_observe():
+    # Arm 2 is flat: the sweep before step 5 drops it, and arm 1 is pulled
+    # to the horizon with no further call.
+    policy = RisingBanditPolicy()
+    calls = []
+    select, observe = policy.select, policy.observe
+    policy.select = lambda states, t: calls.append("select") or select(states, t)
+    policy.observe = lambda state: calls.append("observe") or observe(state)
+    arms = make_instance(InstanceSpec([CurveArmSpec(ARM), CurveArmSpec(TabulatedCurve([0.1]))]), 0)
+    trace = run_policy(policy, arms, BanditConfig(trials=50))
+    assert trace.pull_counts == [48, 2]
+    assert trace.candidates == (1,)
+    assert calls == ["select", "observe"] * 5

@@ -1,0 +1,100 @@
+"""The verify suites' instance generators draw exactly what numpy's scalar
+``Generator.uniform`` would, from the same stream."""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from risingbandits import verify
+from risingbandits.verify import _uniform
+
+# The bounds each generator draws between.  Three depend on earlier draws
+# (initial + 0.15 .. 0.95, start + 0.3 .. 0.97, v1 + 0.002 .. v2 - 0.002):
+# one value of each is listed, and the property below covers the rest.
+CALL_SITE_BOUNDS = [
+    (0.4 + 0.15, 0.95),
+    (0.5 + 0.3, 0.97),
+    (0.87 + 0.002, 0.89 - 0.002),
+    (0.3, 0.8),
+    (0.8, 2.0),
+    (0.2, 0.98),
+    (0.05, 0.9),
+    (0.25, 0.6),
+    (0.3, 0.97),
+    (0.2, 0.9),
+    (0.4, 0.6),
+    (0.88, 0.95),
+    (0.02, 0.08),
+    (0.3, 0.9),
+    (0.2, 0.8),
+    (0.35, 0.78),
+    (0.3, 0.7),
+]
+
+
+def _same_draws(low, high, seed, draws=5):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        assert _uniform(a, low, high) == b.uniform(low, high)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("low, high", CALL_SITE_BOUNDS)
+def test_uniform_draws_what_generator_uniform_draws(low, high):
+    _same_draws(low, high, seed=20240611, draws=1000)
+
+
+# Bounds whose difference stays finite: numpy refuses a wider range.
+_bound = st.floats(-1e300, 1e300)
+
+
+@given(bounds=st.tuples(_bound, _bound).map(sorted), seed=st.integers(0, 2**32 - 1))
+def test_uniform_matches_for_any_finite_bounds(bounds, seed):
+    low, high = bounds
+    _same_draws(low, high, seed)
+
+
+def _digest(texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+def _first_instances(generator, seed, count=200):
+    rng = np.random.default_rng(seed)
+    return _digest(repr(generator(rng)) for _ in range(count))
+
+
+# Recorded from the generators as they drew through rng.uniform.
+@pytest.mark.parametrize(
+    "generator, seed, digest",
+    [
+        (
+            verify.random_small_instance,
+            verify.LEMMA1_SEED,
+            "0bea000b33298a3350a6b10692c5ca64dc30421622db0c744dda294fa8bad3de",
+        ),
+        (
+            verify.random_dominant_instance,
+            verify.CONCAVE_BATTERY_SEED,
+            "013d2da46239460ec7d44c59eedcc61243e9a4b3553cf1e4b81b6c7c7e7bc7db",
+        ),
+        (
+            verify.theorem2_instance,
+            verify.THEOREM2_SEED,
+            "fea8806479acb00347f90843e2366c1a8d1c45cdb05f67aa31ff677bd498fe46",
+        ),
+    ],
+    ids=["small", "dominant", "theorem2"],
+)
+def test_generators_make_the_recorded_instances(generator, seed, digest):
+    assert _first_instances(generator, seed) == digest
+
+
+def test_allocation_instance_is_the_recorded_one():
+    digest = "f3582403991053ec09b64b8ef0ccdcd6e715e121d90b5395718146c889bc8316"
+    assert _digest([repr(verify.allocation_instance())]) == digest
