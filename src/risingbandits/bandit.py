@@ -7,8 +7,9 @@ drops any arm whose upper bound falls below another candidate's lower bound.
 Supports a trial-count horizon and a cost-aware budget horizon.
 
 One engine, :func:`run_policy`, runs the elimination algorithm and the
-baselines alike: each is a :class:`Policy` that selects the next arm and
-observes each pull, until a trials run narrows its candidates to one arm.
+baselines alike: each is a :class:`Policy` that plans the next arms to pull
+and observes each pull.  An elimination plan is a round of the candidates; a
+baseline's is the one arm it selects.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +48,8 @@ class ArmState:
     pulls: int = 0
     history: deque[float] = field(default_factory=deque)
     upper: float = 1.0
+    # The last reward, or 0.0 before the first pull: not always history[-1],
+    # since a budget-mode sweep can read an arm that no pull has fitted.
     lower: float = 0.0
     total_cost: float = 0.0
     # Sum of every reward, added left to right as ``sum()`` does on Python
@@ -220,11 +224,10 @@ class Horizon:
 class Policy:
     """An arm-selection policy run by :func:`run_policy`.
 
-    ``select`` names the next arm, or None to end the run.  ``candidates`` is
-    the arm set in force, which only the elimination policy shrinks.  A
-    policy that narrows it to one of K > 1 arms in a trials run has chosen
-    that arm for the rest of the run: the engine pulls it up to the horizon
-    and calls ``select`` and ``observe`` no more.
+    ``plan`` returns the next arms to pull, in order, or None to end the run;
+    by default it is the one arm ``select`` names.  ``candidates`` is the arm
+    set in force, which only the elimination policy shrinks, and only in
+    ``plan``.
     """
 
     name = "policy"
@@ -236,7 +239,13 @@ class Policy:
         """Begin a run over ``states``."""
         self.candidates = [st.arm_id for st in states]
 
+    def plan(self, states: list[ArmState], t: int) -> Iterable[int] | None:
+        """The arms to pull from step ``t`` on, in order, or None to end the run."""
+        arm_id = self.select(states, t)
+        return None if arm_id is None else (arm_id,)
+
     def select(self, states: list[ArmState], t: int) -> int | None:
+        """The arm to pull at step ``t``, or None to end the run."""
         raise NotImplementedError
 
     def observe(self, state: ArmState) -> None:
@@ -246,15 +255,18 @@ class Policy:
 class RisingBanditPolicy(Policy):
     """The elimination algorithm.
 
-    Each round pulls the candidates in id order, skipping those whose next
-    pull does not fit, and ends with a sweep when the next pull is requested:
-    with no pulls left a sweep could only drop arms that tie at equality.  A
-    round with no pull ends the run.
+    Each plan is a round: the candidates in id order, of which the engine
+    skips those whose next pull does not fit.  Every plan after the first
+    begins with a sweep.  The engine asks for a plan only after a round that
+    pulled, and only while a pull fits: with no pulls left a sweep could only
+    drop arms that tie at equality.
 
     Once one candidate is left the set is settled: a sweep would keep it, so
-    ``select`` returns it with no round and no sweep, and the bounds only a
-    sweep reads are no longer updated; in a trials run the engine then pulls
-    it without asking.  Sweeps only remove arms, so the sets are nested.
+    none runs, and the bounds only a sweep reads are no longer updated.  In a
+    trials run every remaining pull fits, so the plan is that arm until the
+    horizon is used up.  In a budget run it is that arm once per plan, and
+    the first plan whose pull does not fit ends the run.  Sweeps only remove
+    arms, so the sets are nested.
     """
 
     name = "rising_bandit"
@@ -264,33 +276,17 @@ class RisingBanditPolicy(Policy):
         self._upper = horizon.upper
         self._epsilon = config.epsilon
         self._growth, self._window = config.growth, config.smooth_window
-        # Budget mode only: skips a candidate whose next pull would overspend.
-        # In a trials run the engine calls select only when a pull fits, and
-        # then every candidate's does.
-        self._fits = horizon.fits if horizon.priced else None
-        self._next = 0
-        self._round_pulled = False
+        # A budget run's settled arm is planned once at a time: the engine
+        # skips a pull that does not fit, so a repeat of it would never end.
+        self._repeats = not horizon.priced
 
-    def select(self, states: list[ArmState], t: int) -> int | None:
-        candidates, fits = self.candidates, self._fits
-        while True:
-            if len(candidates) == 1:
-                # Settled, at the start or by the last sweep: the one candidate,
-                # until (budget mode) its pull no longer fits.
-                arm_id = candidates[0]
-                return arm_id if fits is None or fits(arm_id) else None
-            i, size = self._next, len(candidates)
-            while i < size:
-                arm_id = candidates[i]
-                i += 1
-                if fits is None or fits(arm_id):
-                    self._next, self._round_pulled = i, True
-                    return arm_id
-            if not self._round_pulled:
-                return None
-            # Each round runs on two or more candidates: a set of one is settled above.
-            self.candidates = candidates = eliminate(candidates, states, self._epsilon)
-            self._next, self._round_pulled = 0, False
+    def plan(self, states: list[ArmState], t: int) -> Iterable[int]:
+        if t > 1 and len(self.candidates) > 1:
+            self.candidates = eliminate(self.candidates, states, self._epsilon)
+        candidates = self.candidates
+        if len(candidates) == 1 and self._repeats:
+            return repeat(candidates[0])
+        return candidates
 
     def observe(self, state: ArmState) -> None:
         # Only a sweep reads upper, and none follows once one candidate is
@@ -306,18 +302,12 @@ def run_policy(
 ) -> PolicyTrace:
     """Run ``policy`` on ``arms``: the one loop that pulls arms.
 
-    Each pull is passed to ``sink`` as ``sink(t, arm, reward, cost,
-    candidate_set_size)``.  The run ends when the horizon is used up, when
-    the policy returns None, or at the first selected pull that does not fit.
-
-    ``select`` and ``observe`` are called once per pull until a trials run's
-    policy has narrowed ``candidates`` to one of K > 1 arms.  From the pull
-    after that, the engine pulls that arm until the horizon is used up, with
-    one horizon check per pull and neither call.  In a trials run every
-    remaining pull fits, so the arm's pulls and the run's end are known.  A
-    budget run still asks the policy, which decides when the arm no longer
-    fits; with K = 1 the set is one arm from the start, and a policy may
-    still draw from its RNG on every select.
+    The engine asks ``plan`` for the next arms and pulls them in order, with
+    one horizon check after each pull, and passes each pull to ``observe``
+    and to ``sink``, as ``sink(t, arm, reward, cost, candidate_set_size)``.
+    In a budget run it first checks each planned arm's next cost and skips
+    an arm whose pull does not fit.  The run ends when the horizon is used
+    up, when ``plan`` returns None, or at a plan that makes no pull.
     """
     k = len(arms)
     if k == 0:
@@ -329,64 +319,50 @@ def run_policy(
     horizon = Horizon(config, arms)
     policy.start(states, config, horizon)
     # Bound once per run: the loop body runs once per pull.
-    select, observe, fits = policy.select, policy.observe, horizon.fits
-    # Whether to check the selected arm after select: in a trials run the
-    # loop's check has just said that any arm's pull fits.
+    observe, fits = policy.observe, horizon.fits
+    pulls = [arm.pull for arm in arms]
+    # Whether to check each planned arm: in a trials run the check after the
+    # last pull has said that any arm's next pull fits.
     check_arm = horizon.priced
-    # Whether a set narrowed to one arm ends the run in the settled loop
-    # below (see the docstring for why only a trials run of K > 1 arms).
-    narrows = 1 < k and not horizon.priced
     t, arm_id = 0, None
     # Only a strictly greater reward moves the best, so best_step is the
     # first step that reaches final_j.
     final_j, best_step, best_arm = -math.inf, 0, 0
-    while fits():
-        arm_id = select(states, t + 1)
-        if arm_id is None:
+    more = fits()
+    while more:
+        plan = policy.plan(states, t + 1)
+        if plan is None:
             break
-        if not 1 <= arm_id <= k:
-            raise ConfigurationError(f"policy {policy.name!r} selected invalid arm {arm_id}")
-        # Budget mode only: ends the run at a selected pull that would
-        # overspend, which a baseline may select.
-        if check_arm and not fits(arm_id):
-            break
-        reward, cost = arms[arm_id - 1].pull()
-        t += 1
-        horizon.t = t
-        horizon.spent += cost
-        st = states[arm_id - 1]
-        st.pulls += 1
-        st.history.append(reward)
-        st.reward_sum += reward
-        st.lower = reward
-        st.total_cost += cost
-        if reward > final_j:
-            final_j, best_step, best_arm = reward, t, arm_id
+        # Read once per plan: only plan changes the candidate set.
         size = len(policy.candidates)
-        if sink is not None:
-            sink(t, arm_id, reward, cost, size)
-        observe(st)
-        if size == 1 and narrows:
-            # Settled: the one candidate is pulled up to the horizon with no
-            # select and no observe; its state, the best and the sink are
-            # updated as above.
-            arm_id = policy.candidates[0]
-            st, pull = states[arm_id - 1], arms[arm_id - 1].pull
-            append = st.history.append
-            while fits():
-                reward, cost = pull()
-                t += 1
-                horizon.t = t
-                horizon.spent += cost
-                st.pulls += 1
-                append(reward)
-                st.reward_sum += reward
-                st.lower = reward
-                st.total_cost += cost
-                if reward > final_j:
-                    final_j, best_step, best_arm = reward, t, arm_id
-                if sink is not None:
-                    sink(t, arm_id, reward, cost, 1)
+        planned_at = t
+        for arm_id in plan:
+            if not 1 <= arm_id <= k:
+                raise ConfigurationError(f"policy {policy.name!r} planned invalid arm {arm_id}")
+            # Budget mode only: skips a planned pull that would overspend.
+            if check_arm and not fits(arm_id):
+                continue
+            reward, cost = pulls[arm_id - 1]()
+            t += 1
+            horizon.t = t
+            horizon.spent += cost
+            st = states[arm_id - 1]
+            st.pulls += 1
+            st.history.append(reward)
+            st.reward_sum += reward
+            st.lower = reward
+            st.total_cost += cost
+            if reward > final_j:
+                final_j, best_step, best_arm = reward, t, arm_id
+            if sink is not None:
+                sink(t, arm_id, reward, cost, size)
+            observe(st)
+            more = fits()
+            if not more:
+                break
+        if t == planned_at:
+            # No planned pull fitted, so nothing the next plan would read
+            # has changed.
             break
     if t == 0:
         if not any(map(fits, range(1, k + 1))):

@@ -1,11 +1,12 @@
 """Baseline selection policies sharing one interface with elimination.
 
-A run calls a policy's ``start`` once with the arm states, then alternates
-``select``, which names the next arm to pull, and ``observe``, which receives
-the pulled arm's updated state.  The baselines score arms from per-arm
-arrays that ``observe`` updates one slot at a time, so a ``select`` reads no
-arm state.  UCB and softmax pull arm t at step t <= K: a run pulls the arm
-``select`` returns or ends, so arms 1..t-1 are pulled then and t..K not.
+A run calls a policy's ``start`` once with the arm states, then asks its
+``plan`` for the next arms to pull and passes each pull's updated arm state
+to ``observe``.  A baseline's plan is the one arm its ``select`` names.  The
+baselines score arms from per-arm arrays that ``observe`` updates one slot
+at a time, so a ``select`` reads no arm state.  UCB and softmax pull arm t
+at step t <= K: a run pulls the arm ``select`` returns or ends, so arms
+1..t-1 are pulled then and t..K not.
 Policies only ever see observed histories, never ground-truth curves.  Ties
 break towards the lowest arm id.  ``Policy`` and the elimination policy live
 in :mod:`bandit`, next to the engine that runs them.

@@ -1,10 +1,12 @@
 import contextlib
+from itertools import repeat
 from unittest import mock
 
 import pytest
 from hypothesis import settings
 
 from risingbandits import bandit, verify
+from risingbandits.bandit import Policy, growth_rate
 
 # The same examples on every run, and none replayed from a local database, so
 # a property test passes or fails alike on every machine and every run.
@@ -42,3 +44,55 @@ def record_sweeps():
             yield sweeps
 
     return recording
+
+
+class AlwaysSweeping(Policy):
+    """Reference elimination policy that names one arm per ``select``, with
+    its own fit check on every candidate: every round ends with a sweep and
+    every pull from an arm's second on updates its upper bound, however many
+    candidates are left.  It looks ``eliminate`` up on the module, as the
+    elimination policy does, so ``record_sweeps`` sees its sweeps."""
+
+    name = "rising_bandit"
+
+    def start(self, states, config, horizon):
+        super().start(states, config, horizon)
+        self._config, self._horizon = config, horizon
+        self._next, self._round_pulled = 0, False
+
+    def select(self, states, t):
+        while True:
+            while self._next < len(self.candidates):
+                arm_id = self.candidates[self._next]
+                self._next += 1
+                if self._horizon.fits(arm_id):
+                    self._round_pulled = True
+                    return arm_id
+            if not self._round_pulled:
+                return None
+            self.candidates = bandit.eliminate(self.candidates, states, self._config.epsilon)
+            self._next, self._round_pulled = 0, False
+
+    def observe(self, state):
+        if state.pulls >= 2:
+            omega = growth_rate(state.history, self._config.growth, self._config.smooth_window)
+            state.upper = self._horizon.upper(state, omega)
+
+
+def record_plans(policy):
+    """Wrap ``policy.plan`` and return the list each plan is appended to: a
+    list or tuple as a list, and a repeated arm as ``"repeat(arm)"``, which
+    is not consumed."""
+    plans = []
+    plan = policy.plan
+
+    def recording(states, t):
+        arms = plan(states, t)
+        if isinstance(arms, repeat):
+            plans.append(repr(arms))
+        else:
+            plans.append(None if arms is None else list(arms))
+        return arms
+
+    policy.plan = recording
+    return plans

@@ -13,7 +13,6 @@ from risingbandits import (
     ExponentialCurve,
     InsufficientHistoryError,
     InstanceSpec,
-    Policy,
     PowerCurve,
     RisingBanditPolicy,
     TabulatedCurve,
@@ -25,8 +24,9 @@ from risingbandits import (
     run_policy,
     upper_bound,
 )
-from risingbandits import bandit
 from risingbandits.bandit import MAX_EPSILON, Horizon, list_sink
+
+from conftest import AlwaysSweeping, record_plans
 
 ARM1 = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
 ARM2 = ExponentialCurve(limit=0.95, initial=0.3, decay=0.8)
@@ -371,37 +371,15 @@ class TestRisingBanditRunBudget:
         )
         assert trace.pull_counts[1] > trace.pull_counts[0]
 
-
-class _AlwaysSweeping(Policy):
-    """Reference elimination policy: every round ends with a sweep and every
-    pull from an arm's second on updates its upper bound, however many
-    candidates are left.  It looks ``eliminate`` up on the module, as the
-    elimination policy does, so ``record_sweeps`` sees its sweeps."""
-
-    name = "rising_bandit"
-
-    def start(self, states, config, horizon):
-        super().start(states, config, horizon)
-        self._config, self._horizon = config, horizon
-        self._next, self._round_pulled = 0, False
-
-    def select(self, states, t):
-        while True:
-            while self._next < len(self.candidates):
-                arm_id = self.candidates[self._next]
-                self._next += 1
-                if self._horizon.fits(arm_id):
-                    self._round_pulled = True
-                    return arm_id
-            if not self._round_pulled:
-                return None
-            self.candidates = bandit.eliminate(self.candidates, states, self._config.epsilon)
-            self._next, self._round_pulled = 0, False
-
-    def observe(self, state):
-        if state.pulls >= 2:
-            omega = growth_rate(state.history, self._config.growth, self._config.smooth_window)
-            state.upper = self._horizon.upper(state, omega)
+    def test_a_sweep_reads_the_lower_bound_of_an_arm_never_pulled(self, record_sweeps):
+        # Arm 2's one pull never fits after arm 1's first, so every sweep
+        # takes arm 2 at no pulls, with no history and its initial lower
+        # bound of 0: ArmState.lower is not always the last reward.
+        with record_sweeps() as sweeps:
+            trace = rising_bandit_run(_arms(ARM1, ARM1, costs=[1.0, 10.0]), BanditConfig(budget=10.5))
+        assert trace.pull_counts == [10, 0]
+        assert trace.candidates == (1, 2)
+        assert sweeps == [((1, 2), (1, 2))] * 10
 
 
 @st.composite
@@ -430,18 +408,11 @@ def elimination_cases(draw):
     return instance, config, draw(st.integers(0, 2**16))
 
 
-def _run_recording_selects(policy, instance, config, seed):
-    selected = []
-    select = policy.select
-
-    def recording(states, t):
-        selected.append(select(states, t))
-        return selected[-1]
-
-    policy.select = recording
+def _run_recording_plans(policy, instance, config, seed):
+    plans = record_plans(policy)
     steps = []
     trace = run_policy(policy, make_instance(instance, seed), config, list_sink(steps))
-    return trace, steps, selected
+    return trace, steps, plans
 
 
 class TestSettledCandidateSet:
@@ -450,27 +421,32 @@ class TestSettledCandidateSet:
     def test_matches_the_always_sweeping_policy(self, record_sweeps, case):
         instance, config, seed = case
         with record_sweeps() as sweeps:
-            trace, steps, selected = _run_recording_selects(RisingBanditPolicy(), instance, config, seed)
+            trace, steps, plans = _run_recording_plans(RisingBanditPolicy(), instance, config, seed)
         with record_sweeps() as expected_sweeps:
-            expected, expected_steps, expected_selected = _run_recording_selects(
-                _AlwaysSweeping(), instance, config, seed
-            )
+            expected, expected_steps, _ = _run_recording_plans(AlwaysSweeping(), instance, config, seed)
         assert steps == expected_steps
         assert trace == expected
-        # Down to the last select, which ends a budget run with None.
-        assert selected == expected_selected
         # The same sweeps until one candidate is left; the reference then
         # sweeps once per round and keeps that arm, the policy not at all.
         assert sweeps == expected_sweeps[: len(sweeps)]
         assert all(len(before) > 1 for before, _ in sweeps)
         assert all(len(before) == 1 and after == before for before, after in expected_sweeps[len(sweeps) :])
+        # Each plan is the set in force for one of the reference's rounds, a
+        # budget run's down to the one that makes no pull.  A trials run's
+        # first set of one arm is planned once, repeated to the horizon.
+        rounds = [list(range(1, instance.k + 1))] + [list(after) for _, after in expected_sweeps]
+        if config.trials is not None:
+            settled = next((i for i, arms in enumerate(rounds) if len(arms) == 1), None)
+            if settled is not None:
+                rounds[settled:] = [f"repeat({rounds[settled][0]})"]
+        assert plans == rounds
 
     def test_settled_set_ends_a_budget_run_when_its_arm_no_longer_fits(self, record_sweeps):
         # Arm 2 stops growing and is dropped after round 2, with 6.5 of the
         # budget left; arm 1 (cost 3) fits twice more, in two settled rounds
-        # with no sweep, then no candidate fits.
+        # with no sweep, then a plan whose one pull does not fit ends the run.
         with record_sweeps() as sweeps:
-            trace, _, selected = _run_recording_selects(
+            trace, _, plans = _run_recording_plans(
                 RisingBanditPolicy(),
                 InstanceSpec([CurveArmSpec(ARM1, cost=3.0), CurveArmSpec(TabulatedCurve([0.1]), cost=1.0)]),
                 BanditConfig(budget=14.5),
@@ -479,7 +455,7 @@ class TestSettledCandidateSet:
         assert trace.pull_counts == [4, 2]
         assert sweeps == [((1, 2), (1, 2)), ((1, 2), (1,))]
         assert trace.candidates == (1,)
-        assert selected == [1, 2, 1, 2, 1, 1, None]
+        assert plans == [[1, 2], [1, 2], [1], [1], [1]]
 
 
 class TestOfflineMaxRun:

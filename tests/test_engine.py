@@ -31,6 +31,8 @@ from risingbandits.bandit import ArmState, Horizon, PolicyTrace, RisingBanditPol
 from risingbandits.hpo import SEARCH_STRATEGIES
 from risingbandits.policies import POLICY_NAMES
 
+from conftest import AlwaysSweeping, record_plans
+
 ARM = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
 
 
@@ -305,8 +307,8 @@ def test_a_policy_that_quits_when_no_pull_fits_meets_the_budget_message():
 def _reference_run_policy(
     policy: Policy, arms: list[ArmProcess], config: BanditConfig, sink: StepSink | None = None
 ) -> PolicyTrace:
-    """The engine as it was before a settled trials run took its own loop:
-    ``select`` and ``observe`` once per pull, to the end of every run."""
+    """The engine as it was before policies planned their pulls: ``select``
+    and ``observe`` once per pull, to the end of every run."""
     k = len(arms)
     if k == 0:
         raise ConfigurationError("an instance needs at least one arm")
@@ -393,34 +395,35 @@ def settling_cases(draw):
     return InstanceSpec(specs), config, draw(st.integers(0, 2**16))
 
 
-def _run_with(engine, name, instance, config, seed):
-    steps, policy, rng = [], make_policy(name), np.random.default_rng(seed)
+def _run_with(engine, policy, instance, config, seed):
+    steps, rng = [], np.random.default_rng(seed)
     policy.reset(rng)
     trace = engine(policy, make_instance(instance, seed), config, list_sink(steps))
     return steps, trace, rng.bit_generator.state
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=settling_cases())
+@given(case=st.one_of(experiments(st.one_of(arm_specs(), hpo_arm_specs())), settling_cases()))
 def test_a_settled_run_matches_the_select_and_observe_loop(case):
     # The steps, the trace and what the policy drew from its stream are
-    # those of a loop that asks the policy for every pull.
+    # those of a loop that asks the policy for every pull.  Elimination
+    # there is the reference policy, which selects one arm at a time.
     instance, config, seed = case
     for name in POLICY_NAMES:
-        expected = _run_with(_reference_run_policy, name, instance, config, seed)
-        assert _run_with(run_policy, name, instance, config, seed) == expected, name
+        reference = AlwaysSweeping() if name == "rising_bandit" else make_policy(name)
+        expected = _run_with(_reference_run_policy, reference, instance, config, seed)
+        assert _run_with(run_policy, make_policy(name), instance, config, seed) == expected, name
 
 
-def test_a_settled_trials_run_calls_neither_select_nor_observe():
-    # Arm 2 is flat: the sweep before step 5 drops it, and arm 1 is pulled
-    # to the horizon with no further call.
+def test_a_settled_trials_run_asks_for_no_further_plan(record_sweeps):
+    # Arm 2 is flat: the sweep before step 5 drops it, and the plan after
+    # that sweep is arm 1 to the horizon.
     policy = RisingBanditPolicy()
-    calls = []
-    select, observe = policy.select, policy.observe
-    policy.select = lambda states, t: calls.append("select") or select(states, t)
-    policy.observe = lambda state: calls.append("observe") or observe(state)
+    plans = record_plans(policy)
     arms = make_instance(InstanceSpec([CurveArmSpec(ARM), CurveArmSpec(TabulatedCurve([0.1]))]), 0)
-    trace = run_policy(policy, arms, BanditConfig(trials=50))
+    with record_sweeps() as sweeps:
+        trace = run_policy(policy, arms, BanditConfig(trials=50))
     assert trace.pull_counts == [48, 2]
     assert trace.candidates == (1,)
-    assert calls == ["select", "observe"] * 5
+    assert plans == [[1, 2], [1, 2], "repeat(1)"]
+    assert sweeps == [((1, 2), (1, 2)), ((1, 2), (1,))]
