@@ -224,25 +224,27 @@ class Horizon:
 class Policy:
     """An arm-selection policy run by :func:`run_policy`.
 
-    ``plan`` returns the next arms to pull, in order, or None to end the run;
-    by default it is the one arm ``select`` names.  ``candidates`` is the arm
-    set in force, which only the elimination policy shrinks, and only in
-    ``plan``.
+    ``plan`` returns the next arms to pull, in order; a plan that makes no
+    pull ends the run.  By default it is the one arm ``select`` names, or
+    none.  ``reset`` keeps the run-local RNG stream as ``_rng``, which only
+    the sampling policies draw from.  ``candidates`` is the arm set in force,
+    which only the elimination policy shrinks, and only in ``plan``.
     """
 
     name = "policy"
 
     def reset(self, rng: np.random.Generator) -> None:
-        """Install the run-local RNG stream; deterministic policies ignore it."""
+        """Install the run-local RNG stream."""
+        self._rng = rng
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         """Begin a run over ``states``."""
         self.candidates = [st.arm_id for st in states]
 
-    def plan(self, states: list[ArmState], t: int) -> Iterable[int] | None:
-        """The arms to pull from step ``t`` on, in order, or None to end the run."""
+    def plan(self, states: list[ArmState], t: int) -> Iterable[int]:
+        """The arms to pull from step ``t`` on, in order; none ends the run."""
         arm_id = self.select(states, t)
-        return None if arm_id is None else (arm_id,)
+        return () if arm_id is None else (arm_id,)
 
     def select(self, states: list[ArmState], t: int) -> int | None:
         """The arm to pull at step ``t``, or None to end the run."""
@@ -307,7 +309,7 @@ def run_policy(
     and to ``sink``, as ``sink(t, arm, reward, cost, candidate_set_size)``.
     In a budget run it first checks each planned arm's next cost and skips
     an arm whose pull does not fit.  The run ends when the horizon is used
-    up, when ``plan`` returns None, or at a plan that makes no pull.
+    up, or at a plan that makes no pull.
     """
     k = len(arms)
     if k == 0:
@@ -331,8 +333,6 @@ def run_policy(
     more = fits()
     while more:
         plan = policy.plan(states, t + 1)
-        if plan is None:
-            break
         # Read once per plan: only plan changes the candidate set.
         size = len(policy.candidates)
         planned_at = t
@@ -361,8 +361,8 @@ def run_policy(
             if not more:
                 break
         if t == planned_at:
-            # No planned pull fitted, so nothing the next plan would read
-            # has changed.
+            # The plan was empty, or no planned pull fitted: nothing the
+            # next plan would read has changed.
             break
     if t == 0:
         if not any(map(fits, range(1, k + 1))):

@@ -124,7 +124,7 @@ def _run_tasks(
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_leave_stops_to_main
+            max_workers=workers, initializer=_init_worker
         ) as pool:
             outcomes = pool.map(_run_listed, [config] * len(tasks), *zip(*tasks))
             try:
@@ -264,14 +264,24 @@ def _terminate(signum, frame):
     raise SystemExit(128 + signum)
 
 
-def _leave_stops_to_main() -> None:
-    """Ignore Ctrl-C and ``SIGTERM`` in a worker process.  A terminal sends
-    Ctrl-C to every process in its group, but only ``main`` acts on it: it
-    starts no more runs and waits for those in progress.  A worker stopped
-    while sending a run's steps would leave part of a message in the pipe
-    the pool reads from."""
+def _init_worker() -> None:
+    """Make a worker process ignore Ctrl-C and ``SIGTERM``, and end once its
+    parent is gone.  A terminal sends Ctrl-C to every process in its group,
+    but only ``main`` acts on it: it starts no more runs and waits for those
+    in progress.  A worker stopped while sending a run's steps would leave
+    part of a message in the pipe the pool reads from.  A parent that dies
+    without cleaning up (``SIGKILL``) cannot stop its workers, so a daemon
+    thread in each ends it once its parent changes."""
     for signum in _STOP_SIGNALS:
         signal.signal(signum, signal.SIG_IGN)
+    parent = os.getppid()
+
+    def exit_when_orphaned() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=exit_when_orphaned, daemon=True).start()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -198,31 +198,21 @@ def _build_arm(block: dict[str, str], index: int) -> ArmSpec:
 
 
 def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:
-    """Reject a horizon that lets one run make more than MAX_PULLS_PER_RUN
-    pulls, or more than MAX_DENSITY_PULLS_PER_RUN of one density_estimator arm."""
-    # A pull fits while spend + cost <= budget + epsilon, so the epsilon buys pulls too.
+    """Reject a horizon that lets one run make more pulls of an arm than its
+    cap: MAX_DENSITY_PULLS_PER_RUN for a density_estimator search, else
+    MAX_PULLS_PER_RUN.  The cheapest arm's figure is the run's largest, so
+    the caps also bound a run's pulls of all arms together."""
+    field_name = "horizon_trials" if bandit.trials else "horizon_budget"
     for index, spec in enumerate(instance.arms, start=1):
-        if isinstance(spec, HpoArmSpec) and spec.strategy == "density_estimator":
-            pulls = bandit.trials or (bandit.budget + bandit.epsilon) / spec.min_cost
-            if pulls > MAX_DENSITY_PULLS_PER_RUN:
-                raise ConfigurationError(
-                    f"field 'horizon_{'trials' if bandit.trials else 'budget'}': lets arm {index}, a density_estimator "
-                    f"search, make {pulls:.10g} pulls in one run, above its cap of {MAX_DENSITY_PULLS_PER_RUN} pulls"
-                )
-    if bandit.trials is not None:
-        if bandit.trials > MAX_PULLS_PER_RUN:
+        # A pull fits while spend + cost <= budget + epsilon, so the epsilon buys pulls too.
+        pulls = bandit.trials or (bandit.budget + bandit.epsilon) / spec.min_cost
+        density = isinstance(spec, HpoArmSpec) and spec.strategy == "density_estimator"
+        cap = MAX_DENSITY_PULLS_PER_RUN if density else MAX_PULLS_PER_RUN
+        if pulls > cap:
             raise ConfigurationError(
-                f"field 'horizon_trials': must be at most the cap of {MAX_PULLS_PER_RUN} pulls per run, "
-                f"got {bandit.trials}"
+                f"field {field_name!r}: lets arm {index}{', a density_estimator search,' if density else ''} "
+                f"make {pulls:.10g} pulls in one run, above its cap of {cap} pulls"
             )
-        return
-    cheapest = min(spec.min_cost for spec in instance.arms)
-    pulls = (bandit.budget + bandit.epsilon) / cheapest
-    if pulls > MAX_PULLS_PER_RUN:
-        raise ConfigurationError(
-            f"field 'horizon_budget': {bandit.budget} (+ epsilon {bandit.epsilon}) buys {pulls:.10g} pulls "
-            f"at the cheapest pull cost {cheapest}, above the cap of {MAX_PULLS_PER_RUN} pulls per run"
-        )
 
 
 def parse_experiment(text: str) -> ExperimentConfig:

@@ -72,10 +72,6 @@ class SoftmaxPolicy(Policy):
         # A mean in [0, 1] over the temperature is finite when this is.
         if not math.isfinite(1.0 / self.temperature):
             raise ValueError(f"temperature {self.temperature!r} is too small: its inverse is not finite")
-        self._rng: np.random.Generator | None = None
-
-    def reset(self, rng: np.random.Generator) -> None:
-        self._rng = rng
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
@@ -114,10 +110,6 @@ class ThompsonPolicy(Policy):
     def __post_init__(self) -> None:
         if not (0.0 < self.prior_alpha < math.inf and 0.0 < self.prior_beta < math.inf):
             raise ValueError("Beta prior parameters must be positive and finite")
-        self._rng: np.random.Generator | None = None
-
-    def reset(self, rng: np.random.Generator) -> None:
-        self._rng = rng
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)

@@ -196,9 +196,10 @@ def suite_theorem1(battery: list[ConcaveCase] | None = None) -> SuiteResult:
 def suite_corollary1(battery: list[ConcaveCase] | None = None) -> SuiteResult:
     """Where the separation condition holds, elimination beats round-robin."""
     battery = concave_battery() if battery is None else battery
-    applicable = [case.report for case in battery if case.report.corollary1_condition_holds]
+    # Numbered by battery index, as the other battery suites number theirs.
+    applicable = [(i, case.report) for i, case in enumerate(battery) if case.report.corollary1_condition_holds]
     result = SuiteResult(name="corollary1", total=len(applicable))
-    for i, report in enumerate(applicable):
+    for i, report in applicable:
         regret = report.regrets["rising_bandit"]
         if regret > report.avg_policy_regret + TOLERANCE:
             result.failures.append(

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import pathlib
 import re
@@ -453,6 +454,57 @@ class TestRunCommand:
         assert code == 130, err
         assert "Traceback" not in err
 
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        # SIGKILL runs no cleanup in the parent: each worker must notice by
+        # itself that its parent is gone.
+        if not pathlib.Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists():
+            pytest.skip("needs /proc/<pid>/task/<tid>/children to find the workers")
+        # Under another start method the CLI's children include helpers (a
+        # forkserver, a resource tracker) that also exit with the parent.
+        if multiprocessing.get_all_start_methods()[0] != "fork":
+            pytest.skip("finds the workers as the CLI's forked children")
+
+        def running(pid):
+            # A worker that has exited may stay a zombie until its new parent reaps it.
+            try:
+                stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        long_path = tmp_path / "long.cfg"
+        long_path.write_text("horizon_trials = 20000\nreplications = 200\n[arm]\nkind = tabulated\nvalues = 0.5\n")
+        out = tmp_path / "results"
+        argv = [sys.executable, "-m", "risingbandits.cli", "run", str(long_path), "--output", str(out), "--jobs", "2"]
+        proc = subprocess.Popen(
+            argv, env=_subprocess_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
+        )
+        workers = []
+        try:
+            # Once the staged trace holds a run's rows, every worker has started.
+            deadline = time.monotonic() + 60
+            while not (out.exists() and any(path.stat().st_size > 2**16 for path in out.iterdir())):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            for task in pathlib.Path(f"/proc/{proc.pid}/task").iterdir():
+                workers += map(int, (task / "children").read_text().split())
+            assert len(workers) == worker_count(2, 200)
+            # A forked worker keeps the CLI's command line; an exec'd helper would not.
+            cmdline = pathlib.Path(f"/proc/{proc.pid}/cmdline").read_bytes()
+            assert all(pathlib.Path(f"/proc/{pid}/cmdline").read_bytes() == cmdline for pid in workers)
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, workers))
+        finally:
+            for pid in filter(running, workers):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
     def test_main_restores_the_sigterm_handler(self, config_path, tmp_path, capsys):
         def handler(signum, frame):
             pass
@@ -604,6 +656,45 @@ class TestTraceWriter:
 def test_policy_names_need_no_csv_quoting():
     # cli._write_trace writes each policy name into the trace unquoted.
     assert all(re.fullmatch(r"[a-z_]+", name) for name in POLICY_NAMES)
+
+
+# Keys an edit may insert: every global and arm key, and one no block knows.
+EDIT_KEYS = sorted(
+    {
+        *config_module.GLOBAL_KEYS,
+        *("kind", "limit", "initial", "decay", "scale", "exponent", "values", "plateau_length"),
+        *("jump_fraction", "cost", "noise_amplitude", "objective", "dimension", "strategy", "mean_cost"),
+        "colour",
+    }
+)
+# Odd values for any key.  No large valid count is among them, so no edit
+# makes a long run.
+ODD_VALUES = (
+    *("nan", "inf", "-inf", "-1", "0", "1", "0.5", "-0.0", "1e308", "-1e308", "5e-324", "1e-320"),
+    *("abc", "", "=", "1,2", ",", "0x10", "1_0", "smooth", "hpo", "density_estimator", "rising_bandit"),
+)
+
+
+@st.composite
+def edited_demo_configs(draw):
+    """``configs/demo.cfg`` with one to four lines inserted, deleted,
+    duplicated or given an odd value."""
+    with open(DEMO_CONFIG, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(("insert", "delete", "duplicate", "set")))
+        if edit == "insert" or at == len(lines):
+            key = draw(st.sampled_from(EDIT_KEYS))
+            lines.insert(at, draw(st.sampled_from(("[arm]", f"{key} = {draw(st.sampled_from(ODD_VALUES))}"))))
+        elif edit == "delete":
+            del lines[at]
+        elif edit == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            key = lines[at].partition("=")[0].strip() or draw(st.sampled_from(EDIT_KEYS))
+            lines[at] = f"{key} = {draw(st.sampled_from(ODD_VALUES))}"
+    return "\n".join(lines) + "\n"
 
 
 class TestErrorBoundary:
@@ -796,6 +887,16 @@ class TestErrorBoundary:
     def test_missing_subcommand(self, capsys):
         err = self._one_line_error([], capsys)
         assert "required" in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(edited_demo_configs())
+    def test_no_edit_of_the_demo_escapes_the_boundary(self, text):
+        # A traceback is always a bug: any edit ends in an exit code.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "edited.cfg")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            assert main(["run", path, "--output", os.path.join(tmp, "out")]) in (0, 1, 2)
 
 
 class TestWorkerCount:

@@ -298,6 +298,23 @@ def test_a_policy_that_quits_before_its_first_pull_is_named(config):
         run_policy(_Quits(), arms, config)
 
 
+class _PlansNothing(Policy):
+    name = "plans_nothing"
+
+    def plan(self, states, t):
+        return ()
+
+
+@pytest.mark.parametrize(
+    "config", [BanditConfig(trials=5), BanditConfig(budget=3.0)], ids=["trials", "budget"]
+)
+def test_an_empty_first_plan_ends_the_run_before_its_first_pull(config):
+    # A plan that makes no pull is the one way a policy ends a run.
+    arms = make_instance(InstanceSpec([CurveArmSpec(ARM, cost=1.0), CurveArmSpec(ARM, cost=2.0)]), 0)
+    with pytest.raises(ConfigurationError, match="^policy 'plans_nothing' ended the run before its first pull$"):
+        run_policy(_PlansNothing(), arms, config)
+
+
 def test_a_policy_that_quits_when_no_pull_fits_meets_the_budget_message():
     arms = make_instance(InstanceSpec([CurveArmSpec(ARM, cost=1.0)]), 0)
     with pytest.raises(ConfigurationError, match="^budget too small for a single pull$"):

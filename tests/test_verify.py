@@ -1,5 +1,6 @@
 """The verify suites' instance generators draw exactly what numpy's scalar
-``Generator.uniform`` would, from the same stream."""
+``Generator.uniform`` would, from the same stream, and the battery suites
+name a failing instance by its battery index."""
 
 import hashlib
 
@@ -9,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from risingbandits import verify
-from risingbandits.verify import _uniform
+from risingbandits.harness import RegretReport
+from risingbandits.verify import ConcaveCase, _uniform
 
 # The bounds each generator draws between.  Three depend on earlier draws
 # (initial + 0.15 .. 0.95, start + 0.3 .. 0.97, v1 + 0.002 .. v2 - 0.002):
@@ -98,3 +100,23 @@ def test_generators_make_the_recorded_instances(generator, seed, digest):
 def test_allocation_instance_is_the_recorded_one():
     digest = "f3582403991053ec09b64b8ef0ccdcd6e715e121d90b5395718146c889bc8316"
     assert _digest([repr(verify.allocation_instance())]) == digest
+
+
+def _case(condition_holds, regret, avg_policy_regret):
+    report = RegretReport(
+        horizon=10,
+        policies={},
+        regrets={"rising_bandit": regret},
+        corollary1_condition_holds=condition_holds,
+        avg_policy_regret=avg_policy_regret,
+    )
+    return ConcaveCase((1,), report)
+
+
+def test_corollary1_names_the_battery_index():
+    # Case 0 does not apply, so case 1 is the first applicable one: a suite
+    # that numbered applicable cases would call it instance 0.
+    battery = [_case(False, 0.5, 0.0), _case(True, 0.5, 0.1), _case(True, 0.0, 0.1)]
+    result = verify.suite_corollary1(battery)
+    assert result.total == 2
+    assert result.failures == ["instance 1: regret 0.5 exceeds round-robin regret 0.1"]
