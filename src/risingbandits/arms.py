@@ -134,9 +134,6 @@ def _check_cost(what: str, cost: float) -> None:
         raise ConfigurationError(f"{what} must be positive, got {cost}")
 
 
-# Each spec's ``check`` holds the only test of its fields. It builds nothing
-# and draws no randomness, so a configuration can be checked before any run;
-# ``build`` calls it too, for specs made in code.
 @dataclass(frozen=True)
 class CurveArmSpec:
     """Curve playback: exact at amplitude 0, noisy above it."""
@@ -145,11 +142,11 @@ class CurveArmSpec:
     cost: float = 1.0
     noise_amplitude: float = 0.0
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
+        _check_cost("per-pull cost", self.cost)
         # Finite too: a pull subtracts amplitude times a draw in [0, 1).
         if not (self.noise_amplitude >= 0.0 and math.isfinite(self.noise_amplitude)):
             raise ConfigurationError(f"noise amplitude must be finite and >= 0, got {self.noise_amplitude}")
-        _check_cost("per-pull cost", self.cost)
 
     @property
     def min_cost(self) -> float:
@@ -163,7 +160,6 @@ class CurveArmSpec:
 
     def build(self, rng: np.random.Generator | None) -> ArmProcess:
         """The arm process; ``rng`` is its stream, which only an arm that draws needs."""
-        self.check()
         if self.draws:
             return NoisyCurveArm(self.curve, self.noise_amplitude, rng, cost=self.cost)
         return CurveArm(self.curve, cost=self.cost)
@@ -176,7 +172,11 @@ class HpoArmSpec:
     strategy: str = "random"
     mean_cost: float = 1.0
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
+        try:
+            hpo.check_objective(self.objective, self.dimension)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
         if self.strategy not in hpo.SEARCH_STRATEGIES:
             raise ConfigurationError(
                 f"unknown search strategy {self.strategy!r}, expected one of {hpo.SEARCH_STRATEGIES}"
@@ -187,10 +187,6 @@ class HpoArmSpec:
                 f"mean cost {self.mean_cost} overflows: a pull may cost up to "
                 f"{HPO_COST_HIGH} times the mean cost, which must stay finite"
             )
-        try:
-            hpo.check_objective(self.objective, self.dimension)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
 
     @property
     def min_cost(self) -> float:
@@ -201,7 +197,6 @@ class HpoArmSpec:
     draws = True
 
     def build(self, rng: np.random.Generator) -> ArmProcess:
-        self.check()
         return HpoArm(self.objective, self.dimension, rng, self.strategy, self.mean_cost)
 
 
@@ -216,18 +211,12 @@ class InstanceSpec:
 
     def __init__(self, arms) -> None:
         object.__setattr__(self, "arms", tuple(arms))
+        if not self.arms:
+            raise ConfigurationError("an instance needs at least one arm")
 
     @property
     def k(self) -> int:
         return len(self.arms)
-
-    def check(self) -> None:
-        """Check every arm's fields, naming the first bad arm (1-based)."""
-        for idx, arm_spec in enumerate(self.arms, start=1):
-            try:
-                arm_spec.check()
-            except ValueError as exc:
-                raise ConfigurationError(f"arm {idx}: {exc}") from exc
 
     def curves(self) -> list[RewardCurve] | None:
         """Ground-truth curves, or None if any arm draws randomness, and so has no exact curve."""
@@ -243,8 +232,6 @@ def make_instance(spec: InstanceSpec, seed: int | np.random.SeedSequence = 0) ->
     so adding or reordering other arms never perturbs its randomness.  An
     arm that never draws (exact curve playback) gets no stream.
     """
-    if spec.k == 0:
-        raise ConfigurationError("an instance needs at least one arm")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     arms = []
     for idx, arm_spec in enumerate(spec.arms, start=1):

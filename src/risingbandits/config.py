@@ -166,14 +166,18 @@ def _parse_blocks(text: str) -> tuple[dict[str, str], list[dict[str, str]]]:
 
 def _read_fields(cls: type, block: dict[str, str], index: int, **given):
     """Build ``cls`` from the keys of ``block`` named after its fields, read in
-    field order so a bad block names its first bad field.  Only the keys the
-    block sets are passed on, so an omitted optional key takes the default."""
+    field order so a bad block names its first bad field; ``cls`` checks its
+    fields when made, also in field order.  Only the keys the block sets are
+    passed on, so an omitted optional key takes the default."""
     for key, parse, required in _ARM_FIELDS[cls]:
         if key in block:
             given[key] = parse(f"arm {index}.{key}", block.pop(key))
         elif required:
             raise ConfigurationError(f"arm {index}: missing field {key!r}")
-    return cls(**given)
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigurationError(f"arm {index}: {exc}") from exc
 
 
 def _build_arm(block: dict[str, str], index: int) -> ArmSpec:
@@ -184,14 +188,9 @@ def _build_arm(block: dict[str, str], index: int) -> ArmSpec:
     if kind not in ARM_KINDS:
         raise ConfigurationError(f"arm {index}: unknown kind {kind!r}")
     cls = ARM_KINDS[kind]
-    try:
-        spec = _read_fields(cls, block, index)
-        if cls is not HpoArmSpec:
-            spec = _read_fields(CurveArmSpec, block, index, curve=spec)
-    except ConfigurationError:
-        raise
-    except ValueError as exc:
-        raise ConfigurationError(f"arm {index}: {exc}") from exc
+    spec = _read_fields(cls, block, index)
+    if cls is not HpoArmSpec:
+        spec = _read_fields(CurveArmSpec, block, index, curve=spec)
     if block:
         raise ConfigurationError(f"arm {index}: unknown fields {sorted(block)}")
     return spec
@@ -260,7 +259,6 @@ def parse_experiment(text: str) -> ExperimentConfig:
             policy_params[key] = float(_parse_scalar(key, global_block[key], float))
 
     instance = InstanceSpec([_build_arm(block, i) for i, block in enumerate(arm_blocks, start=1)])
-    instance.check()  # reject bad arm parameters before any output exists
     _check_horizon(bandit, instance)
     config = ExperimentConfig(
         instance=instance,

@@ -290,6 +290,45 @@ class TestParseErrors:
     def test_bad_arm_parameters_name_the_arm(self, old, new, arm, message):
         self._bad(GOOD.replace(old, new), f"arm {arm}: .*{message}")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                GOOD.replace("cost = 2.0", "cost = -1").replace("noise_amplitude = 0.05", "noise_amplitude = -1"),
+                "arm 2: per-pull cost",
+            ),
+            (
+                GOOD.replace("objective = sphere", "objective = cubic").replace(
+                    "strategy = density_estimator", "strategy = grid"
+                ),
+                "arm 3: unknown objective",
+            ),
+            (
+                "horizon_trials = 5\n[arm]\nkind = tabulated\nvalues = 0.5\ncost = -1\n"
+                "[arm]\nkind = exponential\nlimit = 0.5\ninitial = 0.9\ndecay = 0.5\n",
+                "arm 1: per-pull cost",
+            ),
+            (
+                "horizon_trials = 5\n[arm]\nkind = tabulated\nvalues = 0.5\ncost = -1\n"
+                "[arm]\nkind = tabulated\nvalues = 0.5\nbogus = 1\n",
+                "arm 1: per-pull cost",
+            ),
+            (
+                "horizon_trials = 5\n[arm]\nkind = tabulated\nvalues = 0.5\ncost = -1\nbogus = 1\n",
+                "arm 1: per-pull cost",
+            ),
+        ],
+        ids=[
+            "cost_before_noise",
+            "objective_before_strategy",
+            "arm_before_later_curve",
+            "arm_before_later_key",
+            "field_before_unknown_key",
+        ],
+    )
+    def test_first_bad_key_in_the_file_is_named(self, text, message):
+        self._bad(text, f"^{message}")
+
     def test_arm_checks_build_no_arm(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("parse_experiment built an arm process")
