@@ -9,6 +9,7 @@ and a toy hyperparameter-tuning process.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +93,9 @@ class NoisyCurveArm(CurveArm):
 class HpoArm(ArmProcess):
     """Toy tuning process: reward is the normalized best loss so far.
 
-    Reward after n trials is 1 - (best_loss - global_min) / (first_loss -
-    global_min), clamped to [0, 1]; all objectives here have global_min 0.
+    A trial's raw reward is 1 - loss / first_loss (every objective here has
+    its minimum at 0).  It never rises with the loss, so the best so far that
+    ``pull`` keeps is 1 - best_loss / first_loss, clamped to [0, 1].
     Per-pull cost is mean_cost scaled by U(0.8, 1.2), drawn one pull ahead
     from a stream of its own so that ``peek_cost`` is exact.
     """
@@ -109,7 +111,6 @@ class HpoArm(ArmProcess):
         self.objective = hpo.make_objective(objective, dimension, rng)
         self._state = hpo.SearchState()
         self._first_loss: float | None = None
-        self._best_loss = float("inf")
 
     def _draw_cost(self) -> float:
         # rng.uniform(low, high) returns low + (high - low) * rng.random(),
@@ -123,15 +124,24 @@ class HpoArm(ArmProcess):
         self._state.add(point, loss)
         if self._first_loss is None:
             self._first_loss = loss
-        self._best_loss = min(self._best_loss, loss)
         if self._first_loss <= 0.0:
             return 1.0
-        return 1.0 - self._best_loss / self._first_loss
+        return 1.0 - loss / self._first_loss
 
 
-def _check_cost(what: str, cost: float) -> None:
-    if cost <= 0.0:
-        raise ConfigurationError(f"{what} must be positive, got {cost}")
+def check_positive(what: str, value: float) -> None:
+    """Refuse a value that is not positive and finite; NaN fails the comparison too."""
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{what} must be positive and finite, got {value}")
+
+
+def is_integer(value: object) -> bool:
+    """Whether ``operator.index`` accepts ``value``: an int or a numpy integer, not 2.5, NaN or 3.0."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -143,7 +153,7 @@ class CurveArmSpec:
     noise_amplitude: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_cost("per-pull cost", self.cost)
+        check_positive("per-pull cost", self.cost)
         # Finite too: a pull subtracts amplitude times a draw in [0, 1).
         if not (self.noise_amplitude >= 0.0 and math.isfinite(self.noise_amplitude)):
             raise ConfigurationError(f"noise amplitude must be finite and >= 0, got {self.noise_amplitude}")
@@ -173,15 +183,17 @@ class HpoArmSpec:
     mean_cost: float = 1.0
 
     def __post_init__(self) -> None:
-        try:
-            hpo.check_objective(self.objective, self.dimension)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
+        if self.objective not in hpo.OBJECTIVE_NAMES:
+            raise ConfigurationError(
+                f"unknown objective {self.objective!r}, expected one of {hpo.OBJECTIVE_NAMES}"
+            )
+        if not (is_integer(self.dimension) and 2 <= self.dimension <= 5):
+            raise ConfigurationError(f"objective dimension must be in [2, 5], got {self.dimension}")
         if self.strategy not in hpo.SEARCH_STRATEGIES:
             raise ConfigurationError(
                 f"unknown search strategy {self.strategy!r}, expected one of {hpo.SEARCH_STRATEGIES}"
             )
-        _check_cost("mean cost", self.mean_cost)
+        check_positive("mean cost", self.mean_cost)
         if not math.isfinite(HPO_COST_HIGH * self.mean_cost):
             raise ConfigurationError(
                 f"mean cost {self.mean_cost} overflows: a pull may cost up to "
@@ -239,8 +251,5 @@ def make_instance(spec: InstanceSpec, seed: int | np.random.SeedSequence = 0) ->
         if arm_spec.draws:
             stream = np.random.SeedSequence(entropy=base.entropy, spawn_key=base.spawn_key + (idx,))
             rng = np.random.Generator(np.random.PCG64(stream))
-        try:
-            arms.append(arm_spec.build(rng))
-        except (ValueError, TypeError) as exc:
-            raise ConfigurationError(f"arm {idx}: {exc}") from exc
+        arms.append(arm_spec.build(rng))
     return arms

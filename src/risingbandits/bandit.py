@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arms import ArmProcess, ConfigurationError
+from .arms import ArmProcess, ConfigurationError, check_positive, is_integer
 
 DEFAULT_EPSILON = 1e-12
 # A budget admits a pull while spend + cost <= budget + epsilon, so a large
@@ -71,14 +71,14 @@ class BanditConfig:
     def __post_init__(self) -> None:
         if (self.trials is None) == (self.budget is None):
             raise ConfigurationError("exactly one of trials or budget must be set")
-        if self.trials is not None and self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
-        if self.budget is not None and self.budget <= 0.0:
-            raise ConfigurationError(f"budget must be positive, got {self.budget}")
+        if self.trials is not None and not (is_integer(self.trials) and self.trials >= 1):
+            raise ConfigurationError(f"trials must be an integer >= 1, got {self.trials}")
+        if self.budget is not None:
+            check_positive("budget", self.budget)
         if self.growth not in GROWTH_MODES:
             raise ConfigurationError(f"growth mode must be one of {GROWTH_MODES}, got {self.growth!r}")
-        if self.smooth_window < 1:
-            raise ConfigurationError(f"smooth window must be >= 1, got {self.smooth_window}")
+        if not (is_integer(self.smooth_window) and self.smooth_window >= 1):
+            raise ConfigurationError(f"smooth window must be an integer >= 1, got {self.smooth_window}")
         if not 0.0 <= self.epsilon <= MAX_EPSILON:
             raise ConfigurationError(f"epsilon must lie in [0, {MAX_EPSILON}], got {self.epsilon}")
 
@@ -260,8 +260,8 @@ class RisingBanditPolicy(Policy):
     Each plan is a round: the candidates in id order, of which the engine
     skips those whose next pull does not fit.  Every plan after the first
     begins with a sweep.  The engine asks for a plan only after a round that
-    pulled, and only while a pull fits: with no pulls left a sweep could only
-    drop arms that tie at equality.
+    pulled.  A trials run asks for none after its last pull, but a budget run
+    does, so its last sweep may drop arms when no pull is left to make.
 
     Once one candidate is left the set is settled: a sweep would keep it, so
     none runs, and the bounds only a sweep reads are no longer updated.  In a

@@ -88,24 +88,14 @@ class ExperimentConfig:
     policy_names: list[str]
     replications: int = 1
     base_seed: int = 0
-    policy_params: dict[str, float] = field(default_factory=dict)
+    policy_params: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def build_policies(self) -> list[Policy]:
         return [self.build_policy(name) for name in self.policy_names]
 
     def build_policy(self, name: str) -> Policy:
         """The named policy, with the parameters this experiment sets for it."""
-        keys = [
-            key
-            for key, (policy, _) in POLICY_PARAMS.items()
-            if policy == name and key in self.policy_params
-        ]
-        params = {POLICY_PARAMS[key][1]: self.policy_params[key] for key in keys}
-        try:
-            return make_policy(name, **params)
-        except ValueError as exc:
-            given = "".join(f", {key} = {self.policy_params[key]}" for key in keys)
-            raise ConfigurationError(f"policy {name!r}{given}: {exc}") from exc
+        return make_policy(name, **self.policy_params.get(name, {}))
 
 
 def _parse_scalar(key: str, raw: str, kind: type) -> float | int | str:
@@ -200,7 +190,8 @@ def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:
     """Reject a horizon that lets one run make more pulls of an arm than its
     cap: MAX_DENSITY_PULLS_PER_RUN for a density_estimator search, else
     MAX_PULLS_PER_RUN.  The cheapest arm's figure is the run's largest, so
-    the caps also bound a run's pulls of all arms together."""
+    the caps also bound a run's pulls of all arms together.  Reject as well a
+    budget that no arm's cheapest pull fits, as the first run would."""
     field_name = "horizon_trials" if bandit.trials else "horizon_budget"
     for index, spec in enumerate(instance.arms, start=1):
         # A pull fits while spend + cost <= budget + epsilon, so the epsilon buys pulls too.
@@ -212,6 +203,8 @@ def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:
                 f"field {field_name!r}: lets arm {index}{', a density_estimator search,' if density else ''} "
                 f"make {pulls:.10g} pulls in one run, above its cap of {cap} pulls"
             )
+    if bandit.budget is not None and bandit.budget + bandit.epsilon < min(s.min_cost for s in instance.arms):
+        raise ConfigurationError("field 'horizon_budget': budget too small for a single pull of any arm")
 
 
 def parse_experiment(text: str) -> ExperimentConfig:
@@ -253,14 +246,22 @@ def parse_experiment(text: str) -> ExperimentConfig:
         )
     base_seed = int(_parse_scalar("base_seed", global_block.get("base_seed", "0"), int))
 
-    policy_params = {}
-    for key in POLICY_PARAMS:
+    policy_params: dict[str, dict[str, float]] = {}
+    for key, (policy, keyword) in POLICY_PARAMS.items():
         if key in global_block:
-            policy_params[key] = float(_parse_scalar(key, global_block[key], float))
+            policy_params.setdefault(policy, {})[keyword] = float(_parse_scalar(key, global_block[key], float))
 
     instance = InstanceSpec([_build_arm(block, i) for i, block in enumerate(arm_blocks, start=1)])
     _check_horizon(bandit, instance)
-    config = ExperimentConfig(
+    for name in policy_names:  # built once here, so a bad parameter fails before any run starts
+        params = policy_params.get(name, {})
+        try:
+            make_policy(name, **params)
+        except ValueError as exc:
+            keys = {kw: key for key, (policy, kw) in POLICY_PARAMS.items() if policy == name}
+            given = "".join(f", {keys[kw]} = {value}" for kw, value in params.items())
+            raise ConfigurationError(f"policy {name!r}{given}: {exc}") from exc
+    return ExperimentConfig(
         instance=instance,
         bandit=bandit,
         policy_names=policy_names,
@@ -268,8 +269,6 @@ def parse_experiment(text: str) -> ExperimentConfig:
         base_seed=base_seed,
         policy_params=policy_params,
     )
-    config.build_policies()  # reject bad policy parameters before any run starts
-    return config
 
 
 def load_experiment(path: str) -> ExperimentConfig:

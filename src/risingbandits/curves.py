@@ -62,12 +62,12 @@ class PowerCurve(RewardCurve):
     exponent: float
 
     def __post_init__(self) -> None:
-        if self.scale <= 0.0 or self.exponent <= 0.0:
+        if not (self.scale > 0.0 and self.exponent > 0.0):
             raise ValueError(
                 f"power curve needs scale > 0 and exponent > 0, "
                 f"got scale={self.scale}, exponent={self.exponent}"
             )
-        if self.limit - self.scale < 0.0 or self.limit > 1.0:
+        if not (self.limit - self.scale >= 0.0 and self.limit <= 1.0):
             raise ValueError(
                 f"power curve needs 0 <= limit - scale and limit <= 1, "
                 f"got limit={self.limit}, scale={self.scale}"
@@ -126,7 +126,7 @@ class StaircaseCurve(RewardCurve):
                 f"staircase curve needs 0 <= initial <= limit <= 1, "
                 f"got initial={self.initial}, limit={self.limit}"
             )
-        if self.plateau_length < 1:
+        if not self.plateau_length >= 1:
             raise ValueError(f"plateau_length must be >= 1, got {self.plateau_length}")
         if not (0.0 < self.jump_fraction <= 1.0):
             raise ValueError(f"jump_fraction must lie in (0, 1], got {self.jump_fraction}")

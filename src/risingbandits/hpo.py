@@ -40,22 +40,12 @@ class ToyObjective:
             return float(
                 np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
             )
-        if self.name == "quadratic":
-            d = x - self._optimum
-            return float(d @ self._matrix @ d)
-        raise ValueError(f"unknown objective {self.name!r}")
-
-
-def check_objective(name: str, dimension: int) -> None:
-    """Reject an unknown objective name or a dimension outside [2, 5]."""
-    if name not in OBJECTIVE_NAMES:
-        raise ValueError(f"unknown objective {name!r}, expected one of {OBJECTIVE_NAMES}")
-    if not (2 <= dimension <= 5):
-        raise ValueError(f"objective dimension must be in [2, 5], got {dimension}")
+        d = x - self._optimum  # quadratic, the only name left
+        return float(d @ self._matrix @ d)
 
 
 def make_objective(name: str, dimension: int, rng: np.random.Generator) -> ToyObjective:
-    check_objective(name, dimension)
+    """The objective ``name`` in ``dimension``, as an ``HpoArmSpec`` checks them."""
     if name == "sphere":
         obj = ToyObjective(name, dimension, halfwidth=5.0)
         obj._optimum = rng.uniform(-2.0, 2.0, size=dimension)
@@ -108,14 +98,12 @@ def propose(
     strategy: str,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Pick the next trial point according to the configured strategy."""
+    """Pick the next trial point by ``strategy``, one of SEARCH_STRATEGIES."""
     hw = objective.halfwidth
     dim = objective.dimension
     n = len(state._sorted_losses)
     if strategy == "random" or n < _WARMUP_TRIALS:
         return rng.uniform(-hw, hw, size=dim)
-    if strategy != "density_estimator":
-        raise ValueError(f"unknown search strategy {strategy!r}")
 
     # Split trials at the median loss, model the good half with an
     # axis-aligned Gaussian kernel density, and keep the candidate with the

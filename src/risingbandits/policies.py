@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arms import check_positive
 from .bandit import ArmState, BanditConfig, Horizon, Policy, RisingBanditPolicy
 
 
@@ -39,8 +40,7 @@ class UCBPolicy(Policy):
     name = "ucb"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.exploration_coefficient < math.inf:
-            raise ValueError("exploration coefficient must be positive and finite")
+        check_positive("exploration coefficient", self.exploration_coefficient)
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
@@ -108,8 +108,8 @@ class ThompsonPolicy(Policy):
     name = "thompson"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.prior_alpha < math.inf and 0.0 < self.prior_beta < math.inf):
-            raise ValueError("Beta prior parameters must be positive and finite")
+        check_positive("Beta prior alpha", self.prior_alpha)
+        check_positive("Beta prior beta", self.prior_beta)
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)

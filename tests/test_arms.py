@@ -43,6 +43,11 @@ class TestCurveArm:
         with pytest.raises(ConfigurationError, match="per-pull cost must be positive"):
             CurveArmSpec(CURVE, cost=0.0)
 
+    @pytest.mark.parametrize("cost", [math.nan, math.inf])
+    def test_rejects_non_finite_cost(self, cost):
+        with pytest.raises(ConfigurationError, match="per-pull cost must be positive and finite"):
+            CurveArmSpec(CURVE, cost=cost)
+
 
 class _Playback:
     """A duck-typed curve that plays back raw values, out-of-range ones too."""
@@ -249,6 +254,12 @@ class TestHpoArm:
         with pytest.raises(ConfigurationError, match="mean cost must be positive"):
             HpoArmSpec(objective="sphere", dimension=2, mean_cost=0.0)
 
+    @pytest.mark.parametrize("mean_cost", [math.nan, math.inf])
+    def test_rejects_non_finite_mean_cost_as_such(self, mean_cost):
+        # Checked before the overflow test, which would misname a NaN.
+        with pytest.raises(ConfigurationError, match="^mean cost must be positive and finite"):
+            HpoArmSpec(mean_cost=mean_cost)
+
     def test_largest_mean_cost_draws_finite_costs(self):
         # 1.6e308 is rejected (tests/test_config.py): 1.2 times it overflows.
         arm = HpoArmSpec(objective="sphere", dimension=2, mean_cost=1.4e308).build(_rng(3))
@@ -296,10 +307,13 @@ class TestMakeInstance:
         assert [alone.pull() for _ in range(8)] == [crowded[1].pull() for _ in range(8)]
 
     def test_wraps_build_errors_with_arm_index(self):
-        # A fractional dimension passes every field check and fails only in numpy.
-        spec = InstanceSpec([HpoArmSpec(dimension=2.5)])
-        with pytest.raises(ConfigurationError, match="^arm 1: "):
-            make_instance(spec, 0)
+        # A dimension that is not an integer is refused when the spec is made,
+        # so every spec that is made also builds and no build error is wrapped.
+        for dimension in (2.5, 3.0):
+            message = rf"^objective dimension must be in \[2, 5\], got {dimension}$"
+            with pytest.raises(ConfigurationError, match=message):
+                HpoArmSpec(dimension=dimension)
+        make_instance(InstanceSpec([HpoArmSpec(dimension=np.int64(3))]), 0)
 
     @pytest.mark.parametrize(
         "kinds, keys",

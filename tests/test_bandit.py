@@ -1,3 +1,4 @@
+import math
 from collections import deque
 
 import numpy as np
@@ -56,6 +57,31 @@ class TestBanditConfig:
             BanditConfig(trials=5, smooth_window=0)
         with pytest.raises(ConfigurationError):
             BanditConfig(trials=5, epsilon=-1e-9)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"budget": math.inf}, "budget must be positive and finite"),
+            ({"budget": math.nan}, "budget must be positive and finite"),
+            ({"trials": math.inf}, "trials must be an integer >= 1"),
+            ({"trials": math.nan}, "trials must be an integer >= 1"),
+            ({"trials": 2.5}, "trials must be an integer >= 1"),
+            ({"trials": 5, "smooth_window": 2.5}, "smooth window must be an integer >= 1"),
+        ],
+        ids=["budget_inf", "budget_nan", "trials_inf", "trials_nan", "trials_fraction", "smooth_window_fraction"],
+    )
+    def test_rejects_numbers_made_in_code(self, fields, message):
+        # A configuration file cannot give these: it refuses non-finite
+        # numbers and parses counts as integers.
+        with pytest.raises(ConfigurationError, match=message):
+            BanditConfig(**fields)
+
+    def test_counts_are_what_operator_index_accepts(self):
+        # numpy integers are counts; 3.0 is not, though it equals one.
+        config = BanditConfig(trials=np.int64(5), smooth_window=np.int32(3))
+        assert (config.trials, config.smooth_window) == (5, 3)
+        with pytest.raises(ConfigurationError, match="trials must be an integer >= 1, got 3.0"):
+            BanditConfig(trials=3.0)
 
     def test_epsilon_capped(self):
         # A budget admits a pull while spend + cost <= budget + epsilon.

@@ -716,6 +716,17 @@ class TestErrorBoundary:
         err = self._one_line_error(["run", str(path), "--output", str(tmp_path / "out")], capsys)
         assert "budget too small" in err
 
+    def test_budget_below_every_cost_leaves_no_output_directory(self, tmp_path, capsys):
+        path = tmp_path / "tiny.cfg"
+        path.write_text(
+            "horizon_budget = 0.5\npolicies = rising_bandit\n"
+            "[arm]\nkind = exponential\nlimit = 0.9\ninitial = 0.5\ndecay = 0.5\n"
+        )
+        out = tmp_path / "out"
+        err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
+        assert "field 'horizon_budget': budget too small for a single pull" in err
+        assert not out.exists()
+
     def test_non_integer_seed_env(self, config_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RB_SEED", "abc")
         err = self._one_line_error(["run", config_path, "--output", str(tmp_path / "out")], capsys)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -271,6 +272,25 @@ class TestParseErrors:
     )
     def test_epsilon_counts_toward_the_budget_cap(self, settings, cost):
         self._bad(f"{settings}[arm]\nkind = tabulated\nvalues = 0.5\ncost = {cost}\n", "'horizon_budget'")
+
+    @pytest.mark.parametrize(
+        "arm, cheapest",
+        [
+            ("kind = tabulated\nvalues = 0.5\ncost = 0.3", 0.3),
+            # An hpo pull costs at least 0.8 times its mean cost.
+            ("kind = hpo\nmean_cost = 0.7", 0.8 * 0.7),
+        ],
+        ids=["curve", "hpo"],
+    )
+    def test_budget_that_no_pull_fits_is_refused(self, arm, cheapest):
+        # Refused exactly where the engine's first check, 0.0 + cost <= budget
+        # + epsilon, would fail, but before the output directory exists.
+        text = "horizon_budget = {}\nepsilon = 0\npolicies = average, rising_bandit\n[arm]\n" + arm + "\n"
+        assert parse_experiment(text.format(cheapest)).bandit.budget == cheapest
+        self._bad(
+            text.format(math.nextafter(cheapest, 0.0)),
+            "^field 'horizon_budget': budget too small for a single pull",
+        )
 
     def test_subnormal_cost_cannot_stretch_a_budget(self):
         self._bad("horizon_budget = 1\n[arm]\nkind = tabulated\nvalues = 0.5\ncost = 1e-320\n", "'horizon_budget'")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +69,13 @@ class TestPowerCurve:
         with pytest.raises(ValueError):
             PowerCurve(limit=1.2, scale=0.4, exponent=1.0)
 
+    @pytest.mark.parametrize(
+        "limit, scale, exponent", [(0.9, math.nan, 1.0), (0.9, 0.5, math.nan), (math.nan, 0.5, 1.0)]
+    )
+    def test_rejects_nan_parameters(self, limit, scale, exponent):
+        with pytest.raises(ValueError, match="power curve needs"):
+            PowerCurve(limit=limit, scale=scale, exponent=exponent)
+
     @settings(max_examples=50, deadline=None)
     @given(
         limit=st.floats(0.2, 1.0),
@@ -125,6 +134,10 @@ class TestStaircaseCurve:
             StaircaseCurve(initial=0.5, limit=0.9, plateau_length=3, jump_fraction=0.0)
         with pytest.raises(ValueError):
             StaircaseCurve(initial=0.5, limit=0.9, plateau_length=3, jump_fraction=1.5)
+
+    def test_rejects_nan_plateau_length(self):
+        with pytest.raises(ValueError, match="plateau_length"):
+            StaircaseCurve(initial=0.5, limit=0.9, plateau_length=math.nan, jump_fraction=0.5)
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,12 @@ class TestCorollary1Check:
         want = offline_max_run([ARM1, ARM2], 10)[1] - max(ARM1.eval(5), ARM2.eval(5))
         assert avg_regret == pytest.approx(want, abs=1e-12)
 
+    def test_round_robin_short_of_the_arms_reaches_only_the_first_t(self):
+        # T = 2 < K = 3: round-robin pulls arms 1 and 2 once each, never arm 3.
+        curves = [TabulatedCurve([0.1, 0.2]), TabulatedCurve([0.2, 0.3]), TabulatedCurve([0.5, 0.6])]
+        _, avg_regret = corollary1_check(curves, 2, gamma=1)
+        assert avg_regret == pytest.approx(0.6 - 0.2, abs=1e-12)
+
 
 class TestLeastConcaveMajorant:
     def test_dominates_observations(self):
@@ -174,6 +180,12 @@ class TestTheorem2ConditionCheck:
         observed = [0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.6, 0.6, 0.6]
         hull = least_concave_majorant(observed)
         assert not theorem2_condition_check(hull, observed, window=3)
+
+    def test_bias_ratio_above_its_bound_violates(self):
+        # Every bias is 0.1, so each ratio is 1, above (T - t) / (T - t + C) < 1.
+        assert not theorem2_condition_check([0.6, 0.7, 0.8, 0.9], [0.5, 0.6, 0.7, 0.8], window=1)
+        # Biases 0.1, 0.01, 0.001, 0: ratios 0.1, 0.1 and 0 stay within 2/3, 1/2 and 0.
+        assert theorem2_condition_check([0.6, 0.51, 0.501, 0.5], [0.5] * 4, window=1)
 
     def test_rejects_observation_above_majorant(self):
         with pytest.raises(ValueError):
@@ -459,6 +471,13 @@ class TestBuildReport:
         assert report.to_dict()["gamma_per_arm"] == [0, 2]
         assert report.gamma_per_arm == compute_gamma(instance.curves(), 6, 1e-7).per_arm
         assert report.regrets["rising_bandit"] == 0.0
+
+    def test_unseparated_arm_gets_a_note(self):
+        # Identical curves never separate (see TestComputeGamma::test_unseparated_arm_flagged).
+        instance = InstanceSpec([CurveArmSpec(ARM1), CurveArmSpec(ARM1)])
+        report = build_report(instance, BanditConfig(trials=10), self._results())
+        assert report.gamma_per_arm == (0, 10)
+        assert any("arms [2] not separated within the horizon" in note for note in report.interpretation_notes)
 
     def test_budget_mode_skips_oracle_with_note(self):
         instance = InstanceSpec([CurveArmSpec(ARM1)])
