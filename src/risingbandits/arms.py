@@ -9,13 +9,12 @@ and a toy hyperparameter-tuning process.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hpo
-from .curves import RewardCurve
+from .curves import RewardCurve, is_integer
 
 
 class ConfigurationError(ValueError):
@@ -133,15 +132,6 @@ def check_positive(what: str, value: float) -> None:
     """Refuse a value that is not positive and finite; NaN fails the comparison too."""
     if not 0.0 < value < math.inf:
         raise ConfigurationError(f"{what} must be positive and finite, got {value}")
-
-
-def is_integer(value: object) -> bool:
-    """Whether ``operator.index`` accepts ``value``: an int or a numpy integer, not 2.5, NaN or 3.0."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,6 @@ import numpy as np
 from .arms import ArmProcess, ConfigurationError, check_positive, is_integer
 
 DEFAULT_EPSILON = 1e-12
-# A budget admits a pull while spend + cost <= budget + epsilon, so a large
-# epsilon would let a run overspend, or never end.
-MAX_EPSILON = 1e-6
 DEFAULT_SMOOTH_WINDOW = 7
 
 GROWTH_MODES = ("last", "smooth")
@@ -42,7 +39,7 @@ class InsufficientHistoryError(ValueError):
 @dataclass(slots=True)
 class ArmState:
     """Per-arm bookkeeping maintained by a run; ``history`` is the last
-    ``smooth_window + 1`` rewards, oldest first, all that ``growth_rate`` reads."""
+    ``window + 1`` rewards, oldest first, all that ``growth_rate`` reads."""
 
     arm_id: int
     pulls: int = 0
@@ -66,7 +63,6 @@ class BanditConfig:
     budget: float | None = None
     growth: str = "last"
     smooth_window: int = DEFAULT_SMOOTH_WINDOW
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
         if (self.trials is None) == (self.budget is None):
@@ -79,8 +75,12 @@ class BanditConfig:
             raise ConfigurationError(f"growth mode must be one of {GROWTH_MODES}, got {self.growth!r}")
         if not (is_integer(self.smooth_window) and self.smooth_window >= 1):
             raise ConfigurationError(f"smooth window must be an integer >= 1, got {self.smooth_window}")
-        if not 0.0 <= self.epsilon <= MAX_EPSILON:
-            raise ConfigurationError(f"epsilon must lie in [0, {MAX_EPSILON}], got {self.epsilon}")
+
+    @property
+    def window(self) -> int:
+        """The increments the growth rate averages: ``smooth_window`` under
+        ``smooth`` growth; under ``last``, the most recent one alone."""
+        return self.smooth_window if self.growth == "smooth" else 1
 
 
 class StepRecord(NamedTuple):
@@ -124,23 +124,17 @@ class PolicyTrace:
     candidates: tuple[int, ...]
 
 
-def growth_rate(history: Sequence[float], mode: str = "last", window: int = DEFAULT_SMOOTH_WINDOW) -> float:
-    """Growth rate of an observed reward sequence.
-
-    ``last`` is the most recent increment; ``smooth`` averages the last
-    ``window`` increments, falling back to the mean increment over the whole
-    history while fewer than ``window`` increments exist.
+def growth_rate(history: Sequence[float], window: int) -> float:
+    """Growth rate of an observed reward sequence: the mean of the last
+    ``window`` increments, or of every increment while there are fewer.  A
+    window of 1 gives the most recent increment exactly, as ``x / 1 == x``.
     """
     n = len(history)
     if n < 2:
         raise InsufficientHistoryError(f"growth rate needs >= 2 observations, got {n}")
-    if mode == "last":
-        return history[-1] - history[-2]
-    if mode == "smooth":
-        if n > window:
-            return (history[-1] - history[-1 - window]) / window
-        return (history[-1] - history[0]) / (n - 1)
-    raise ValueError(f"growth mode must be one of {GROWTH_MODES}, got {mode!r}")
+    if n > window:
+        return (history[-1] - history[-1 - window]) / window
+    return (history[-1] - history[0]) / (n - 1)
 
 
 def upper_bound(last: float, omega: float, pulls_left: float) -> float:
@@ -184,20 +178,19 @@ class Horizon:
 
     The only place where the two modes differ: whether the next pull fits,
     and how many pulls are left for an arm's upper bound.  A pull fits a
-    budget within ``epsilon``, so float rounding in the running spend cannot
-    refuse a pull that fits exactly.
+    budget within ``DEFAULT_EPSILON``, so float rounding in the running spend
+    cannot refuse a pull that fits exactly.
 
     ``priced`` says whether the arm matters to a fit.  In a trials run it
     does not: the next pull of any arm fits exactly when ``fits()`` does, so
     a caller that has just checked ``fits()`` need not check an arm.
     """
 
-    __slots__ = ("trials", "budget", "epsilon", "priced", "arms", "t", "spent")
+    __slots__ = ("trials", "budget", "priced", "arms", "t", "spent")
 
     def __init__(self, config: BanditConfig, arms: list[ArmProcess]) -> None:
         self.trials = config.trials
         self.budget = config.budget
-        self.epsilon = config.epsilon
         self.priced = config.budget is not None
         self.arms = arms
         self.t = 0
@@ -207,7 +200,7 @@ class Horizon:
         """Whether one more pull, of ``arm_id`` when given, stays within the horizon."""
         if self.trials is not None:
             return self.t < self.trials
-        return arm_id is None or self.spent + self.arms[arm_id - 1].peek_cost() <= self.budget + self.epsilon
+        return arm_id is None or self.spent + self.arms[arm_id - 1].peek_cost() <= self.budget + DEFAULT_EPSILON
 
     def upper(self, state: ArmState, omega: float) -> float:
         """Upper bound of ``state``, growing at ``omega`` per pull, over the
@@ -216,7 +209,7 @@ class Horizon:
         if self.trials is not None:
             pulls_left = self.trials - self.t
         else:
-            # The spend may pass the budget by up to epsilon: no pulls left.
+            # The spend may pass the budget by up to DEFAULT_EPSILON: no pulls left.
             pulls_left = max(self.budget - self.spent, 0.0) / (state.total_cost / state.pulls)
         return upper_bound(state.history[-1], omega, pulls_left)
 
@@ -276,15 +269,14 @@ class RisingBanditPolicy(Policy):
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
         self._upper = horizon.upper
-        self._epsilon = config.epsilon
-        self._growth, self._window = config.growth, config.smooth_window
+        self._window = config.window
         # A budget run's settled arm is planned once at a time: the engine
         # skips a pull that does not fit, so a repeat of it would never end.
         self._repeats = not horizon.priced
 
     def plan(self, states: list[ArmState], t: int) -> Iterable[int]:
         if t > 1 and len(self.candidates) > 1:
-            self.candidates = eliminate(self.candidates, states, self._epsilon)
+            self.candidates = eliminate(self.candidates, states)
         candidates = self.candidates
         if len(candidates) == 1 and self._repeats:
             return repeat(candidates[0])
@@ -296,7 +288,7 @@ class RisingBanditPolicy(Policy):
         # keeps its initial 1.0, the only sound bound.
         if len(self.candidates) == 1 or state.pulls < 2:
             return
-        state.upper = self._upper(state, growth_rate(state.history, self._growth, self._window))
+        state.upper = self._upper(state, growth_rate(state.history, self._window))
 
 
 def run_policy(
@@ -314,9 +306,9 @@ def run_policy(
     k = len(arms)
     if k == 0:
         raise ConfigurationError("an instance needs at least one arm")
-    # growth_rate reads at most the last smooth_window + 1 rewards; no deque
-    # can hold sys.maxsize, so the clamp changes nothing.
-    keep = min(config.smooth_window + 1, sys.maxsize)
+    # growth_rate reads at most the last window + 1 rewards; no deque can
+    # hold sys.maxsize, so the clamp changes nothing.
+    keep = min(config.window + 1, sys.maxsize)
     states = [ArmState(arm_id=i, history=deque(maxlen=keep)) for i in range(1, k + 1)]
     horizon = Horizon(config, arms)
     policy.start(states, config, horizon)

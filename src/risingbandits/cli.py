@@ -27,7 +27,7 @@ from functools import partial
 
 from . import __version__
 from .arms import ConfigurationError
-from .bandit import PolicyTrace, StepRecord, StepSink, list_sink
+from .bandit import DEFAULT_EPSILON, PolicyTrace, StepRecord, StepSink, list_sink
 from .config import ExperimentConfig, parse_experiment
 from .harness import PolicyResult, build_report, simulate
 
@@ -163,12 +163,6 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
     with open(config_path, "r", encoding="utf-8-sig") as handle:
         config_text = handle.read()
     config = parse_experiment(config_text)
-    if seed is None and "RB_SEED" in os.environ:
-        raw = os.environ["RB_SEED"]
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ConfigurationError(f"RB_SEED must be an integer, got {raw!r}") from None
     if seed is not None:
         config.base_seed = seed
     if config.base_seed < 0:
@@ -216,7 +210,7 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
     # Sanity gate: no policy may beat the analytic oracle beyond tolerance.
     if report.j_oracle is not None:
         for name, res in report.policies.items():
-            if res.j_mean > report.j_oracle + config.bandit.epsilon:
+            if res.j_mean > report.j_oracle + DEFAULT_EPSILON:
                 print(
                     f"invariant violation: policy {name!r} mean value {res.j_mean} "
                     f"exceeds the oracle {report.j_oracle}",

@@ -8,8 +8,8 @@ Grammar (diff-friendly, one assignment per line):
     key = value            belong to that arm until the next [arm]
 
 Global keys: horizon_trials | horizon_budget, growth, smooth_window,
-epsilon, policies (comma list), replications, base_seed, and optional
-policy parameters (ucb_coefficient, softmax_temperature, thompson_alpha,
+policies (comma list), replications, base_seed, and optional policy
+parameters (ucb_coefficient, softmax_temperature, thompson_alpha,
 thompson_beta).
 
 Arm keys: kind (exponential | power | tabulated | staircase | hpo, the keys
@@ -31,7 +31,7 @@ from .arms import (
     HpoArmSpec,
     InstanceSpec,
 )
-from .bandit import BanditConfig
+from .bandit import DEFAULT_EPSILON, BanditConfig
 from .curves import ExponentialCurve, PowerCurve, StaircaseCurve, TabulatedCurve
 from .policies import POLICY_NAMES, Policy, make_policy
 
@@ -57,7 +57,6 @@ BANDIT_FIELDS = {
     "horizon_budget": ("budget", float),
     "growth": ("growth", str),
     "smooth_window": ("smooth_window", int),
-    "epsilon": ("epsilon", float),
 }
 
 # Optional global key -> (policy, keyword argument of that policy).
@@ -194,8 +193,8 @@ def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:
     budget that no arm's cheapest pull fits, as the first run would."""
     field_name = "horizon_trials" if bandit.trials else "horizon_budget"
     for index, spec in enumerate(instance.arms, start=1):
-        # A pull fits while spend + cost <= budget + epsilon, so the epsilon buys pulls too.
-        pulls = bandit.trials or (bandit.budget + bandit.epsilon) / spec.min_cost
+        # A pull fits within DEFAULT_EPSILON of the budget, so the tolerance buys pulls too.
+        pulls = bandit.trials or (bandit.budget + DEFAULT_EPSILON) / spec.min_cost
         density = isinstance(spec, HpoArmSpec) and spec.strategy == "density_estimator"
         cap = MAX_DENSITY_PULLS_PER_RUN if density else MAX_PULLS_PER_RUN
         if pulls > cap:
@@ -203,7 +202,7 @@ def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:
                 f"field {field_name!r}: lets arm {index}{', a density_estimator search,' if density else ''} "
                 f"make {pulls:.10g} pulls in one run, above its cap of {cap} pulls"
             )
-    if bandit.budget is not None and bandit.budget + bandit.epsilon < min(s.min_cost for s in instance.arms):
+    if bandit.budget is not None and bandit.budget + DEFAULT_EPSILON < min(s.min_cost for s in instance.arms):
         raise ConfigurationError("field 'horizon_budget': budget too small for a single pull of any arm")
 
 

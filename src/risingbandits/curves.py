@@ -8,6 +8,7 @@ violates concavity (it holds a plateau and then jumps).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +24,15 @@ class RewardCurve:
 
     def eval(self, n: int) -> float:
         raise NotImplementedError
+
+
+def is_integer(value: object) -> bool:
+    """Whether ``operator.index`` accepts ``value``: an int or a numpy integer, not 2.5, NaN or 3.0."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def _bad_pull_index(n: int) -> ValueError:
@@ -126,8 +136,8 @@ class StaircaseCurve(RewardCurve):
                 f"staircase curve needs 0 <= initial <= limit <= 1, "
                 f"got initial={self.initial}, limit={self.limit}"
             )
-        if not self.plateau_length >= 1:
-            raise ValueError(f"plateau_length must be >= 1, got {self.plateau_length}")
+        if not (is_integer(self.plateau_length) and self.plateau_length >= 1):
+            raise ValueError(f"plateau_length must be an integer >= 1, got {self.plateau_length}")
         if not (0.0 < self.jump_fraction <= 1.0):
             raise ValueError(f"jump_fraction must lie in (0, 1], got {self.jump_fraction}")
 

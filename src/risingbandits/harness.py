@@ -360,8 +360,8 @@ def build_report(
     report.oracle_arm = oracle_arm
     report.j_oracle = j_oracle
     for name, res in results.items():
-        report.regrets[name] = regret(res.j_mean, j_oracle, config.epsilon)
-    gamma_result = compute_gamma(curves, horizon, config.epsilon)
+        report.regrets[name] = regret(res.j_mean, j_oracle)
+    gamma_result = compute_gamma(curves, horizon)
     report.gamma = gamma_result.gamma
     report.gamma_per_arm = gamma_result.per_arm
     if not gamma_result.identifiable:

@@ -261,7 +261,12 @@ def theorem2_instance(rng: np.random.Generator) -> tuple[list[RewardCurve], int,
 
 
 def suite_theorem2(count: int = THEOREM2_COUNT, seed: int = THEOREM2_SEED) -> SuiteResult:
-    """Smooth-growth identification on condition-satisfying loose-concave arms."""
+    """Smooth-growth identification on condition-satisfying loose-concave arms.
+
+    An instance whose arms break the bias-ratio condition, or whose oracle
+    argmax is not the generator's leader, raises :class:`FixtureError`, as
+    the battery does: the suite checks the algorithm, not its generator.
+    """
     rng = np.random.default_rng(seed)
     result = SuiteResult(name="theorem2", total=count)
     for i in range(count):
@@ -270,19 +275,18 @@ def suite_theorem2(count: int = THEOREM2_COUNT, seed: int = THEOREM2_SEED) -> Su
             observed = [curve.eval(n) for n in range(1, horizon + 1)]
             majorant = least_concave_majorant(observed, limit=curve.limit)
             if not theorem2_condition_check(majorant, observed, SMOOTH_WINDOW):
-                result.failures.append(f"instance {i}: arm {arm_idx} fails the bias-ratio condition")
-                break
-        else:
-            arms = [CurveArmSpec(c).build(rng) for c in curves]
-            config = BanditConfig(trials=horizon, growth="smooth", smooth_window=SMOOTH_WINDOW)
-            trace = rising_bandit_run(arms, config)
-            expected, _ = offline_max_run(curves, horizon)
-            if expected != k_star:
-                result.failures.append(f"instance {i}: fixture inconsistency, argmax {expected}")
-            elif trace.best_arm != k_star:
-                result.failures.append(
-                    f"instance {i}: returned arm {trace.best_arm}, optimal is {k_star}"
-                )
+                raise FixtureError(f"theorem2 instance {i}: arm {arm_idx} fails the bias-ratio condition")
+        expected, _ = offline_max_run(curves, horizon)
+        if expected != k_star:
+            raise FixtureError(
+                f"theorem2 instance {i}: the generator made arm {k_star} the leader, "
+                f"but the oracle picks arm {expected}"
+            )
+        arms = [CurveArmSpec(c).build(rng) for c in curves]
+        config = BanditConfig(trials=horizon, growth="smooth", smooth_window=SMOOTH_WINDOW)
+        trace = rising_bandit_run(arms, config)
+        if trace.best_arm != k_star:
+            result.failures.append(f"instance {i}: returned arm {trace.best_arm}, optimal is {k_star}")
     return result
 
 

@@ -70,12 +70,12 @@ class AlwaysSweeping(Policy):
                     return arm_id
             if not self._round_pulled:
                 return None
-            self.candidates = bandit.eliminate(self.candidates, states, self._config.epsilon)
+            self.candidates = bandit.eliminate(self.candidates, states)
             self._next, self._round_pulled = 0, False
 
     def observe(self, state):
         if state.pulls >= 2:
-            omega = growth_rate(state.history, self._config.growth, self._config.smooth_window)
+            omega = growth_rate(state.history, self._config.window)
             state.upper = self._horizon.upper(state, omega)
 
 

@@ -25,7 +25,7 @@ from risingbandits import (
     run_policy,
     upper_bound,
 )
-from risingbandits.bandit import MAX_EPSILON, Horizon, list_sink
+from risingbandits.bandit import Horizon, list_sink
 
 from conftest import AlwaysSweeping, record_plans
 
@@ -55,8 +55,6 @@ class TestBanditConfig:
             BanditConfig(trials=5, growth="cubic")
         with pytest.raises(ConfigurationError):
             BanditConfig(trials=5, smooth_window=0)
-        with pytest.raises(ConfigurationError):
-            BanditConfig(trials=5, epsilon=-1e-9)
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -83,33 +81,33 @@ class TestBanditConfig:
         with pytest.raises(ConfigurationError, match="trials must be an integer >= 1, got 3.0"):
             BanditConfig(trials=3.0)
 
-    def test_epsilon_capped(self):
-        # A budget admits a pull while spend + cost <= budget + epsilon.
-        assert BanditConfig(budget=10.0, epsilon=MAX_EPSILON).epsilon == MAX_EPSILON
-        for value in (2 * MAX_EPSILON, 5.0, 1e9, float("nan")):
-            with pytest.raises(ConfigurationError, match="epsilon"):
-                BanditConfig(budget=10.0, epsilon=value)
+    def test_window_is_one_under_last_growth(self):
+        # Last growth is the smooth rate over one increment, whatever smooth_window says.
+        assert BanditConfig(trials=5, growth="last", smooth_window=5).window == 1
+        assert BanditConfig(trials=5, growth="smooth", smooth_window=5).window == 5
 
 
 class TestGrowthRate:
     def test_last_mode_is_final_increment(self):
-        assert growth_rate([0.1, 0.4, 0.5], mode="last") == pytest.approx(0.1)
+        assert growth_rate([0.1, 0.4, 0.5], 1) == pytest.approx(0.1)
 
     def test_smooth_mode_averages_window(self):
         history = [0.0, 0.1, 0.3, 0.6, 1.0]
-        assert growth_rate(history, mode="smooth", window=3) == pytest.approx((1.0 - 0.1) / 3)
+        assert growth_rate(history, 3) == pytest.approx((1.0 - 0.1) / 3)
 
     def test_smooth_mode_fallback_below_window(self):
         history = [0.2, 0.5, 0.6]
-        assert growth_rate(history, mode="smooth", window=7) == pytest.approx((0.6 - 0.2) / 2)
+        assert growth_rate(history, 7) == pytest.approx((0.6 - 0.2) / 2)
 
     def test_requires_two_observations(self):
         with pytest.raises(InsufficientHistoryError):
-            growth_rate([0.5], mode="last")
+            growth_rate([0.5], 1)
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            growth_rate([0.1, 0.2], mode="median")
+    @settings(max_examples=100, deadline=None)
+    @given(history=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=30))
+    def test_window_of_one_is_the_last_increment_exactly(self, history):
+        # x / 1 == x: a window of one is the last increment, to the bit.
+        assert growth_rate(history, 1) == history[-1] - history[-2]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -118,18 +116,17 @@ class TestGrowthRate:
     )
     def test_smooth_rate_nonnegative_for_rising_history(self, increments, window):
         history = list(np.cumsum([0.1] + increments))
-        assert growth_rate(history, mode="smooth", window=window) >= 0.0
+        assert growth_rate(history, window) >= 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(
         history=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=30),
         window=st.integers(1, 12),
-        mode=st.sampled_from(["last", "smooth"]),
     )
-    def test_reads_only_the_last_window_plus_one(self, history, window, mode):
-        # A run keeps each arm's last smooth_window + 1 rewards in a deque.
+    def test_reads_only_the_last_window_plus_one(self, history, window):
+        # A run keeps each arm's last window + 1 rewards in a deque.
         kept = deque(history, maxlen=window + 1)
-        assert growth_rate(kept, mode, window) == growth_rate(history, mode, window)
+        assert growth_rate(kept, window) == growth_rate(history, window)
 
 
 class TestUpperBound:

@@ -236,12 +236,23 @@ class TestRunCommand:
         assert manifest["config_echo"] == CONFIG
         assert manifest["replications"] == 2
 
-    def test_seed_env_override(self, config_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("RB_SEED", "123")
-        out = str(tmp_path / "results")
-        main(["run", config_path, "--output", out])
-        manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
-        assert manifest["base_seed"] == 123
+    def test_seed_env_changes_no_artifact(self, tmp_path, monkeypatch):
+        # --seed is the one seed override: an RB_SEED in the environment is
+        # not read.  The budget config has a noisy arm, so a seed moves its rows.
+        path = tmp_path / "budget.cfg"
+        path.write_text(BUDGET_CONFIG)
+        written = []
+        for env in (None, "123"):
+            if env is not None:
+                monkeypatch.setenv("RB_SEED", env)
+            out = tmp_path / f"results-{env}"
+            assert main(["run", str(path), "--output", str(out)]) == 0
+            artifacts = {name: (out / name).read_bytes() for name in ("trace.csv", "report.json")}
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["timestamp"]
+            written.append((artifacts, manifest))
+        assert written[0] == written[1]
+        assert written[1][1]["base_seed"] == 5
 
     # The HPO arms draw a cost per pull, so the steps that cross the process
     # pool carry costs that vary within an arm.
@@ -323,7 +334,7 @@ class TestRunCommand:
     def test_serial_run_holds_no_steps(self, tmp_path, capsys):
         # 100,000 pulls: held as step records they would take about 15 MB,
         # and a list of every reward, or of one candidate set per round,
-        # about 0.8 MB each. A run keeps the last smooth_window + 1 rewards
+        # about 0.8 MB each. A run keeps the last window + 1 rewards
         # per arm and its current candidate set, so nothing grows with them.
         for policy in ("rising_bandit", "average"):
             paths = {}
@@ -727,16 +738,6 @@ class TestErrorBoundary:
         assert "field 'horizon_budget': budget too small for a single pull" in err
         assert not out.exists()
 
-    def test_non_integer_seed_env(self, config_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RB_SEED", "abc")
-        err = self._one_line_error(["run", config_path, "--output", str(tmp_path / "out")], capsys)
-        assert "RB_SEED" in err
-
-    def test_negative_seed_env(self, config_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RB_SEED", "-4")
-        err = self._one_line_error(["run", config_path, "--output", str(tmp_path / "out")], capsys)
-        assert "base seed" in err
-
     def test_negative_seed_flag(self, config_path, tmp_path, capsys):
         err = self._one_line_error(
             ["run", config_path, "--output", str(tmp_path / "out"), "--seed", "-1"], capsys
@@ -860,17 +861,16 @@ class TestErrorBoundary:
         assert "'horizon_budget'" in err and "cap" in err
         assert not out.exists()
 
-    def test_epsilon_above_the_cap(self, tmp_path, capsys):
-        # A budget admits a pull within epsilon: 5 let a budget of 10 spend 15
-        # (and 1e9, which BanditConfig's test covers, never ended the run).
+    def test_epsilon_is_not_a_key(self, tmp_path, capsys):
+        # The budget tolerance is the fixed bandit.DEFAULT_EPSILON, even at its own value.
         path = tmp_path / "epsilon.cfg"
         path.write_text(
-            "horizon_budget = 10\nepsilon = 5\npolicies = rising_bandit, average\n"
+            "horizon_budget = 10\nepsilon = 1e-12\npolicies = rising_bandit, average\n"
             "[arm]\nkind = exponential\nlimit = 0.9\ninitial = 0.5\ndecay = 0.5\n"
         )
         out = tmp_path / "out"
         err = self._one_line_error(["run", str(path), "--output", str(out)], capsys)
-        assert "epsilon" in err
+        assert err == "configuration error: unknown global fields ['epsilon']\n"
         assert not out.exists()
 
     def test_config_not_utf8(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, arms
-from risingbandits.bandit import MAX_EPSILON, BanditConfig
+from risingbandits.bandit import DEFAULT_EPSILON, BanditConfig
 from risingbandits.config import (
     MAX_DENSITY_PULLS_PER_RUN,
     MAX_PULLS_PER_RUN,
@@ -201,11 +201,6 @@ class TestParseErrors:
             "arm 1: staircase curve needs 0 <= initial <= limit <= 1",
         )
 
-    def test_epsilon_bounded(self):
-        assert parse_experiment(f"epsilon = {MAX_EPSILON}\n" + GOOD).bandit.epsilon == MAX_EPSILON
-        for value in ("5", "1e9", "-1e-9"):
-            self._bad(f"epsilon = {value}\n" + GOOD, "epsilon must lie in")
-
     def test_replications_bounded(self):
         text = GOOD.replace("replications = 2", f"replications = {MAX_REPLICATIONS}")
         assert parse_experiment(text).replications == MAX_REPLICATIONS
@@ -264,10 +259,8 @@ class TestParseErrors:
     @pytest.mark.parametrize(
         "settings, cost",
         [
-            # Only the epsilon buys pulls: about 1e288 of them.
+            # Only the tolerance buys pulls: about 1e288 of them.
             ("horizon_budget = 1e-300\n", "1e-300"),
-            # 1e5 pulls by the budget alone, about 1e7 within the epsilon.
-            ("horizon_budget = 1e-8\nepsilon = 1e-6\n", "1e-13"),
         ],
     )
     def test_epsilon_counts_toward_the_budget_cap(self, settings, cost):
@@ -284,13 +277,22 @@ class TestParseErrors:
     )
     def test_budget_that_no_pull_fits_is_refused(self, arm, cheapest):
         # Refused exactly where the engine's first check, 0.0 + cost <= budget
-        # + epsilon, would fail, but before the output directory exists.
-        text = "horizon_budget = {}\nepsilon = 0\npolicies = average, rising_bandit\n[arm]\n" + arm + "\n"
-        assert parse_experiment(text.format(cheapest)).bandit.budget == cheapest
-        self._bad(
-            text.format(math.nextafter(cheapest, 0.0)),
-            "^field 'horizon_budget': budget too small for a single pull",
-        )
+        # + DEFAULT_EPSILON, would fail, but before the output directory exists.
+        text = "horizon_budget = {}\npolicies = average, rising_bandit\n[arm]\n" + arm + "\n"
+        budget = cheapest - DEFAULT_EPSILON
+        for _ in range(4):
+            budget = math.nextafter(budget, 0.0)
+        outcomes = set()
+        for _ in range(9):
+            fits = 0.0 + cheapest <= budget + DEFAULT_EPSILON
+            if fits:
+                assert parse_experiment(text.format(budget)).bandit.budget == budget
+            else:
+                self._bad(text.format(budget), "^field 'horizon_budget': budget too small for a single pull")
+            outcomes.add(fits)
+            budget = math.nextafter(budget, math.inf)
+        # The budgets span the boundary: some are refused and some admitted.
+        assert outcomes == {False, True}
 
     def test_subnormal_cost_cannot_stretch_a_budget(self):
         self._bad("horizon_budget = 1\n[arm]\nkind = tabulated\nvalues = 0.5\ncost = 1e-320\n", "'horizon_budget'")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +139,15 @@ class TestStaircaseCurve:
     def test_rejects_nan_plateau_length(self):
         with pytest.raises(ValueError, match="plateau_length"):
             StaircaseCurve(initial=0.5, limit=0.9, plateau_length=math.nan, jump_fraction=0.5)
+
+    def test_plateau_length_is_a_count(self):
+        # A plateau of 2.5 pulls would alternate plateaus of 3 and 2; 3.0 equals a count but is not one.
+        for value in (2.5, 3.0):
+            with pytest.raises(ValueError, match=f"^plateau_length must be an integer >= 1, got {value}$"):
+                StaircaseCurve(initial=0.1, limit=0.9, plateau_length=value, jump_fraction=0.5)
+        counted = StaircaseCurve(initial=0.1, limit=0.9, plateau_length=np.int64(3), jump_fraction=0.5)
+        plain = StaircaseCurve(initial=0.1, limit=0.9, plateau_length=3, jump_fraction=0.5)
+        assert [counted.eval(n) for n in range(1, 10)] == [plain.eval(n) for n in range(1, 10)]
 
 
 @pytest.mark.parametrize(

@@ -214,7 +214,7 @@ def test_reward_sums_match_histories(case):
             assert state.reward_sum == expected
             assert len(rewards) == state.pulls
             # The state keeps only the rewards growth_rate reads.
-            assert list(state.history) == rewards[-(config.smooth_window + 1) :]
+            assert list(state.history) == rewards[-(config.window + 1) :]
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from risingbandits import (
     GammaResult,
     InstanceSpec,
     PowerCurve,
-    RisingBanditPolicy,
     SoftmaxPolicy,
     StaircaseCurve,
     TabulatedCurve,
@@ -455,22 +452,6 @@ class TestBuildReport:
         report = build_report(instance, BanditConfig(trials=5), self._results())
         assert report.j_oracle is None
         assert any("no analytic oracle" in note for note in report.interpretation_notes)
-
-    def test_uses_the_configured_epsilon(self):
-        # The run drops arm 2 after two pulls at epsilon 1e-7 (0.6 + 1e-7 >=
-        # 0.60000005); the report's separation times must use the same epsilon.
-        instance = InstanceSpec(
-            [CurveArmSpec(TabulatedCurve([0.6, 0.6, 0.9])), CurveArmSpec(TabulatedCurve([0.60000005]))]
-        )
-        config = BanditConfig(trials=6, epsilon=1e-7)
-        trace = simulate(RisingBanditPolicy(), instance, config)
-        assert trace.pull_counts == [4, 2]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = build_report(instance, config, {"rising_bandit": PolicyResult([0.9 + 5e-8])})
-        assert report.to_dict()["gamma_per_arm"] == [0, 2]
-        assert report.gamma_per_arm == compute_gamma(instance.curves(), 6, 1e-7).per_arm
-        assert report.regrets["rising_bandit"] == 0.0
 
     def test_unseparated_arm_gets_a_note(self):
         # Identical curves never separate (see TestComputeGamma::test_unseparated_arm_flagged).

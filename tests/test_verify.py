@@ -10,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from risingbandits import verify
+from risingbandits.cli import main
+from risingbandits.curves import StaircaseCurve, TabulatedCurve
 from risingbandits.harness import RegretReport
 from risingbandits.verify import ConcaveCase, _uniform
 
@@ -120,3 +122,31 @@ def test_corollary1_names_the_battery_index():
     result = verify.suite_corollary1(battery)
     assert result.total == 2
     assert result.failures == ["instance 1: regret 0.5 exceeds round-robin regret 0.1"]
+
+
+# Flat arms have no bias, so they meet the ratio condition; a staircase with
+# plateaus shorter than the smooth window does not.
+THEOREM2_BROKEN_FIXTURES = {
+    "leader_not_the_argmax": (
+        [TabulatedCurve([0.5]), TabulatedCurve([0.9])],
+        "the generator made arm 1 the leader, but the oracle picks arm 2",
+    ),
+    "bias_ratio": (
+        [TabulatedCurve([0.95]), StaircaseCurve(0.1, 0.9, plateau_length=3, jump_fraction=0.5)],
+        "arm 2 fails the bias-ratio condition",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", THEOREM2_BROKEN_FIXTURES)
+def test_theorem2_fixture_break_is_a_fixture_error(name, monkeypatch, capsys):
+    # A broken fixture stops the suite, as in the battery, rather than
+    # counting as a failure of the algorithm.
+    curves, message = THEOREM2_BROKEN_FIXTURES[name]
+    monkeypatch.setattr(verify, "theorem2_instance", lambda rng: (curves, 30, 1))
+    with pytest.raises(verify.FixtureError, match=f"^theorem2 instance 0: {message}$"):
+        verify.suite_theorem2(count=3)
+    assert main(["verify", "theorem2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"invariant violation: theorem2 instance 0: {message}\n"
+    assert captured.out == ""
