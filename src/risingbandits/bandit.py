@@ -26,6 +26,8 @@ import numpy as np
 
 from .arms import ArmProcess, ConfigurationError, check_positive, is_integer
 
+# The package's one float tolerance: budget fit, elimination ties, and the
+# harness's and verify suites' comparisons with oracle values and bounds.
 DEFAULT_EPSILON = 1e-12
 DEFAULT_SMOOTH_WINDOW = 7
 
@@ -144,13 +146,13 @@ def upper_bound(last: float, omega: float, pulls_left: float) -> float:
     return min(last + omega * pulls_left, 1.0)
 
 
-def eliminate(candidates: list[int], states: list[ArmState], epsilon: float = DEFAULT_EPSILON) -> list[int]:
+def eliminate(candidates: list[int], states: list[ArmState]) -> list[int]:
     """One elimination sweep over the candidate set, in O(|candidates|).
 
     Arm j is dropped iff some other candidate's lower bound reaches j's upper
-    bound (within epsilon).  All removals are decided against the set as it
-    stood at sweep start; if mutual dominance would empty the set, the
-    lowest-numbered candidate survives.
+    bound (within ``DEFAULT_EPSILON``).  All removals are decided against the
+    set as it stood at sweep start; if mutual dominance would empty the set,
+    the lowest-numbered candidate survives.
     """
     # The largest lower bound among the candidates other than j is the top
     # one, or the runner-up when j holds the top; a tie for the top makes
@@ -163,6 +165,7 @@ def eliminate(candidates: list[int], states: list[ArmState], epsilon: float = DE
             top, runner_up, top_arm = lower, top, i
         elif lower > runner_up:
             runner_up = lower
+    epsilon = DEFAULT_EPSILON
     survivors = []
     for j in candidates:
         best_other = runner_up if j == top_arm else top

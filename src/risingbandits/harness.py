@@ -81,9 +81,7 @@ class GammaResult:
         return not self.non_identifiable_arms
 
 
-def compute_gamma(
-    curves: list[RewardCurve], horizon: int, epsilon: float = DEFAULT_EPSILON
-) -> GammaResult:
+def compute_gamma(curves: list[RewardCurve], horizon: int) -> GammaResult:
     """Separation times from lockstep two-arm simulation on ground truth.
 
     For each suboptimal arm k, arm k and the optimal arm are pulled strictly
@@ -94,6 +92,7 @@ def compute_gamma(
     """
     k_star, _ = offline_max_run(curves, horizon)
     star_curve = curves[k_star - 1]
+    epsilon = DEFAULT_EPSILON
     per_arm = []
     non_identifiable = []
     for idx, curve in enumerate(curves, start=1):
@@ -199,18 +198,14 @@ def least_concave_majorant(observed: list[float], limit: float | None = None) ->
     return out
 
 
-# A bias at or below this counts as zero, and a bias ratio may exceed its
-# bound by this much.
-BIAS_TOLERANCE = 1e-12
-
-
 def theorem2_condition_check(majorant: list[float], observed: list[float], window: int) -> bool:
     """Bias-ratio condition for the smooth growth rate, over T = len(observed).
 
     With bias delta(t) = majorant(t) - observed(t), checks
     delta(t) / delta(t - C) <= (T - t) / (T - t + C) for every t in (C, T].
-    A zero earlier bias with a positive later bias counts as a violation;
-    both zero counts as satisfied.
+    A bias within ``DEFAULT_EPSILON`` counts as zero, and a ratio may exceed
+    its bound by as much.  A zero earlier bias with a positive later bias
+    counts as a violation; both zero counts as satisfied.
     """
     horizon = len(observed)
     deltas = []
@@ -220,7 +215,7 @@ def theorem2_condition_check(majorant: list[float], observed: list[float], windo
             raise ValueError(
                 f"observed value {observed[n]} at pull {n + 1} exceeds the majorant {majorant[n]}"
             )
-        deltas.append(0.0 if d <= BIAS_TOLERANCE else d)
+        deltas.append(0.0 if d <= DEFAULT_EPSILON else d)
     for t in range(window + 1, horizon + 1):
         d_now = deltas[t - 1]
         d_prev = deltas[t - window - 1]
@@ -229,7 +224,7 @@ def theorem2_condition_check(majorant: list[float], observed: list[float], windo
                 return False
             continue
         bound = (horizon - t) / (horizon - t + window)
-        if d_now / d_prev > bound + BIAS_TOLERANCE:
+        if d_now / d_prev > bound + DEFAULT_EPSILON:
             return False
     return True
 
@@ -281,14 +276,14 @@ def brute_force_optimal(curves: list[RewardCurve], horizon: int) -> tuple[float,
     return best_j, tuple(witness)
 
 
-def regret(trace_j: float, j_oracle: float, epsilon: float = DEFAULT_EPSILON) -> float:
+def regret(trace_j: float, j_oracle: float) -> float:
     """Oracle value minus achieved value, clamped at zero.
 
     A policy beating the oracle beyond tolerance indicates an oracle bug and
     is surfaced as a warning.
     """
     gap = j_oracle - trace_j
-    if gap < -epsilon:
+    if gap < -DEFAULT_EPSILON:
         warnings.warn(
             f"policy value {trace_j} exceeds oracle {j_oracle} beyond tolerance", stacklevel=2
         )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arms import CurveArmSpec, InstanceSpec
-from .bandit import BanditConfig, rising_bandit_run
+from .bandit import DEFAULT_EPSILON, BanditConfig, rising_bandit_run
 from .curves import ExponentialCurve, PowerCurve, RewardCurve, StaircaseCurve, TabulatedCurve
 from .harness import (
     PolicyResult,
@@ -39,7 +39,6 @@ from .harness import (
     theorem2_condition_check,
 )
 
-TOLERANCE = 1e-12
 SMOOTH_WINDOW = 7
 
 LEMMA1_SEED = 1083914
@@ -163,7 +162,7 @@ def suite_lemma1(count: int = LEMMA1_COUNT, seed: int = LEMMA1_SEED) -> SuiteRes
         curves, horizon = random_small_instance(rng)
         exact, _ = brute_force_optimal(curves, horizon)
         _, analytic = offline_max_run(curves, horizon)
-        if abs(exact - analytic) > TOLERANCE:
+        if abs(exact - analytic) > DEFAULT_EPSILON:
             result.failures.append(
                 f"instance {i}: exact maximum {exact} != analytic {analytic}"
             )
@@ -188,7 +187,7 @@ def suite_theorem1(battery: list[ConcaveCase] | None = None) -> SuiteResult:
     result = SuiteResult(name="theorem1", total=len(battery))
     for i, case in enumerate(battery):
         regret, bound = case.report.regrets["rising_bandit"], case.report.theorem1_bound
-        if regret > bound + TOLERANCE:
+        if regret > bound + DEFAULT_EPSILON:
             result.failures.append(f"instance {i}: regret {regret} exceeds bound {bound}")
     return result
 
@@ -201,7 +200,7 @@ def suite_corollary1(battery: list[ConcaveCase] | None = None) -> SuiteResult:
     result = SuiteResult(name="corollary1", total=len(applicable))
     for i, report in applicable:
         regret = report.regrets["rising_bandit"]
-        if regret > report.avg_policy_regret + TOLERANCE:
+        if regret > report.avg_policy_regret + DEFAULT_EPSILON:
             result.failures.append(
                 f"instance {i}: regret {regret} exceeds round-robin regret {report.avg_policy_regret}"
             )

@@ -1,8 +1,8 @@
 """Acceptance gate: the eight analytic and structural guarantees.
 
 Each test prints one PASS line so a -s run reads as a checklist.  Tolerances
-are 1e-12 throughout; the allocation share and the budget fixture carry
-golden values frozen from the first oracle run.
+are ``bandit.DEFAULT_EPSILON`` (1e-12) throughout; the allocation share and
+the budget fixture carry golden values frozen from the first oracle run.
 """
 
 import json
@@ -22,10 +22,9 @@ from risingbandits import (
     simulate,
     verify,
 )
+from risingbandits.bandit import DEFAULT_EPSILON
 from risingbandits.cli import main
 from risingbandits.policies import make_policy
-
-TOLERANCE = 1e-12
 
 
 def test_criterion_1_offline_oracle_equivalence():
@@ -95,7 +94,7 @@ def test_criterion_6_allocation_share():
     assert share > 1.0 / 16.0
     assert share > average_share
     assert share > verify.ALLOCATION_SHARE_THRESHOLD
-    assert share == pytest.approx(verify.ALLOCATION_GOLDEN_SHARE, abs=TOLERANCE)
+    assert share == pytest.approx(verify.ALLOCATION_GOLDEN_SHARE, abs=DEFAULT_EPSILON)
     print(
         f"\ncriterion 6 (allocation share): PASS "
         f"[dominant {share:.3f} vs round-robin {average_share:.3f}]"
@@ -113,10 +112,10 @@ def test_criterion_7_cost_aware_budget():
     trace = rising_bandit_run(make_instance(spec, 0), BanditConfig(budget=budget))
     expensive_pulls, cheap_pulls = trace.pull_counts
     assert cheap_pulls > expensive_pulls
-    assert trace.total_cost <= budget + TOLERANCE
+    assert trace.total_cost <= budget + DEFAULT_EPSILON
 
     trials_trace = rising_bandit_run(make_instance(spec, 0), BanditConfig(trials=cheap_pulls))
-    assert trace.final_j >= trials_trace.final_j - TOLERANCE
+    assert trace.final_j >= trials_trace.final_j - DEFAULT_EPSILON
     print(
         f"\ncriterion 7 (cost-aware budget): PASS "
         f"[pulls {expensive_pulls}:{cheap_pulls}, cost {trace.total_cost:.1f} <= {budget}]"

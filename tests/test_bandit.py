@@ -25,7 +25,7 @@ from risingbandits import (
     run_policy,
     upper_bound,
 )
-from risingbandits.bandit import Horizon, list_sink
+from risingbandits.bandit import DEFAULT_EPSILON, Horizon, list_sink
 
 from conftest import AlwaysSweeping, record_plans
 
@@ -210,22 +210,21 @@ BOUNDS = st.one_of(st.sampled_from([-1.0, -0.25, 0.0, 0.3, 0.5, 0.7, 1.0]), st.f
 
 @st.composite
 def sweeps(draw):
-    """(candidates, per-arm (lower, upper), epsilon) for one sweep."""
+    """(candidates, per-arm (lower, upper)) for one sweep."""
     k = draw(st.integers(1, 40))
-    epsilon = draw(st.sampled_from([0.0, 1e-12]))
     lowers = draw(st.lists(BOUNDS, min_size=k, max_size=k))
     uppers = draw(st.lists(BOUNDS, min_size=k, max_size=k))
-    # Put some lower bounds exactly on another arm's upper - epsilon, the
-    # edge where domination starts.
+    # Put some lower bounds exactly on another arm's upper - DEFAULT_EPSILON,
+    # the edge where domination starts.
     for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=6)):
-        lowers[i] = uppers[j] - epsilon
+        lowers[i] = uppers[j] - DEFAULT_EPSILON
     if draw(st.booleans()):
         # A tie for the top lower bound.
         top = max(range(k), key=lowers.__getitem__)
         lowers[draw(st.integers(0, k - 1))] = lowers[top]
     order = draw(st.permutations(range(1, k + 1)))
     candidates = list(order[: draw(st.integers(1, k))])
-    return candidates, list(zip(lowers, uppers)), epsilon
+    return candidates, list(zip(lowers, uppers))
 
 
 class _CountingState(ArmState):
@@ -268,7 +267,7 @@ class TestEliminate:
 
     def test_epsilon_slack_triggers_elimination_on_ties(self):
         states = [self._state(1, 0.7, 1.0), self._state(2, 0.2, 0.7)]
-        assert eliminate([1, 2], states, epsilon=1e-12) == [1]
+        assert eliminate([1, 2], states) == [1]
 
     def test_sweep_uses_snapshot_not_survivors(self):
         # Arm 2 dominates 3, arm 1 dominates 2; decisions are simultaneous,
@@ -287,13 +286,13 @@ class TestEliminate:
     @settings(max_examples=400, deadline=None)
     @given(sweeps())
     # Mutual dominance empties the set: the lowest id survives.
-    @example(([3, 1, 2], [(0.5, 0.5)] * 3, 0.0))
+    @example(([3, 1, 2], [(0.5, 0.5)] * 3))
     # Two arms tie for the top lower bound; negative upper bounds.
-    @example(([2, 1, 3], [(0.7, 0.9), (0.7, 0.8), (-0.5, -0.25)], 1e-12))
+    @example(([2, 1, 3], [(0.7, 0.9), (0.7, 0.8), (-0.5, -0.25)]))
     def test_matches_pairwise_definition(self, sweep):
-        candidates, bounds, epsilon = sweep
+        candidates, bounds = sweep
         states = [self._state(i, lower, upper) for i, (lower, upper) in enumerate(bounds, start=1)]
-        assert eliminate(candidates, states, epsilon) == _eliminate_pairwise(candidates, states, epsilon)
+        assert eliminate(candidates, states) == _eliminate_pairwise(candidates, states, DEFAULT_EPSILON)
 
     def test_reads_each_bound_a_constant_number_of_times(self):
         k = 512
@@ -305,7 +304,7 @@ class TestEliminate:
         assert 1 < len(survivors) < k
         assert max(st.reads["lower"] for st in states) <= 2
         assert max(st.reads["upper"] for st in states) <= 2
-        assert survivors == _eliminate_pairwise(candidates, states, 1e-12)
+        assert survivors == _eliminate_pairwise(candidates, states, DEFAULT_EPSILON)
 
 
 class TestRisingBanditRunTrials:

@@ -3,6 +3,7 @@
 import math
 import sys
 from collections import deque
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -215,6 +216,60 @@ def test_reward_sums_match_histories(case):
             assert len(rewards) == state.pulls
             # The state keeps only the rewards growth_rate reads.
             assert list(state.history) == rewards[-(config.window + 1) :]
+
+
+@st.composite
+def curve_instances(draw):
+    """2-6 curve arms, a growth setting and a seed: a run's inputs but its horizon."""
+    specs = draw(st.lists(arm_specs(), min_size=2, max_size=6))
+    growth = dict(growth=draw(st.sampled_from(["last", "smooth"])), smooth_window=draw(st.integers(1, 5)))
+    return specs, growth, draw(st.integers(0, 2**16))
+
+
+def _run(name, specs, config, seed):
+    steps = []
+    trace = simulate(make_policy(name), InstanceSpec(specs), config, seed=seed, sink=list_sink(steps))
+    return steps, trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=curve_instances(),
+    costs=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=6, max_size=6),
+    horizon=st.integers(1, 150),
+)
+def test_scaling_every_cost_and_the_budget_changes_no_choice(case, costs, horizon):
+    # Scaling by a power of two is exact, so every spend, fit and pulls-left
+    # ratio scales exactly too, and no policy reads a cost otherwise.
+    specs, growth, seed = case
+    specs = [replace(s, cost=cost) for s, cost in zip(specs, costs)]
+    # About `horizon` pulls, and at least the dearest arm's cost, so every policy's first pull fits.
+    budget = max(horizon * sum(s.cost for s in specs) / len(specs), max(s.cost for s in specs))
+    for name in POLICY_NAMES:
+        steps, trace = _run(name, specs, BanditConfig(budget=budget, **growth), seed)
+        for factor in (2.0, 0.5):
+            scaled = [replace(s, cost=s.cost * factor) for s in specs]
+            scaled_steps, scaled_trace = _run(name, scaled, BanditConfig(budget=budget * factor, **growth), seed)
+            assert scaled_steps == [s._replace(cost=s.cost * factor) for s in steps], name
+            assert scaled_trace.pull_counts == trace.pull_counts
+            assert scaled_trace.final_j == trace.final_j
+            assert scaled_trace.best_step == trace.best_step
+            assert scaled_trace.candidates == trace.candidates
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=curve_instances(), horizon=st.integers(1, 150))
+def test_a_unit_cost_budget_runs_as_that_many_trials(case, horizon):
+    specs, growth, seed = case
+    unit = [replace(s, cost=1.0) for s in specs]
+    for name in POLICY_NAMES:
+        steps, trace = _run(name, unit, BanditConfig(trials=horizon, **growth), seed)
+        budget_steps, budget_trace = _run(name, unit, BanditConfig(budget=float(horizon), **growth), seed)
+        assert budget_steps == steps, name
+        assert budget_trace.pull_counts == trace.pull_counts
+        # The final candidate sets may differ: a budget run asks for one
+        # more plan after its last pull, and an elimination plan sweeps
+        # there, so it can drop an arm that the trials run keeps.
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)

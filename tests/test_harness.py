@@ -27,6 +27,7 @@ from risingbandits import (
     theorem2_condition_check,
     upper_bound,
 )
+from risingbandits.bandit import DEFAULT_EPSILON
 from risingbandits.harness import PolicyResult, derive_seed, theorem1_is_vacuous
 from risingbandits import verify
 from risingbandits.verify import LEMMA1_COUNT, LEMMA1_SEED, random_small_instance
@@ -320,15 +321,15 @@ def _gamma_instances(draw):
             # Exact levels, so bounds and lower values can tie.
             curve = TabulatedCurve(sorted(draw(st.lists(_LEVELS, min_size=1, max_size=12))))
         curves.append(curve)
-    return curves, draw(st.integers(1, 60)), draw(st.sampled_from([0.0, 1e-12, 1e-6]))
+    return curves, draw(st.integers(1, 60))
 
 
 class TestComputeGammaReference:
     @settings(max_examples=300, deadline=None)
     @given(_gamma_instances())
     def test_matches_the_four_eval_loop(self, case):
-        curves, horizon, epsilon = case
-        assert compute_gamma(curves, horizon, epsilon) == _reference_gamma(curves, horizon, epsilon)
+        curves, horizon = case
+        assert compute_gamma(curves, horizon) == _reference_gamma(curves, horizon, DEFAULT_EPSILON)
 
 
 class TestBruteForceOptimal:
