@@ -9,7 +9,8 @@ Supports a trial-count horizon and a cost-aware budget horizon.
 One engine, :func:`run_policy`, runs the elimination algorithm and the
 baselines alike: each is a :class:`Policy` that plans the next arms to pull
 and observes each pull.  An elimination plan is a round of the candidates; a
-baseline's is the one arm it selects.
+baseline's is the one arm it selects.  The engine counts each arm's pulls;
+every other piece of per-arm state is kept by the policy that reads it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class InsufficientHistoryError(ValueError):
 
 @dataclass(slots=True)
 class ArmState:
-    """Per-arm bookkeeping maintained by a run; ``history`` is the last
+    """Per-arm state of a run.  The engine counts ``pulls``; the elimination
+    policy's ``observe`` writes the rest, keeping in ``history`` the last
     ``window + 1`` rewards, oldest first, all that ``growth_rate`` reads."""
 
     arm_id: int
@@ -51,10 +53,6 @@ class ArmState:
     # since a budget-mode sweep can read an arm that no pull has fitted.
     lower: float = 0.0
     total_cost: float = 0.0
-    # Sum of every reward, added left to right as ``sum()`` does on Python
-    # 3.11, so means match ``sum(rewards)`` exactly there; from 3.12 ``sum()``
-    # compensates float rounding and may differ in the last bit.
-    reward_sum: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -246,8 +244,8 @@ class Policy:
         """The arm to pull at step ``t``, or None to end the run."""
         raise NotImplementedError
 
-    def observe(self, state: ArmState) -> None:
-        """Called after every pull with the pulled arm's updated state."""
+    def observe(self, state: ArmState, reward: float, cost: float) -> None:
+        """Called after every pull with the pulled arm's counted state and the pull's reward and cost."""
 
 
 class RisingBanditPolicy(Policy):
@@ -260,11 +258,11 @@ class RisingBanditPolicy(Policy):
     does, so its last sweep may drop arms when no pull is left to make.
 
     Once one candidate is left the set is settled: a sweep would keep it, so
-    none runs, and the bounds only a sweep reads are no longer updated.  In a
-    trials run every remaining pull fits, so the plan is that arm until the
-    horizon is used up.  In a budget run it is that arm once per plan, and
-    the first plan whose pull does not fit ends the run.  Sweeps only remove
-    arms, so the sets are nested.
+    none runs, and ``observe`` stops recording the history, bounds and spend
+    that only a sweep reads.  In a trials run every remaining pull fits, so
+    the plan is that arm until the horizon is used up.  In a budget run it is
+    that arm once per plan, and the first plan whose pull does not fit ends
+    the run.  Sweeps only remove arms, so the sets are nested.
     """
 
     name = "rising_bandit"
@@ -273,6 +271,11 @@ class RisingBanditPolicy(Policy):
         super().start(states, config, horizon)
         self._upper = horizon.upper
         self._window = config.window
+        # growth_rate reads at most the last window + 1 rewards; no deque can
+        # hold sys.maxsize, so the clamp changes nothing.
+        keep = min(config.window + 1, sys.maxsize)
+        for st in states:
+            st.history = deque(maxlen=keep)
         # A budget run's settled arm is planned once at a time: the engine
         # skips a pull that does not fit, so a repeat of it would never end.
         self._repeats = not horizon.priced
@@ -285,13 +288,16 @@ class RisingBanditPolicy(Policy):
             return repeat(candidates[0])
         return candidates
 
-    def observe(self, state: ArmState) -> None:
-        # Only a sweep reads upper, and none follows once one candidate is
-        # left.  With one observation the growth rate is unknowable, so upper
-        # keeps its initial 1.0, the only sound bound.
-        if len(self.candidates) == 1 or state.pulls < 2:
+    def observe(self, state: ArmState, reward: float, cost: float) -> None:
+        # Only a sweep reads the state, and none follows once one candidate is
+        # left.  After one pull no growth rate is known: 1.0 is the only sound upper.
+        if len(self.candidates) == 1:
             return
-        state.upper = self._upper(state, growth_rate(state.history, self._window))
+        state.history.append(reward)
+        state.lower = reward
+        state.total_cost += cost
+        if state.pulls >= 2:
+            state.upper = self._upper(state, growth_rate(state.history, self._window))
 
 
 def run_policy(
@@ -300,8 +306,9 @@ def run_policy(
     """Run ``policy`` on ``arms``: the one loop that pulls arms.
 
     The engine asks ``plan`` for the next arms and pulls them in order, with
-    one horizon check after each pull, and passes each pull to ``observe``
-    and to ``sink``, as ``sink(t, arm, reward, cost, candidate_set_size)``.
+    one horizon check after each pull.  It counts the pull in the arm's
+    state, its only write to it, and passes the pull to ``observe`` and to
+    ``sink``, as ``sink(t, arm, reward, cost, candidate_set_size)``.
     In a budget run it first checks each planned arm's next cost and skips
     an arm whose pull does not fit.  The run ends when the horizon is used
     up, or at a plan that makes no pull.
@@ -309,10 +316,7 @@ def run_policy(
     k = len(arms)
     if k == 0:
         raise ConfigurationError("an instance needs at least one arm")
-    # growth_rate reads at most the last window + 1 rewards; no deque can
-    # hold sys.maxsize, so the clamp changes nothing.
-    keep = min(config.window + 1, sys.maxsize)
-    states = [ArmState(arm_id=i, history=deque(maxlen=keep)) for i in range(1, k + 1)]
+    states = [ArmState(arm_id=i) for i in range(1, k + 1)]
     horizon = Horizon(config, arms)
     policy.start(states, config, horizon)
     # Bound once per run: the loop body runs once per pull.
@@ -343,15 +347,11 @@ def run_policy(
             horizon.spent += cost
             st = states[arm_id - 1]
             st.pulls += 1
-            st.history.append(reward)
-            st.reward_sum += reward
-            st.lower = reward
-            st.total_cost += cost
             if reward > final_j:
                 final_j, best_step, best_arm = reward, t, arm_id
             if sink is not None:
                 sink(t, arm_id, reward, cost, size)
-            observe(st)
+            observe(st, reward, cost)
             more = fits()
             if not more:
                 break

@@ -1,12 +1,13 @@
 """Baseline selection policies sharing one interface with elimination.
 
 A run calls a policy's ``start`` once with the arm states, then asks its
-``plan`` for the next arms to pull and passes each pull's updated arm state
-to ``observe``.  A baseline's plan is the one arm its ``select`` names.  The
-baselines score arms from per-arm arrays that ``observe`` updates one slot
-at a time, so a ``select`` reads no arm state.  UCB and softmax pull arm t
-at step t <= K: a run pulls the arm ``select`` returns or ends, so arms
-1..t-1 are pulled then and t..K not.
+``plan`` for the next arms to pull and passes each pull to ``observe``, with
+the arm's state, in which the engine counts pulls and writes nothing else.
+A baseline's plan is the one arm its ``select`` names.  The baselines score
+arms from per-arm arrays, and sums of rewards added left to right, that
+``observe`` updates one slot at a time, so a ``select`` reads no arm state.
+UCB and softmax pull arm t at step t <= K: a run pulls the arm ``select``
+returns or ends, so arms 1..t-1 are pulled then and t..K not.
 Policies only ever see observed histories, never ground-truth curves.  Ties
 break towards the lowest arm id.  ``Policy`` and the elimination policy live
 in :mod:`bandit`, next to the engine that runs them.
@@ -44,18 +45,18 @@ class UCBPolicy(Policy):
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
-        self._means = np.zeros(len(states))
+        self._sums = np.zeros(len(states))
         self._pulls = np.zeros(len(states))
 
     def select(self, states: list[ArmState], t: int) -> int:
         if t <= len(states):
             return t
-        scores = self._means + self.exploration_coefficient * np.sqrt(math.log(t) / self._pulls)
+        scores = self._sums / self._pulls + self.exploration_coefficient * np.sqrt(math.log(t) / self._pulls)
         return int(scores.argmax()) + 1
 
-    def observe(self, state: ArmState) -> None:
+    def observe(self, state: ArmState, reward: float, cost: float) -> None:
         i = state.arm_id - 1
-        self._means[i] = state.reward_sum / state.pulls
+        self._sums[i] += reward
         self._pulls[i] = state.pulls
 
 
@@ -67,14 +68,14 @@ class SoftmaxPolicy(Policy):
     name = "softmax"
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        check_positive("temperature", self.temperature)
         # A mean in [0, 1] over the temperature is finite when this is.
         if not math.isfinite(1.0 / self.temperature):
             raise ValueError(f"temperature {self.temperature!r} is too small: its inverse is not finite")
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
+        self._sums = [0.0] * len(states)
         self._logits = np.zeros(len(states))
 
     def select(self, states: list[ArmState], t: int) -> int:
@@ -89,8 +90,10 @@ class SoftmaxPolicy(Policy):
         cdf /= cdf[-1]
         return int(cdf.searchsorted(self._rng.random(), side="right")) + 1
 
-    def observe(self, state: ArmState) -> None:
-        self._logits[state.arm_id - 1] = state.reward_sum / state.pulls / self.temperature
+    def observe(self, state: ArmState, reward: float, cost: float) -> None:
+        i = state.arm_id - 1
+        self._sums[i] += reward
+        self._logits[i] = self._sums[i] / state.pulls / self.temperature
 
 
 @dataclass
@@ -113,14 +116,16 @@ class ThompsonPolicy(Policy):
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
+        self._sums = [0.0] * len(states)
         self._alpha = np.full(len(states), self.prior_alpha, dtype=np.float64)
         self._beta = np.full(len(states), self.prior_beta, dtype=np.float64)
 
     def select(self, states: list[ArmState], t: int) -> int:
         return int(self._rng.beta(self._alpha, self._beta).argmax()) + 1
 
-    def observe(self, state: ArmState) -> None:
-        i, successes = state.arm_id - 1, state.reward_sum
+    def observe(self, state: ArmState, reward: float, cost: float) -> None:
+        i = state.arm_id - 1
+        successes = self._sums[i] = self._sums[i] + reward
         self._alpha[i] = self.prior_alpha + successes
         self._beta[i] = self.prior_beta + (state.pulls - successes)
 

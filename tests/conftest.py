@@ -46,11 +46,23 @@ def record_sweeps():
     return recording
 
 
+def sum_left_to_right(values):
+    """The float sum of ``values`` added one at a time, oldest first, as a
+    policy adds each reward to its running sum.  From Python 3.12 ``sum()``
+    compensates rounding and may differ in the last bit."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class AlwaysSweeping(Policy):
     """Reference elimination policy that names one arm per ``select``, with
-    its own fit check on every candidate: every round ends with a sweep and
-    every pull from an arm's second on updates its upper bound, however many
-    candidates are left.  It looks ``eliminate`` up on the module, as the
+    its own fit check on every candidate: every round ends with a sweep, and
+    every pull records the arm's history, lower bound and spend and, from
+    the arm's second pull on, its upper bound, however many candidates are
+    left.  The history is every reward, of which ``growth_rate`` reads the
+    last window + 1.  It looks ``eliminate`` up on the module, as the
     elimination policy does, so ``record_sweeps`` sees its sweeps."""
 
     name = "rising_bandit"
@@ -73,7 +85,10 @@ class AlwaysSweeping(Policy):
             self.candidates = bandit.eliminate(self.candidates, states)
             self._next, self._round_pulled = 0, False
 
-    def observe(self, state):
+    def observe(self, state, reward, cost):
+        state.history.append(reward)
+        state.lower = reward
+        state.total_cost += cost
         if state.pulls >= 2:
             omega = growth_rate(state.history, self._config.window)
             state.upper = self._horizon.upper(state, omega)

@@ -147,8 +147,8 @@ class TestUpperBound:
         seen = []
 
         class Recording(RisingBanditPolicy):
-            def observe(self, state):
-                super().observe(state)
+            def observe(self, state, reward, cost):
+                super().observe(state, reward, cost)
                 if state.pulls == 1:
                     seen.append(state.upper)
 

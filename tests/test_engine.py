@@ -1,8 +1,6 @@
 """Properties of the one simulation engine, over every policy and both horizons."""
 
 import math
-import sys
-from collections import deque
 from dataclasses import replace
 from unittest import mock
 
@@ -21,6 +19,7 @@ from risingbandits import (
     Policy,
     PowerCurve,
     TabulatedCurve,
+    build_report,
     list_sink,
     make_instance,
     make_policy,
@@ -29,10 +28,11 @@ from risingbandits import (
 )
 from risingbandits.arms import HPO_COST_HIGH, ArmProcess
 from risingbandits.bandit import ArmState, Horizon, PolicyTrace, RisingBanditPolicy, StepSink
+from risingbandits.harness import PolicyResult
 from risingbandits.hpo import SEARCH_STRATEGIES
 from risingbandits.policies import POLICY_NAMES
 
-from conftest import AlwaysSweeping, record_plans
+from conftest import AlwaysSweeping, record_plans, sum_left_to_right
 
 ARM = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
 
@@ -184,16 +184,13 @@ def test_a_trials_run_makes_one_horizon_check_per_pull(specs, trials, growth, se
         assert checked == [None] * (trials + 1), name
 
 
-def _sum_left_to_right(values):
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 @settings(max_examples=40, deadline=None)
 @given(experiments())
-def test_reward_sums_match_histories(case):
+def test_each_policy_keeps_the_arm_state_it_reads(case):
+    # The engine counts pulls and writes nothing else to an arm's state.  A
+    # baseline's sums are its arms' rewards added left to right; elimination
+    # records each arm's last rewards, lower bound and spend up to the pull
+    # at which its set settled, and no further.
     instance, config, seed = case
     for name in POLICY_NAMES:
         policy = make_policy(name)
@@ -207,15 +204,25 @@ def test_reward_sums_match_histories(case):
         policy.start = capture
         steps = []
         simulate(policy, instance, config, seed=seed, sink=list_sink(steps))
-        for state in runs[0]:
-            rewards = [step.reward for step in steps if step.arm == state.arm_id]
-            # Up to Python 3.11 sum() adds left to right, as the engine does;
-            # from 3.12 it compensates rounding, so compare with a plain loop.
-            expected = sum(rewards) if sys.version_info < (3, 12) else _sum_left_to_right(rewards)
-            assert state.reward_sum == expected
-            assert len(rewards) == state.pulls
+        states = runs[0]
+        pulled = [[step for step in steps if step.arm == state.arm_id] for state in states]
+        assert [state.pulls for state in states] == list(map(len, pulled))
+        if name in ("ucb", "softmax", "thompson"):
+            expected = [sum_left_to_right(step.reward for step in arm_steps) for arm_steps in pulled]
+            assert [float(total) for total in policy._sums] == expected, name
+        if name != "rising_bandit":
+            assert all(
+                (list(state.history), state.upper, state.lower, state.total_cost) == ([], 1.0, 0.0, 0.0)
+                for state in states
+            ), name
+            continue
+        for state, arm_steps in zip(states, pulled):
+            unsettled = [step for step in arm_steps if step.candidate_set_size > 1]
+            rewards = [step.reward for step in unsettled]
             # The state keeps only the rewards growth_rate reads.
             assert list(state.history) == rewards[-(config.window + 1) :]
+            assert state.lower == (rewards[-1] if rewards else 0.0)
+            assert state.total_cost == sum_left_to_right(step.cost for step in unsettled)
 
 
 @st.composite
@@ -272,6 +279,32 @@ def test_a_unit_cost_budget_runs_as_that_many_trials(case, horizon):
         # there, so it can drop an arm that the trials run keeps.
 
 
+@settings(max_examples=200, deadline=None)
+@given(experiments())
+def test_a_tabulated_curve_runs_as_its_curve(case):
+    # A run reads an arm's curve only at the pull counts it reaches, so a
+    # table of the first N values, with N at least the most pulls the
+    # horizon allows any arm, gives the same pulls, noise and all.
+    instance, config, seed = case
+    if config.trials is not None:
+        most = config.trials
+    else:
+        # One more than the budget over the cheapest cost, for the rounding of the running spend.
+        most = math.floor(config.budget / min(spec.cost for spec in instance.arms)) + 1
+    tables = [TabulatedCurve([spec.curve.eval(n) for n in range(1, most + 1)]) for spec in instance.arms]
+    tabulated = InstanceSpec([replace(spec, curve=table) for spec, table in zip(instance.arms, tables)])
+    results = {}
+    for name in POLICY_NAMES:
+        runs = []
+        for spec in (instance, tabulated):
+            steps = []
+            runs.append((simulate(make_policy(name), spec, config, seed=seed, sink=list_sink(steps)), steps))
+        assert runs[0] == runs[1], name
+        results[name] = PolicyResult(j_values=[runs[0][0].final_j])
+    if config.trials is not None:
+        assert build_report(tabulated, config, results).to_dict() == build_report(instance, config, results).to_dict()
+
+
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_budget_below_every_cost_is_a_configuration_error(name):
     instance = InstanceSpec([CurveArmSpec(ARM, cost=1.0), CurveArmSpec(ARM, cost=2.0)])
@@ -321,19 +354,23 @@ def test_one_select_and_one_observe_per_pull():
         name = "counting"
 
         def __init__(self):
-            self.selects = self.observes = 0
+            self.selects = 0
+            self.observed = []
 
         def select(self, states, t):
             self.selects += 1
             return 1
 
-        def observe(self, state):
-            self.observes += 1
+        def observe(self, state, reward, cost):
+            self.observed.append((state.pulls, reward, cost))
 
-    policy = Counting()
-    arms = make_instance(InstanceSpec([CurveArmSpec(ARM)]), 0)
-    run_policy(policy, arms, BanditConfig(trials=7))
-    assert (policy.selects, policy.observes) == (7, 7)
+    policy, steps = Counting(), []
+    arms = make_instance(InstanceSpec([CurveArmSpec(ARM, cost=2.5)]), 0)
+    run_policy(policy, arms, BanditConfig(trials=7), list_sink(steps))
+    assert policy.selects == 7
+    # Each observe sees the pull counted, and the reward and cost the sink gets.
+    assert policy.observed == [(step.t, step.reward, step.cost) for step in steps]
+    assert len(steps) == 7
 
 
 class _Quits(Policy):
@@ -380,14 +417,12 @@ def _reference_run_policy(
     policy: Policy, arms: list[ArmProcess], config: BanditConfig, sink: StepSink | None = None
 ) -> PolicyTrace:
     """The engine as it was before policies planned their pulls: ``select``
-    and ``observe`` once per pull, to the end of every run."""
+    and ``observe`` once per pull, to the end of every run.  It counts each
+    pull in the arm's state and writes nothing else there."""
     k = len(arms)
     if k == 0:
         raise ConfigurationError("an instance needs at least one arm")
-    # growth_rate reads at most the last smooth_window + 1 rewards; no deque
-    # can hold sys.maxsize, so the clamp changes nothing.
-    keep = min(config.smooth_window + 1, sys.maxsize)
-    states = [ArmState(arm_id=i, history=deque(maxlen=keep)) for i in range(1, k + 1)]
+    states = [ArmState(arm_id=i) for i in range(1, k + 1)]
     horizon = Horizon(config, arms)
     policy.start(states, config, horizon)
     # Bound once per run: the loop body runs once per pull.
@@ -415,15 +450,11 @@ def _reference_run_policy(
         horizon.spent += cost
         st = states[arm_id - 1]
         st.pulls += 1
-        st.history.append(reward)
-        st.reward_sum += reward
-        st.lower = reward
-        st.total_cost += cost
         if reward > final_j:
             final_j, best_step, best_arm = reward, t, arm_id
         if sink is not None:
             sink(t, arm_id, reward, cost, len(policy.candidates))
-        observe(st)
+        observe(st, reward, cost)
     if t == 0:
         if not any(map(fits, range(1, k + 1))):
             raise ConfigurationError("budget too small for a single pull")

@@ -30,35 +30,33 @@ from risingbandits.bandit import Horizon
 from risingbandits.hpo import SEARCH_STRATEGIES
 from risingbandits.policies import POLICIES, POLICY_NAMES
 
+from conftest import sum_left_to_right
+
 CURVE = ExponentialCurve(limit=0.9, initial=0.5, decay=0.5)
-
-
-def _states(*histories):
-    out = []
-    for i, history in enumerate(histories, start=1):
-        out.append(ArmState(arm_id=i, pulls=len(history), history=list(history), reward_sum=sum(history)))
-    return out
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _observed(policy, states):
-    """``states`` as ``policy`` knows them after the pulls they record: the
-    policy is started on them and observes each pulled arm's state once."""
-    config = BanditConfig(trials=sum(state.pulls for state in states) + 1)
+def _observed(policy, *histories):
+    """The arm states of a run whose arms have paid out ``histories``: the
+    policy is started on fresh states and observes each reward, arm by arm,
+    with the pull counted in the arm's state, as the engine passes it."""
+    states = [ArmState(arm_id=i) for i in range(1, len(histories) + 1)]
+    config = BanditConfig(trials=sum(map(len, histories)) + 1)
     policy.start(states, config, Horizon(config, []))
-    for state in states:
-        if state.pulls:
-            policy.observe(state)
+    for state, history in zip(states, histories):
+        for reward in history:
+            state.pulls += 1
+            policy.observe(state, reward, 1.0)
     return states
 
 
 class TestAveragePolicy:
     def test_round_robin_order(self):
         policy = AveragePolicy()
-        states = _states([], [], [])
+        states = [ArmState(arm_id=i) for i in (1, 2, 3)]
         assert [policy.select(states, t) for t in range(1, 7)] == [1, 2, 3, 1, 2, 3]
 
     def test_equal_pull_counts_on_divisible_horizon(self):
@@ -71,17 +69,17 @@ class TestUCBPolicy:
     def test_forces_initial_pulls(self):
         # At step t <= K a run has pulled arms 1..t-1 once each and no other.
         policy = UCBPolicy()
-        states = _observed(policy, _states([0.9], [], []))
+        states = _observed(policy, [0.9], [], [])
         assert policy.select(states, 2) == 2
 
     def test_prefers_higher_mean_at_equal_counts(self):
         policy = UCBPolicy(exploration_coefficient=1.0)
-        states = _observed(policy, _states([0.9], [0.1]))
+        states = _observed(policy, [0.9], [0.1])
         assert policy.select(states, 3) == 1
 
     def test_bonus_pulls_undersampled_arm(self):
         policy = UCBPolicy(exploration_coefficient=10.0)
-        states = _observed(policy, _states([0.9] * 50, [0.85]))
+        states = _observed(policy, [0.9] * 50, [0.85])
         assert policy.select(states, 52) == 2
 
     def test_rejects_nonpositive_coefficient(self):
@@ -94,13 +92,14 @@ class TestUCBPolicy:
             UCBPolicy(exploration_coefficient=coefficient)
 
 
-def _softmax_by_choice(states, temperature, rng):
-    """The softmax draw made through ``Generator.choice``."""
-    logits = np.array([state.reward_sum / state.pulls / temperature for state in states])
+def _softmax_by_choice(histories, temperature, rng):
+    """The softmax draw made through ``Generator.choice`` over arms that
+    have paid out ``histories``."""
+    logits = np.array([sum_left_to_right(history) / len(history) / temperature for history in histories])
     logits -= logits.max()
     probs = np.exp(logits)
     probs /= probs.sum()
-    return int(rng.choice(len(states), p=probs)) + 1
+    return int(rng.choice(len(histories), p=probs)) + 1
 
 
 class _FixedDraw(np.random.Generator):
@@ -119,13 +118,13 @@ class TestSoftmaxPolicy:
     def test_forces_initial_pulls(self):
         policy = SoftmaxPolicy()
         policy.reset(_rng())
-        states = _observed(policy, _states([0.5], []))
+        states = _observed(policy, [0.5], [])
         assert policy.select(states, 2) == 2
 
     def test_near_uniform_at_high_temperature(self):
         policy = SoftmaxPolicy(temperature=1e6)
         policy.reset(_rng(1))
-        states = _observed(policy, _states([0.9], [0.1], [0.5]))
+        states = _observed(policy, [0.9], [0.1], [0.5])
         draws = [policy.select(states, 4) for _ in range(3000)]
         counts = [draws.count(i) for i in (1, 2, 3)]
         # Chi-square test of equal cells: with three cells the statistic has 2
@@ -137,7 +136,7 @@ class TestSoftmaxPolicy:
     def test_concentrates_at_low_temperature(self):
         policy = SoftmaxPolicy(temperature=0.01)
         policy.reset(_rng(2))
-        states = _observed(policy, _states([0.9], [0.1]))
+        states = _observed(policy, [0.9], [0.1])
         draws = [policy.select(states, 3) for _ in range(200)]
         assert draws.count(1) == 200
 
@@ -145,7 +144,13 @@ class TestSoftmaxPolicy:
         with pytest.raises(ValueError):
             SoftmaxPolicy(temperature=0.0)
 
-    @pytest.mark.parametrize("temperature", [1e-310, 5e-324, float("nan")])
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_rejects_non_finite_temperature(self, temperature):
+        # An infinite temperature would sample uniformly whatever the means.
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            SoftmaxPolicy(temperature=temperature)
+
+    @pytest.mark.parametrize("temperature", [1e-310, 5e-324])
     def test_rejects_temperature_without_a_finite_inverse(self, temperature):
         # A mean over a subnormal temperature overflows to inf, and the
         # probabilities to NaN.
@@ -155,7 +160,7 @@ class TestSoftmaxPolicy:
     def test_smallest_normal_temperature_draws_the_best_arm(self):
         policy = SoftmaxPolicy(temperature=2.3e-308)
         policy.reset(_rng(5))
-        assert policy.select(_observed(policy, _states([0.9], [1.0], [0.2])), 4) == 2
+        assert policy.select(_observed(policy, [0.9], [1.0], [0.2]), 4) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -165,43 +170,40 @@ class TestSoftmaxPolicy:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_draws_the_arm_generator_choice_draws(self, means, pulls, temperature, seed):
-        states = [
-            ArmState(arm_id=i, pulls=pulls, reward_sum=mean * pulls) for i, mean in enumerate(means, start=1)
-        ]
+        histories = [[mean] * pulls for mean in means]
         policy = SoftmaxPolicy(temperature=temperature)
         policy.reset(_rng(seed))
-        _observed(policy, states)
+        states = _observed(policy, *histories)
         reference = _rng(seed)
         # The step that follows the pulls the states record.
         step = len(means) * pulls + 1
         for _ in range(5):
-            assert policy.select(states, step) == _softmax_by_choice(states, temperature, reference)
+            assert policy.select(states, step) == _softmax_by_choice(histories, temperature, reference)
 
     def test_normalises_the_probabilities_before_accumulating_them(self):
         # Accumulating the unnormalised exponentials and scaling the CDF
         # afterwards rounds differently: at this draw it picks arm 1, where
         # Generator.choice on the normalised probabilities picks arm 2.
         draw = 0.9974964563848677
-        means = [0.9, 0.1, 0.1, 0.25, 0.1]
-        states = [ArmState(arm_id=i, pulls=1, reward_sum=mean) for i, mean in enumerate(means, start=1)]
+        histories = [[0.9], [0.1], [0.1], [0.25], [0.1]]
         policy = SoftmaxPolicy(temperature=0.1)
         policy.reset(_FixedDraw(draw))
-        _observed(policy, states)
-        assert policy.select(states, 6) == _softmax_by_choice(states, 0.1, _FixedDraw(draw)) == 2
+        states = _observed(policy, *histories)
+        assert policy.select(states, 6) == _softmax_by_choice(histories, 0.1, _FixedDraw(draw)) == 2
 
 
 class TestThompsonPolicy:
     def test_mostly_picks_clearly_better_arm(self):
         policy = ThompsonPolicy()
         policy.reset(_rng(3))
-        states = _observed(policy, _states([0.95] * 30, [0.05] * 30))
+        states = _observed(policy, [0.95] * 30, [0.05] * 30)
         draws = [policy.select(states, 61) for _ in range(300)]
         assert draws.count(1) > 280
 
     def test_unpulled_arms_draw_from_prior(self):
         policy = ThompsonPolicy()
         policy.reset(_rng(4))
-        states = _observed(policy, _states([], []))
+        states = _observed(policy, [], [])
         draws = {policy.select(states, 1) for _ in range(50)}
         assert draws == {1, 2}
 
@@ -268,31 +270,42 @@ def _first_unpulled(states):
     return None
 
 
-class _ReferenceUCB(UCBPolicy):
-    """UCB scored from every arm's state at each select, as before the
-    policy kept per-arm arrays."""
+class _KeepsEveryReward(Policy):
+    """Keeps each arm's rewards in pull order, and sums them only when a
+    select asks: none of the baselines' own per-arm arrays or sums."""
 
-    start, observe = Policy.start, Policy.observe
+    def start(self, states, config, horizon):
+        Policy.start(self, states, config, horizon)
+        self._rewards = [[] for _ in states]
+
+    def observe(self, state, reward, cost):
+        self._rewards[state.arm_id - 1].append(reward)
+
+    def _sum(self, state):
+        return sum_left_to_right(self._rewards[state.arm_id - 1])
+
+
+class _ReferenceUCB(_KeepsEveryReward, UCBPolicy):
+    """UCB scored from every arm's rewards at each select, as before the
+    policy kept per-arm arrays."""
 
     def select(self, states, t):
         forced = _first_unpulled(states)
         if forced is not None:
             return forced
         coefficient, log_t = self.exploration_coefficient, math.log(t)
-        scores = [st.reward_sum / st.pulls + coefficient * math.sqrt(log_t / st.pulls) for st in states]
+        scores = [self._sum(st) / st.pulls + coefficient * math.sqrt(log_t / st.pulls) for st in states]
         return _argmax(scores)
 
 
-class _ReferenceSoftmax(SoftmaxPolicy):
-    """Softmax with its logits rebuilt from the arm states at each select."""
-
-    start, observe = Policy.start, Policy.observe
+class _ReferenceSoftmax(_KeepsEveryReward, SoftmaxPolicy):
+    """Softmax with its logits rebuilt from the arms' rewards at each select."""
 
     def select(self, states, t):
         forced = _first_unpulled(states)
         if forced is not None:
             return forced
-        logits = np.array([st.reward_sum / st.pulls / self.temperature for st in states])
+        logits = np.array([self._sum(st) / st.pulls / self.temperature for st in states])
         logits -= logits.max()
         probs = np.exp(logits)
         probs /= probs.sum()
@@ -301,16 +314,14 @@ class _ReferenceSoftmax(SoftmaxPolicy):
         return int(cdf.searchsorted(self._rng.random(), side="right")) + 1
 
 
-class _ReferenceThompson(ThompsonPolicy):
-    """Thompson sampling with one scalar Beta draw per arm state at each select."""
-
-    start, observe = Policy.start, Policy.observe
+class _ReferenceThompson(_KeepsEveryReward, ThompsonPolicy):
+    """Thompson sampling with one scalar Beta draw per arm at each select."""
 
     def select(self, states, t):
         beta, alpha0, beta0 = self._rng.beta, self.prior_alpha, self.prior_beta
         draws = []
         for st in states:
-            successes = st.reward_sum
+            successes = self._sum(st)
             draws.append(beta(alpha0 + successes, beta0 + (st.pulls - successes)))
         return _argmax(draws)
 
@@ -367,8 +378,9 @@ def reference_runs(draw):
 @settings(max_examples=100, deadline=None)
 @given(reference_runs())
 def test_baselines_select_what_the_state_reading_reference_selects(case):
-    # The per-arm arrays that observe keeps give the same pulls, the same
-    # trace and the same draws as scoring every arm state at each select.
+    # The per-arm arrays and sums that observe keeps give the same pulls, the
+    # same trace and the same draws as summing every arm's rewards at each
+    # select.
     instance, config, params, seed = case
     for name, reference in REFERENCES.items():
         runs = []

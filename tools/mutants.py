@@ -13,8 +13,9 @@ the whole suite but the check that every entry's old text occurs.  An
 entry whose old text does not occur exactly once is reported as stale,
 never skipped.  The exit code is 0 when every entry's outcome is the
 expected one, else 1.  Outside a git checkout (a ``git archive`` export,
-say) it prints one line and exits 1 before any entry runs.  Uses the
-standard library only.
+say) it prints one line and exits 1 before any entry runs.  Stopped by
+``SIGTERM`` or Ctrl-C, it stops the running tests, removes the mutant copy
+and exits with 128 plus the signal number.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -97,7 +98,15 @@ def run_entry(entry: dict) -> str:
         return {"passed": "survived", "failed": "killed"}.get(named, named)
 
 
+def _stop(signum, frame):
+    # Unwinds the stack, so the finally in pytest() kills the running
+    # tests' process group and the mutant copy's TemporaryDirectory is removed.
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, _stop)
     if not os.path.exists(os.path.join(ROOT, ".git")):
         # copy_tree asks git which files make up the checkout.
         print(f"mutants: no git repository at the checkout root {ROOT}", file=sys.stderr)
