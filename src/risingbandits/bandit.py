@@ -4,7 +4,9 @@ The algorithm keeps a candidate set of arms, pulls every candidate once per
 round, brackets each arm's achievable final reward between the last observed
 value (lower) and a linear extrapolation of the growth rate (upper), and
 drops any arm whose upper bound falls below another candidate's lower bound.
-Supports a trial-count horizon and a cost-aware budget horizon.
+The horizon is a trial count or a cost-aware spend budget; only
+:class:`Horizon` tells the two apart, and in both a run ends when no
+candidate's next pull fits.
 
 One engine, :func:`run_policy`, runs the elimination algorithm and the
 baselines alike: each is a :class:`Policy` that plans the next arms to pull
@@ -177,31 +179,26 @@ def eliminate(candidates: list[int], states: list[ArmState]) -> list[int]:
 class Horizon:
     """A trial count or a spend budget, and how much of it a run has used.
 
-    The only place where the two modes differ: whether the next pull fits,
-    and how many pulls are left for an arm's upper bound.  A pull fits a
-    budget within ``DEFAULT_EPSILON``, so float rounding in the running spend
-    cannot refuse a pull that fits exactly.
-
-    ``priced`` says whether the arm matters to a fit.  In a trials run it
-    does not: the next pull of any arm fits exactly when ``fits()`` does, so
-    a caller that has just checked ``fits()`` need not check an arm.
+    The only place where the two modes differ: whether an arm's next pull
+    fits, and how many pulls are left for an arm's upper bound.  A pull fits
+    a budget within ``DEFAULT_EPSILON``, so float rounding in the running
+    spend cannot refuse a pull that fits exactly.
     """
 
-    __slots__ = ("trials", "budget", "priced", "arms", "t", "spent")
+    __slots__ = ("trials", "budget", "arms", "t", "spent")
 
     def __init__(self, config: BanditConfig, arms: list[ArmProcess]) -> None:
         self.trials = config.trials
         self.budget = config.budget
-        self.priced = config.budget is not None
         self.arms = arms
         self.t = 0
         self.spent = 0.0
 
-    def fits(self, arm_id: int | None = None) -> bool:
-        """Whether one more pull, of ``arm_id`` when given, stays within the horizon."""
+    def fits(self, arm_id: int) -> bool:
+        """Whether one more pull of ``arm_id`` stays within the horizon."""
         if self.trials is not None:
             return self.t < self.trials
-        return arm_id is None or self.spent + self.arms[arm_id - 1].peek_cost() <= self.budget + DEFAULT_EPSILON
+        return self.spent + self.arms[arm_id - 1].peek_cost() <= self.budget + DEFAULT_EPSILON
 
     def upper(self, state: ArmState, omega: float) -> float:
         """Upper bound of ``state``, growing at ``omega`` per pull, over the
@@ -220,9 +217,11 @@ class Policy:
 
     ``plan`` returns the next arms to pull, in order; a plan that makes no
     pull ends the run.  By default it is the one arm ``select`` names, or
-    none.  ``reset`` keeps the run-local RNG stream as ``_rng``, which only
-    the sampling policies draw from.  ``candidates`` is the arm set in force,
-    which only the elimination policy shrinks, and only in ``plan``.
+    none.  Only a plan made when one candidate is left may be endless: the
+    engine ends it at the first pull that does not fit.  ``reset`` keeps the
+    run-local RNG stream as ``_rng``, which only the sampling policies draw
+    from.  ``candidates`` is the arm set in force, which only the
+    elimination policy shrinks, and only in ``plan``.
     """
 
     name = "policy"
@@ -253,16 +252,13 @@ class RisingBanditPolicy(Policy):
 
     Each plan is a round: the candidates in id order, of which the engine
     skips those whose next pull does not fit.  Every plan after the first
-    begins with a sweep.  The engine asks for a plan only after a round that
-    pulled.  A trials run asks for none after its last pull, but a budget run
-    does, so its last sweep may drop arms when no pull is left to make.
+    begins with a sweep.  The engine asks for a plan only while some
+    candidate's next pull fits, so no sweep runs once no pull is left.
 
     Once one candidate is left the set is settled: a sweep would keep it, so
     none runs, and ``observe`` stops recording the history, bounds and spend
-    that only a sweep reads.  In a trials run every remaining pull fits, so
-    the plan is that arm until the horizon is used up.  In a budget run it is
-    that arm once per plan, and the first plan whose pull does not fit ends
-    the run.  Sweeps only remove arms, so the sets are nested.
+    that only a sweep reads.  The plan is that arm, repeated until its next
+    pull does not fit.  Sweeps only remove arms, so the sets are nested.
     """
 
     name = "rising_bandit"
@@ -276,15 +272,12 @@ class RisingBanditPolicy(Policy):
         keep = min(config.window + 1, sys.maxsize)
         for st in states:
             st.history = deque(maxlen=keep)
-        # A budget run's settled arm is planned once at a time: the engine
-        # skips a pull that does not fit, so a repeat of it would never end.
-        self._repeats = not horizon.priced
 
     def plan(self, states: list[ArmState], t: int) -> Iterable[int]:
         if t > 1 and len(self.candidates) > 1:
             self.candidates = eliminate(self.candidates, states)
         candidates = self.candidates
-        if len(candidates) == 1 and self._repeats:
+        if len(candidates) == 1:
             return repeat(candidates[0])
         return candidates
 
@@ -305,13 +298,13 @@ def run_policy(
 ) -> PolicyTrace:
     """Run ``policy`` on ``arms``: the one loop that pulls arms.
 
-    The engine asks ``plan`` for the next arms and pulls them in order, with
-    one horizon check after each pull.  It counts the pull in the arm's
-    state, its only write to it, and passes the pull to ``observe`` and to
-    ``sink``, as ``sink(t, arm, reward, cost, candidate_set_size)``.
-    In a budget run it first checks each planned arm's next cost and skips
-    an arm whose pull does not fit.  The run ends when the horizon is used
-    up, or at a plan that makes no pull.
+    The engine asks ``plan`` for the next arms only while some candidate's
+    next pull fits, and pulls them in order.  It checks each planned pull
+    and skips one that does not fit, or, when one candidate is left, ends
+    the plan there.  It counts each pull in the arm's state, its only write
+    to it, and passes the pull to ``observe`` and to ``sink``, as
+    ``sink(t, arm, reward, cost, candidate_set_size)``.  The run ends when
+    no candidate's pull fits, or at a plan that makes no pull.
     """
     k = len(arms)
     if k == 0:
@@ -322,15 +315,11 @@ def run_policy(
     # Bound once per run: the loop body runs once per pull.
     observe, fits = policy.observe, horizon.fits
     pulls = [arm.pull for arm in arms]
-    # Whether to check each planned arm: in a trials run the check after the
-    # last pull has said that any arm's next pull fits.
-    check_arm = horizon.priced
     t, arm_id = 0, None
     # Only a strictly greater reward moves the best, so best_step is the
     # first step that reaches final_j.
     final_j, best_step, best_arm = -math.inf, 0, 0
-    more = fits()
-    while more:
+    while any(map(fits, policy.candidates)):
         plan = policy.plan(states, t + 1)
         # Read once per plan: only plan changes the candidate set.
         size = len(policy.candidates)
@@ -338,8 +327,10 @@ def run_policy(
         for arm_id in plan:
             if not 1 <= arm_id <= k:
                 raise ConfigurationError(f"policy {policy.name!r} planned invalid arm {arm_id}")
-            # Budget mode only: skips a planned pull that would overspend.
-            if check_arm and not fits(arm_id):
+            if not fits(arm_id):
+                # A lone candidate's plan may repeat its arm without end.
+                if size == 1:
+                    break
                 continue
             reward, cost = pulls[arm_id - 1]()
             t += 1
@@ -352,9 +343,6 @@ def run_policy(
             if sink is not None:
                 sink(t, arm_id, reward, cost, size)
             observe(st, reward, cost)
-            more = fits()
-            if not more:
-                break
         if t == planned_at:
             # The plan was empty, or no planned pull fitted: nothing the
             # next plan would read has changed.

@@ -3,7 +3,7 @@ from itertools import repeat
 from unittest import mock
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from risingbandits import bandit, verify
 from risingbandits.bandit import Policy, growth_rate
@@ -12,6 +12,14 @@ from risingbandits.bandit import Policy, growth_rate
 # a property test passes or fails alike on every machine and every run.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+# The same examples, with no shrinking of a failing one: for runs that need
+# only to know whether a test fails, such as tools/mutants.py, which selects
+# it with pytest's --hypothesis-profile.
+settings.register_profile(
+    "deterministic-no-shrink",
+    settings.get_profile("deterministic"),
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
 
 
 @pytest.fixture(scope="session")
@@ -58,12 +66,13 @@ def sum_left_to_right(values):
 
 class AlwaysSweeping(Policy):
     """Reference elimination policy that names one arm per ``select``, with
-    its own fit check on every candidate: every round ends with a sweep, and
-    every pull records the arm's history, lower bound and spend and, from
-    the arm's second pull on, its upper bound, however many candidates are
-    left.  The history is every reward, of which ``growth_rate`` reads the
-    last window + 1.  It looks ``eliminate`` up on the module, as the
-    elimination policy does, so ``record_sweeps`` sees its sweeps."""
+    its own fit check on every candidate: every round ends with a sweep
+    while some candidate's next pull fits, and every pull records the arm's
+    history, lower bound and spend and, from the arm's second pull on, its
+    upper bound, however many candidates are left.  The history is every
+    reward, of which ``growth_rate`` reads the last window + 1.  It looks
+    ``eliminate`` up on the module, as the elimination policy does, so
+    ``record_sweeps`` sees its sweeps."""
 
     name = "rising_bandit"
 
@@ -80,7 +89,7 @@ class AlwaysSweeping(Policy):
                 if self._horizon.fits(arm_id):
                     self._round_pulled = True
                     return arm_id
-            if not self._round_pulled:
+            if not (self._round_pulled and any(map(self._horizon.fits, self.candidates))):
                 return None
             self.candidates = bandit.eliminate(self.candidates, states)
             self._next, self._round_pulled = 0, False

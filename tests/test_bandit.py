@@ -396,12 +396,14 @@ class TestRisingBanditRunBudget:
     def test_a_sweep_reads_the_lower_bound_of_an_arm_never_pulled(self, record_sweeps):
         # Arm 2's one pull never fits after arm 1's first, so every sweep
         # takes arm 2 at no pulls, with no history and its initial lower
-        # bound of 0: ArmState.lower is not always the last reward.
+        # bound of 0: ArmState.lower is not always the last reward.  One
+        # sweep precedes each of rounds 2 to 10; none follows the tenth,
+        # after which no candidate's pull fits.
         with record_sweeps() as sweeps:
             trace = rising_bandit_run(_arms(ARM1, ARM1, costs=[1.0, 10.0]), BanditConfig(budget=10.5))
         assert trace.pull_counts == [10, 0]
         assert trace.candidates == (1, 2)
-        assert sweeps == [((1, 2), (1, 2))] * 10
+        assert sweeps == [((1, 2), (1, 2))] * 9
 
 
 @st.composite
@@ -453,20 +455,19 @@ class TestSettledCandidateSet:
         assert sweeps == expected_sweeps[: len(sweeps)]
         assert all(len(before) > 1 for before, _ in sweeps)
         assert all(len(before) == 1 and after == before for before, after in expected_sweeps[len(sweeps) :])
-        # Each plan is the set in force for one of the reference's rounds, a
-        # budget run's down to the one that makes no pull.  A trials run's
-        # first set of one arm is planned once, repeated to the horizon.
+        # Each plan is the set in force for one of the reference's rounds,
+        # down to one that makes no pull, if any.  The first set of one arm
+        # is planned once, repeated to the end of the run.
         rounds = [list(range(1, instance.k + 1))] + [list(after) for _, after in expected_sweeps]
-        if config.trials is not None:
-            settled = next((i for i, arms in enumerate(rounds) if len(arms) == 1), None)
-            if settled is not None:
-                rounds[settled:] = [f"repeat({rounds[settled][0]})"]
+        settled = next((i for i, arms in enumerate(rounds) if len(arms) == 1), None)
+        if settled is not None:
+            rounds[settled:] = [f"repeat({rounds[settled][0]})"]
         assert plans == rounds
 
     def test_settled_set_ends_a_budget_run_when_its_arm_no_longer_fits(self, record_sweeps):
         # Arm 2 stops growing and is dropped after round 2, with 6.5 of the
-        # budget left; arm 1 (cost 3) fits twice more, in two settled rounds
-        # with no sweep, then a plan whose one pull does not fit ends the run.
+        # budget left; arm 1 (cost 3) fits twice more, in one settled plan
+        # with no sweep, which ends at its first pull that does not fit.
         with record_sweeps() as sweeps:
             trace, _, plans = _run_recording_plans(
                 RisingBanditPolicy(),
@@ -477,7 +478,7 @@ class TestSettledCandidateSet:
         assert trace.pull_counts == [4, 2]
         assert sweeps == [((1, 2), (1, 2)), ((1, 2), (1,))]
         assert trace.candidates == (1,)
-        assert plans == [[1, 2], [1, 2], [1], [1], [1]]
+        assert plans == [[1, 2], [1, 2], "repeat(1)"]
 
 
 class TestOfflineMaxRun:

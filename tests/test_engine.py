@@ -136,15 +136,20 @@ def test_engine_invariants(record_sweeps, case):
             in_force = sets[min(r, len(sweeps))]
             assert step.arm in in_force
             assert step.candidate_set_size == len(in_force)
-        if config.trials is not None:
-            # No sweep follows the round that uses up the trials.
-            due = rounds[-1]
-        else:
-            # The run ends only when no candidate's next pull fits.
-            due = rounds[-1] + 1
-            left = config.budget - trace.total_cost
-            assert all(instance.arms[a - 1].cost > left - 1e-9 for a in trace.candidates)
-        # Every round due a sweep ends with one, until the set is settled.
+
+        def fits(arm):
+            # Horizon.fits at the end of the run; a trials run has used up its trials.
+            cost = instance.arms[arm - 1].cost
+            return config.budget is not None and trace.total_cost + cost <= config.budget + 1e-12
+
+        # The run ends when no candidate's next pull fits, or at a plan that
+        # makes no pull: one whose sweep dropped every arm that still fits.
+        assert not any(map(fits, trace.candidates))
+        swept_last = any(map(fits, sets[min(rounds[-1], len(sweeps))]))
+        # Every round but the last ends with a sweep, until the set is
+        # settled.  The last ends with one only while some candidate's pull
+        # still fits, and the plan that sweep makes ends the run unpulled.
+        due = rounds[-1] + swept_last
         assert len(sweeps) == due or (len(sweeps) < due and len(trace.candidates) == 1)
 
 
@@ -160,28 +165,43 @@ def test_a_sink_does_not_change_the_run(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    specs=st.lists(st.one_of(arm_specs(), hpo_arm_specs()), min_size=1, max_size=4),
-    trials=st.integers(1, 40),
-    growth=st.sampled_from(["last", "smooth"]),
-    seed=st.integers(0, 2**16),
-)
-def test_a_trials_run_makes_one_horizon_check_per_pull(specs, trials, growth, seed):
-    # A pull fits a trials horizon exactly when t < trials, whichever arm it
-    # is: the engine's loop check says so, and no check may name an arm.
-    instance, config = InstanceSpec(specs), BanditConfig(trials=trials, growth=growth)
+@given(experiments(st.one_of(arm_specs(), hpo_arm_specs())))
+def test_a_plan_is_requested_only_while_some_candidates_pull_fits(case):
+    # The same rule in both modes: before each plan the engine asks whether
+    # some candidate's next pull fits, so a trials run requests no plan once
+    # t == trials, and a budget run none once every candidate would overspend.
+    instance, config, seed = case
     real = Horizon.fits
     for name in POLICY_NAMES:
-        checked = []
+        policy = make_policy(name)
+        start, plan = policy.start, policy.plan
+        checked, horizons, fitting = [], [], []
 
-        def fits(horizon, arm_id=None):
+        def capture(states, config, horizon):
+            horizons.append(horizon)
+            start(states, config, horizon)
+
+        def planning(states, t):
+            assert horizons[0].t == t - 1
+            fitting.append([arm for arm in policy.candidates if real(horizons[0], arm)])
+            return plan(states, t)
+
+        def fits(horizon, arm_id):
             checked.append(arm_id)
             return real(horizon, arm_id)
 
+        policy.start, policy.plan = capture, planning
         with mock.patch.object(Horizon, "fits", fits):
-            simulate(make_policy(name), instance, config, seed=seed)
-        # One before each pull, and the one that ends the run.
-        assert checked == [None] * (trials + 1), name
+            trace = simulate(policy, instance, config, seed=seed)
+        assert fitting and all(fitting), name
+        if config.trials is None:
+            continue
+        assert len(fitting) <= config.trials, name
+        if name != "rising_bandit":
+            # A baseline's run: one check before each plan and one before
+            # its pull, then one per arm, none of which fits.
+            assert trace.horizon == len(fitting) == config.trials
+            assert len(checked) == 2 * config.trials + instance.k, name
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,10 +293,7 @@ def test_a_unit_cost_budget_runs_as_that_many_trials(case, horizon):
         steps, trace = _run(name, unit, BanditConfig(trials=horizon, **growth), seed)
         budget_steps, budget_trace = _run(name, unit, BanditConfig(budget=float(horizon), **growth), seed)
         assert budget_steps == steps, name
-        assert budget_trace.pull_counts == trace.pull_counts
-        # The final candidate sets may differ: a budget run asks for one
-        # more plan after its last pull, and an elimination plan sweeps
-        # there, so it can drop an arm that the trials run keeps.
+        assert budget_trace == trace, name
 
 
 @settings(max_examples=200, deadline=None)
@@ -427,22 +444,19 @@ def _reference_run_policy(
     policy.start(states, config, horizon)
     # Bound once per run: the loop body runs once per pull.
     select, observe, fits = policy.select, policy.observe, horizon.fits
-    # Whether to check the selected arm after select: in a trials run the
-    # loop's check has just said that any arm's pull fits.
-    check_arm = horizon.priced
     t, arm_id = 0, None
     # Only a strictly greater reward moves the best, so best_step is the
     # first step that reaches final_j.
     final_j, best_step, best_arm = -math.inf, 0, 0
-    while fits():
+    while any(map(fits, policy.candidates)):
         arm_id = select(states, t + 1)
         if arm_id is None:
             break
         if not 1 <= arm_id <= k:
             raise ConfigurationError(f"policy {policy.name!r} selected invalid arm {arm_id}")
-        # Budget mode only: ends the run at a selected pull that would
-        # overspend, which a baseline may select.
-        if check_arm and not fits(arm_id):
+        # Ends the run at a selected pull that does not fit, which a
+        # baseline may select in a budget run.
+        if not fits(arm_id):
             break
         reward, cost = arms[arm_id - 1].pull()
         t += 1

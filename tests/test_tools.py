@@ -55,6 +55,11 @@ SLOW_CATALOGUE = [
         "expect": "killed",
     }
 ]
+# The runner loads this hypothesis profile, which a checkout's conftest registers.
+SLOW_CONFTEST = """from hypothesis import settings
+
+settings.register_profile("deterministic-no-shrink")
+"""
 SLOW_TEST = """import os, time
 
 def test_sleeps():
@@ -89,6 +94,7 @@ def test_mutants_stopped_by_sigterm_leaves_no_copy_and_no_tests_running(tmp_path
     shutil.copy(os.path.join(TOOLS, "mutants.py"), checkout / "tools")
     (checkout / "tools" / "mutants.json").write_text(json.dumps(SLOW_CATALOGUE))
     (checkout / "src" / "target.py").write_text("VALUE = 1\n")
+    (checkout / "tests" / "conftest.py").write_text(SLOW_CONFTEST)
     (checkout / "tests" / "test_slow.py").write_text(SLOW_TEST)
     subprocess.run(["git", "init", "-q", str(checkout)], check=True)
     env = dict(os.environ, TMPDIR=str(temp))

@@ -9,7 +9,10 @@ the outcome expected: ``killed``, ``timeout`` (a mutant that makes a run
 never end) or ``survived`` (the no-op control).  For each entry the checkout
 is copied into a fresh temporary directory and the entry applied there;
 ``pytest -x -q`` runs the named tests under a timeout and, if they pass,
-the whole suite but the check that every entry's old text occurs.  An
+the whole suite but the check that every entry's old text occurs.  Both
+runs load the hypothesis profile ``deterministic-no-shrink``, which the
+checkout's ``tests/conftest.py`` registers: a failing property is reported
+as soon as it fails, not after it has been shrunk.  An
 entry whose old text does not occur exactly once is reported as stale,
 never skipped.  The exit code is 0 when every entry's outcome is the
 expected one, else 1.  Outside a git checkout (a ``git archive`` export,
@@ -35,6 +38,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # once they pass.
 NAMED_TIMEOUT = 60
 SUITE_TIMEOUT = 600
+# The tests' deterministic examples without the shrink phase, which can take
+# most of NAMED_TIMEOUT and turn a kill into a timeout.
+PROFILE_OPTION = "--hypothesis-profile=deterministic-no-shrink"
 # Checks that every entry's old text occurs in the checkout: a mutant tree
 # has replaced its own entry's, so the whole-suite run leaves it out.
 LIVENESS_TEST = "tests/test_tools.py::test_every_catalogue_entry_applies"
@@ -62,7 +68,7 @@ def pytest(tree: str, targets: list[str], timeout: float) -> str:
     timeout also stops any process a test started."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", PROFILE_OPTION, *targets],
         cwd=tree,
         env=env,
         stdout=subprocess.DEVNULL,
