@@ -30,6 +30,7 @@ from .arms import ConfigurationError
 from .bandit import DEFAULT_EPSILON, PolicyTrace, StepRecord, StepSink, list_sink
 from .config import ExperimentConfig, parse_experiment
 from .harness import PolicyResult, build_report, simulate
+from .policies import make_policy
 
 TRACE_COLUMNS = (
     "step",
@@ -52,8 +53,7 @@ def _fmt(x: float) -> str:
 def _run_one(
     config: ExperimentConfig, policy_name: str, replication: int, sink: StepSink | None = None
 ) -> PolicyTrace:
-    policy = config.build_policy(policy_name)
-    return simulate(policy, config.instance, config.bandit, config.base_seed, replication, sink)
+    return simulate(make_policy(policy_name), config.instance, config.bandit, config.base_seed, replication, sink)
 
 
 def _run_listed(

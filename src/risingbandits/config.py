@@ -8,9 +8,7 @@ Grammar (diff-friendly, one assignment per line):
     key = value            belong to that arm until the next [arm]
 
 Global keys: horizon_trials | horizon_budget, growth, smooth_window,
-policies (comma list), replications, base_seed, and optional policy
-parameters (ucb_coefficient, softmax_temperature, thompson_alpha,
-thompson_beta).
+policies (comma list), replications, base_seed.
 
 Arm keys: kind (exponential | power | tabulated | staircase | hpo, the keys
 of ARM_KINDS), then one key per field of the dataclass the kind builds, under
@@ -22,7 +20,7 @@ A key is optional exactly when its field has a default, which then applies.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .arms import (
     ArmSpec,
@@ -59,15 +57,7 @@ BANDIT_FIELDS = {
     "smooth_window": ("smooth_window", int),
 }
 
-# Optional global key -> (policy, keyword argument of that policy).
-POLICY_PARAMS = {
-    "ucb_coefficient": ("ucb", "exploration_coefficient"),
-    "softmax_temperature": ("softmax", "temperature"),
-    "thompson_alpha": ("thompson", "prior_alpha"),
-    "thompson_beta": ("thompson", "prior_beta"),
-}
-
-GLOBAL_KEYS = {*BANDIT_FIELDS, *POLICY_PARAMS, "policies", "replications", "base_seed"}
+GLOBAL_KEYS = {*BANDIT_FIELDS, "policies", "replications", "base_seed"}
 
 # Arm kind -> the class its block builds. A curve kind wraps its curve in a
 # CurveArmSpec, whose fields after ``curve`` the block may set as well.
@@ -87,14 +77,9 @@ class ExperimentConfig:
     policy_names: list[str]
     replications: int = 1
     base_seed: int = 0
-    policy_params: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def build_policies(self) -> list[Policy]:
-        return [self.build_policy(name) for name in self.policy_names]
-
-    def build_policy(self, name: str) -> Policy:
-        """The named policy, with the parameters this experiment sets for it."""
-        return make_policy(name, **self.policy_params.get(name, {}))
+        return [make_policy(name) for name in self.policy_names]
 
 
 def _parse_scalar(key: str, raw: str, kind: type) -> float | int | str:
@@ -207,8 +192,7 @@ def _check_horizon(bandit: BanditConfig, instance: InstanceSpec) -> None:
 
 
 def parse_experiment(text: str) -> ExperimentConfig:
-    # Some editors save UTF-8 with a byte-order mark first.
-    global_block, arm_blocks = _parse_blocks(text.removeprefix("\ufeff"))
+    global_block, arm_blocks = _parse_blocks(text)
     if not arm_blocks:
         raise ConfigurationError("configuration defines no [arm] blocks")
     # Checked first, so a misspelt key is named rather than reported as the
@@ -245,31 +229,18 @@ def parse_experiment(text: str) -> ExperimentConfig:
         )
     base_seed = int(_parse_scalar("base_seed", global_block.get("base_seed", "0"), int))
 
-    policy_params: dict[str, dict[str, float]] = {}
-    for key, (policy, keyword) in POLICY_PARAMS.items():
-        if key in global_block:
-            policy_params.setdefault(policy, {})[keyword] = float(_parse_scalar(key, global_block[key], float))
-
     instance = InstanceSpec([_build_arm(block, i) for i, block in enumerate(arm_blocks, start=1)])
     _check_horizon(bandit, instance)
-    for name in policy_names:  # built once here, so a bad parameter fails before any run starts
-        params = policy_params.get(name, {})
-        try:
-            make_policy(name, **params)
-        except ValueError as exc:
-            keys = {kw: key for key, (policy, kw) in POLICY_PARAMS.items() if policy == name}
-            given = "".join(f", {keys[kw]} = {value}" for kw, value in params.items())
-            raise ConfigurationError(f"policy {name!r}{given}: {exc}") from exc
     return ExperimentConfig(
         instance=instance,
         bandit=bandit,
         policy_names=policy_names,
         replications=replications,
         base_seed=base_seed,
-        policy_params=policy_params,
     )
 
 
 def load_experiment(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig: some editors save UTF-8 with a byte-order mark first.
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_experiment(handle.read())

@@ -16,11 +16,9 @@ in :mod:`bandit`, next to the engine that runs them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .arms import check_positive
 from .bandit import ArmState, BanditConfig, Horizon, Policy, RisingBanditPolicy
 
 
@@ -33,15 +31,11 @@ class AveragePolicy(Policy):
         return (t - 1) % len(states) + 1
 
 
-@dataclass
 class UCBPolicy(Policy):
     """Stationary-bandit baseline: empirical mean plus an exploration bonus."""
 
-    exploration_coefficient: float = math.sqrt(2.0)
     name = "ucb"
-
-    def __post_init__(self) -> None:
-        check_positive("exploration coefficient", self.exploration_coefficient)
+    exploration_coefficient = math.sqrt(2.0)
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
@@ -60,18 +54,11 @@ class UCBPolicy(Policy):
         self._pulls[i] = state.pulls
 
 
-@dataclass
 class SoftmaxPolicy(Policy):
     """Samples arms with probability proportional to exp(mean / temperature)."""
 
-    temperature: float = 0.1
     name = "softmax"
-
-    def __post_init__(self) -> None:
-        check_positive("temperature", self.temperature)
-        # A mean in [0, 1] over the temperature is finite when this is.
-        if not math.isfinite(1.0 / self.temperature):
-            raise ValueError(f"temperature {self.temperature!r} is too small: its inverse is not finite")
+    temperature = 0.1
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
@@ -96,7 +83,6 @@ class SoftmaxPolicy(Policy):
         self._logits[i] = self._sums[i] / state.pulls / self.temperature
 
 
-@dataclass
 class ThompsonPolicy(Policy):
     """Beta-Bernoulli sampling with fractional pseudo-counts.
 
@@ -106,13 +92,9 @@ class ThompsonPolicy(Policy):
     values that one scalar call per arm, in arm order, would draw.
     """
 
-    prior_alpha: float = 1.0
-    prior_beta: float = 1.0
     name = "thompson"
-
-    def __post_init__(self) -> None:
-        check_positive("Beta prior alpha", self.prior_alpha)
-        check_positive("Beta prior beta", self.prior_beta)
+    prior_alpha = 1.0
+    prior_beta = 1.0
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
@@ -136,11 +118,8 @@ POLICIES = {
 POLICY_NAMES = tuple(POLICIES)
 
 
-def make_policy(name: str, **params) -> Policy:
-    """Build a policy by name; unknown names or parameters raise ValueError."""
+def make_policy(name: str) -> Policy:
+    """Build a policy by name; an unknown name raises ValueError."""
     if name not in POLICIES:
         raise ValueError(f"unknown policy {name!r}, expected one of {POLICY_NAMES}")
-    try:
-        return POLICIES[name](**params)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for policy {name!r}: {exc}") from exc
+    return POLICIES[name]()

@@ -142,7 +142,9 @@ def concave_battery(count: int = CONCAVE_BATTERY_COUNT, seed: int = CONCAVE_BATT
         curves, horizon, k_star = random_dominant_instance(rng)
         instance = InstanceSpec([CurveArmSpec(c) for c in curves])
         config = BanditConfig(trials=horizon)
-        trace = rising_bandit_run([spec.build(rng) for spec in instance.arms], config)
+        # Exact arms draw nothing, so they get no stream: a noisy arm would fail
+        # to build, not shift every later instance by the draws it takes.
+        trace = rising_bandit_run([spec.build(None) for spec in instance.arms], config)
         report = build_report(instance, config, {"rising_bandit": PolicyResult([trace.final_j])})
         if report.oracle_arm != k_star:
             raise FixtureError(
@@ -281,7 +283,7 @@ def suite_theorem2(count: int = THEOREM2_COUNT, seed: int = THEOREM2_SEED) -> Su
                 f"theorem2 instance {i}: the generator made arm {k_star} the leader, "
                 f"but the oracle picks arm {expected}"
             )
-        arms = [CurveArmSpec(c).build(rng) for c in curves]
+        arms = [CurveArmSpec(c).build(None) for c in curves]
         config = BanditConfig(trials=horizon, growth="smooth", smooth_window=SMOOTH_WINDOW)
         trace = rising_bandit_run(arms, config)
         if trace.best_arm != k_star:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from risingbandits import (
@@ -27,7 +27,7 @@ from risingbandits import (
     simulate,
 )
 from risingbandits.arms import HPO_COST_HIGH, ArmProcess
-from risingbandits.bandit import ArmState, Horizon, PolicyTrace, RisingBanditPolicy, StepSink
+from risingbandits.bandit import DEFAULT_EPSILON, ArmState, Horizon, PolicyTrace, RisingBanditPolicy, StepSink
 from risingbandits.harness import PolicyResult
 from risingbandits.hpo import SEARCH_STRATEGIES
 from risingbandits.policies import POLICY_NAMES
@@ -294,6 +294,71 @@ def test_a_unit_cost_budget_runs_as_that_many_trials(case, horizon):
         budget_steps, budget_trace = _run(name, unit, BanditConfig(budget=float(horizon), **growth), seed)
         assert budget_steps == steps, name
         assert budget_trace == trace, name
+
+
+@st.composite
+def zero_arm_runs(draw):
+    """1-5 curve arms with an arm that always pays 0 inserted among them, a
+    growth setting, and a trials horizon of two full rounds and at least one
+    pull more."""
+    specs = draw(st.lists(arm_specs(), min_size=1, max_size=5))
+    zero = draw(st.integers(1, len(specs) + 1))
+    specs.insert(zero - 1, CurveArmSpec(TabulatedCurve([0.0])))
+    k = len(specs)
+    config = BanditConfig(
+        trials=draw(st.integers(2 * k + 1, 2 * k + 60)),
+        growth=draw(st.sampled_from(["last", "smooth"])),
+        smooth_window=draw(st.integers(1, 5)),
+    )
+    return InstanceSpec(specs), zero, config, draw(st.integers(0, 2**16))
+
+
+# Every candidate dominated at the second sweep: the noisy arm's first two
+# rewards are 0, as the zero arm's are.
+TIED_ZERO_ARMS = InstanceSpec(
+    [
+        CurveArmSpec(TabulatedCurve([0.0])),
+        CurveArmSpec(ExponentialCurve(limit=0.2, initial=0.0125, decay=0.75), noise_amplitude=0.0625),
+    ]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=zero_arm_runs())
+@example(case=(TIED_ZERO_ARMS, 1, BanditConfig(trials=60), 12))
+def test_an_arm_that_pays_nothing_is_pulled_twice_and_dropped(record_sweeps, case):
+    # After one pull the arm's upper bound is 1.0, so the first sweep keeps it
+    # unless another arm's first reward reaches 1.0.  Its second pull gives a
+    # growth rate of 0 and an upper bound of 0, which every lower bound
+    # reaches, so the second sweep drops it, unless that sweep finds every
+    # candidate dominated and so keeps the lowest id.
+    instance, zero, config, seed = case
+    policy, uppers, steps = RisingBanditPolicy(), [], []
+    observe = policy.observe
+
+    def recording(state, reward, cost):
+        observe(state, reward, cost)
+        if state.arm_id == zero:
+            uppers.append(state.upper)
+
+    policy.observe = recording
+    with record_sweeps() as sweeps:
+        trace = simulate(policy, instance, config, seed=seed, sink=list_sink(steps))
+    rewards = {}
+    for step in steps:
+        rewards.setdefault(step.arm, []).append(step.reward)
+    others = [history for arm, history in rewards.items() if arm != zero]
+    assume(all(history[0] < 1.0 - DEFAULT_EPSILON for history in others))
+    assert uppers[:2] == [1.0, 0.0]
+    assert zero in sweeps[0][1] and zero in sweeps[1][0]
+    if zero in sweeps[1][1]:
+        # Every other arm's first two rewards were 0 too (noise clamped at
+        # 0), so every bound was 0, and the zero arm is the lowest id.
+        assert all(history[:2] == [0.0, 0.0] for history in others)
+        assert sweeps[1][1] == (zero,) == (1,)
+    else:
+        assert len(rewards[zero]) == 2
+        assert zero not in trace.candidates
 
 
 @settings(max_examples=200, deadline=None)
