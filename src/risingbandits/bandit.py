@@ -114,14 +114,15 @@ def list_sink(steps: list[StepRecord]) -> StepSink:
 class PolicyTrace:
     """Summary of one run; its steps go to the run's sink, if one is given.
     ``total_cost`` is the spend the budget checks compared, summed pull by
-    pull.  ``candidates`` is the final candidate set: sets only shrink, so an
-    arm in it was a candidate throughout the run."""
+    pull.  ``final_j`` is the best reward observed, and ``best_arm`` the arm
+    of the earliest pull that observed it.  ``candidates`` is the final
+    candidate set: sets only shrink, so an arm in it was a candidate
+    throughout the run."""
 
     horizon: int  # pulls made
     pull_counts: list[int]
     total_cost: float
     best_arm: int
-    best_step: int
     final_j: float
     candidates: tuple[int, ...]
 
@@ -316,9 +317,9 @@ def run_policy(
     observe, fits = policy.observe, horizon.fits
     pulls = [arm.pull for arm in arms]
     t, arm_id = 0, None
-    # Only a strictly greater reward moves the best, so best_step is the
-    # first step that reaches final_j.
-    final_j, best_step, best_arm = -math.inf, 0, 0
+    # Only a strictly greater reward moves the best, so best_arm is the arm
+    # of the first step that reaches final_j.
+    final_j, best_arm = -math.inf, 0
     while any(map(fits, policy.candidates)):
         plan = policy.plan(states, t + 1)
         # Read once per plan: only plan changes the candidate set.
@@ -339,7 +340,7 @@ def run_policy(
             st = states[arm_id - 1]
             st.pulls += 1
             if reward > final_j:
-                final_j, best_step, best_arm = reward, t, arm_id
+                final_j, best_arm = reward, arm_id
             if sink is not None:
                 sink(t, arm_id, reward, cost, size)
             observe(st, reward, cost)
@@ -363,7 +364,6 @@ def run_policy(
         pull_counts=[st.pulls for st in states],
         total_cost=horizon.spent,
         best_arm=best_arm,
-        best_step=best_step,
         final_j=final_j,
         candidates=tuple(policy.candidates),
     )

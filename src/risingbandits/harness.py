@@ -2,8 +2,8 @@
 
 Runs policies on instances, computes the best-observed-reward objective and
 its regret against the offline oracle (the best single arm), and provides the
-desk-scale checks: the exact maximum over all pull sequences with a witness
-sequence, the separation-time quantity gamma, the regret-bound evaluation, the
+desk-scale checks: the exact maximum over all pull sequences, the
+separation-time quantity gamma, the regret-bound evaluation, the
 average-policy comparison condition, and the bias-ratio condition for the
 smooth growth rate.
 """
@@ -73,7 +73,6 @@ def simulate(
 class GammaResult:
     gamma: int
     per_arm: tuple[int, ...]
-    optimal_arm: int
     non_identifiable_arms: tuple[int, ...]
 
     @property
@@ -120,7 +119,6 @@ def compute_gamma(curves: list[RewardCurve], horizon: int) -> GammaResult:
     return GammaResult(
         gamma=max(per_arm),
         per_arm=tuple(per_arm),
-        optimal_arm=k_star,
         non_identifiable_arms=tuple(non_identifiable),
     )
 
@@ -246,34 +244,19 @@ def offline_max_run(curves: list[RewardCurve], horizon: int) -> tuple[int, float
     return best_arm, best_value
 
 
-def brute_force_optimal(curves: list[RewardCurve], horizon: int) -> tuple[float, tuple[int, ...]]:
+def brute_force_optimal(curves: list[RewardCurve], horizon: int) -> float:
     """Exact maximum, over all K^T pull sequences, of the best-observed reward.
 
     A sequence observes r_a(n) exactly when it pulls arm a at least n times,
     and pulling arm a alone reaches every n <= T, so the maximum is the
     largest r_a(n) with n <= T. This assumes neither monotone nor concave
-    curves, and takes O(K·T). The witness is the lexicographically first
-    optimal sequence.
+    curves, and takes O(K·T).
     """
     if not curves:
         raise ConfigurationError("an instance needs at least one arm")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    tables = [[curve.eval(n) for n in range(1, horizon + 1)] for curve in curves]
-    best_j = max(map(max, tables))
-    # gaps[b]: the pulls arm b still needs to first observe best_j (at most 0
-    # once it has), or horizon + 1 if it never does.
-    gaps = [table.index(best_j) + 1 if best_j in table else horizon + 1 for table in tables]
-
-    # A prefix can still reach best_j while some gap is at most the pulls
-    # left. Arm 1 keeps that true unless the smallest gap exceeds the pulls
-    # left after this one; then the first arm with that gap must go now.
-    witness = []
-    for left in range(horizon - 1, -1, -1):
-        arm = 0 if min(gaps) <= left else gaps.index(left + 1)
-        gaps[arm] -= 1
-        witness.append(arm + 1)
-    return best_j, tuple(witness)
+    return max(curve.eval(n) for curve in curves for n in range(1, horizon + 1))
 
 
 def regret(trace_j: float, j_oracle: float) -> float:

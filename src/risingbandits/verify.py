@@ -162,7 +162,7 @@ def suite_lemma1(count: int = LEMMA1_COUNT, seed: int = LEMMA1_SEED) -> SuiteRes
     result = SuiteResult(name="lemma1", total=count)
     for i in range(count):
         curves, horizon = random_small_instance(rng)
-        exact, _ = brute_force_optimal(curves, horizon)
+        exact = brute_force_optimal(curves, horizon)
         _, analytic = offline_max_run(curves, horizon)
         if abs(exact - analytic) > DEFAULT_EPSILON:
             result.failures.append(
@@ -176,10 +176,10 @@ def suite_safety(battery: list[ConcaveCase] | None = None) -> SuiteResult:
     battery = concave_battery() if battery is None else battery
     result = SuiteResult(name="safety", total=len(battery))
     for i, case in enumerate(battery):
-        optimal_arm = case.report.oracle_arm
+        oracle_arm = case.report.oracle_arm
         # Candidate sets only shrink: an arm in the last was in every one.
-        if optimal_arm not in case.candidates:
-            result.failures.append(f"instance {i}: optimal arm {optimal_arm} eliminated")
+        if oracle_arm not in case.candidates:
+            result.failures.append(f"instance {i}: optimal arm {oracle_arm} eliminated")
     return result
 
 

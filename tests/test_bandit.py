@@ -350,11 +350,15 @@ class TestRisingBanditRunTrials:
         with pytest.raises(ConfigurationError):
             rising_bandit_run([], BanditConfig(trials=5))
 
-    def test_best_step_is_earliest_maximum(self):
+    def test_best_arm_is_the_earliest_maximum(self):
+        # Two copies of one curve, pulled in turn: arm 1's second pull
+        # reaches the best reward first, and arm 2's ties it a step later.
         steps = []
-        trace = run_policy(RisingBanditPolicy(), _arms(ARM1), BanditConfig(trials=4), list_sink(steps))
-        assert trace.best_step == 4
-        assert steps[trace.best_step - 1].reward == trace.final_j
+        trace = run_policy(RisingBanditPolicy(), _arms(ARM1, ARM1), BanditConfig(trials=4), list_sink(steps))
+        first = next(s for s in steps if s.reward == trace.final_j)
+        assert (first.t, first.arm) == (3, 1)
+        assert steps[3].reward == trace.final_j
+        assert trace.best_arm == first.arm
 
 
 class TestRisingBanditRunBudget:

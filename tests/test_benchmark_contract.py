@@ -3,8 +3,9 @@
 The benchmark runs ``perfbench/child.py`` in fresh interpreters, names each
 pull span after the arm process class, and counts the elimination runs of
 the verify suites by patching ``verify.rising_bandit_run``.  These tests run
-the same programs on a small configuration, so a change to the package that
-would break a benchmark run fails here first.
+the same programs on a small configuration, and ``perfbench/selfcheck.py``
+on the benchmark's own, so a change to the package that would break a
+benchmark run fails here first.
 """
 
 import importlib.util
@@ -131,3 +132,16 @@ def test_suites_run_elimination_through_the_module_global(monkeypatch):
     assert len(calls) == 3
     assert verify.suite_theorem2(count=3).ok
     assert len(calls) == 6
+
+
+def test_perfbench_selfcheck_passes():
+    # Two traced runs of every workload, checked against
+    # ``perfbench/reference.json``; it writes only under ``.perfbench/``.
+    done = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "selfcheck.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -113,9 +113,8 @@ def test_engine_invariants(record_sweeps, case):
         assert sum(trace.pull_counts) == n
         assert [s.t for s in steps] == list(range(1, n + 1))
         assert trace.final_j == max(s.reward for s in steps)
-        assert steps[trace.best_step - 1].reward == trace.final_j
-        assert steps[trace.best_step - 1].arm == trace.best_arm
-        assert all(s.reward < trace.final_j for s in steps[: trace.best_step - 1])
+        # Only a strictly greater reward moves the best arm.
+        assert trace.best_arm == next(s.arm for s in steps if s.reward == trace.final_j)
 
         if name != "rising_bandit":
             assert sweeps == []
@@ -280,7 +279,7 @@ def test_scaling_every_cost_and_the_budget_changes_no_choice(case, costs, horizo
             assert scaled_steps == [s._replace(cost=s.cost * factor) for s in steps], name
             assert scaled_trace.pull_counts == trace.pull_counts
             assert scaled_trace.final_j == trace.final_j
-            assert scaled_trace.best_step == trace.best_step
+            assert scaled_trace.best_arm == trace.best_arm
             assert scaled_trace.candidates == trace.candidates
 
 
@@ -510,9 +509,9 @@ def _reference_run_policy(
     # Bound once per run: the loop body runs once per pull.
     select, observe, fits = policy.select, policy.observe, horizon.fits
     t, arm_id = 0, None
-    # Only a strictly greater reward moves the best, so best_step is the
-    # first step that reaches final_j.
-    final_j, best_step, best_arm = -math.inf, 0, 0
+    # Only a strictly greater reward moves the best, so best_arm is the arm
+    # of the first step that reaches final_j.
+    final_j, best_arm = -math.inf, 0
     while any(map(fits, policy.candidates)):
         arm_id = select(states, t + 1)
         if arm_id is None:
@@ -530,7 +529,7 @@ def _reference_run_policy(
         st = states[arm_id - 1]
         st.pulls += 1
         if reward > final_j:
-            final_j, best_step, best_arm = reward, t, arm_id
+            final_j, best_arm = reward, arm_id
         if sink is not None:
             sink(t, arm_id, reward, cost, len(policy.candidates))
         observe(st, reward, cost)
@@ -550,7 +549,6 @@ def _reference_run_policy(
         pull_counts=[st.pulls for st in states],
         total_cost=horizon.spent,
         best_arm=best_arm,
-        best_step=best_step,
         final_j=final_j,
         candidates=tuple(policy.candidates),
     )

@@ -78,20 +78,19 @@ class TestSimulate:
         trace = simulate(AveragePolicy(), instance, BanditConfig(trials=6), seed=0, sink=list_sink(steps))
         assert trace.pull_counts == [3, 3]
         assert trace.final_j == max(s.reward for s in steps)
-        assert steps[trace.best_step - 1].reward == trace.final_j
+        assert trace.best_arm == next(s.arm for s in steps if s.reward == trace.final_j)
 
 
 class TestComputeGamma:
     def test_two_arm_example_golden(self):
         # Frozen from the first oracle run on the enumeration example.
         result = compute_gamma([ARM1, ARM2], 5)
-        assert result == GammaResult(
-            gamma=2, per_arm=(0, 2), optimal_arm=1, non_identifiable_arms=()
-        )
+        assert result == GammaResult(gamma=2, per_arm=(0, 2), non_identifiable_arms=())
 
     def test_optimal_arm_gets_zero(self):
-        result = compute_gamma([ARM2, ARM1], 5)
-        assert result.per_arm[result.optimal_arm - 1] == 0
+        curves = [ARM2, ARM1]
+        oracle_arm, _ = offline_max_run(curves, 5)
+        assert compute_gamma(curves, 5).per_arm[oracle_arm - 1] == 0
 
     def test_unseparated_arm_flagged(self):
         # Identical curves never separate; the suboptimal copy gets the horizon.
@@ -191,29 +190,24 @@ class TestTheorem2ConditionCheck:
 
 
 def _enumerate_optimal(curves, horizon):
-    """Reference oracle: walk all K^T sequences, keep the first strict best."""
+    """Reference oracle: walk all K^T sequences, keep the best reward observed."""
     k = len(curves)
     tables = [[curve.eval(n) for n in range(1, horizon + 1)] for curve in curves]
     best_j = -1.0
-    witness = ()
 
-    def recurse(depth, counts, running_max, prefix):
-        nonlocal best_j, witness
+    def recurse(depth, counts, running_max):
+        nonlocal best_j
         if depth == horizon:
-            if running_max > best_j:
-                best_j = running_max
-                witness = tuple(prefix)
+            best_j = max(best_j, running_max)
             return
         for arm in range(k):
             counts[arm] += 1
             reward = tables[arm][counts[arm] - 1]
-            prefix.append(arm + 1)
-            recurse(depth + 1, counts, max(running_max, reward), prefix)
-            prefix.pop()
+            recurse(depth + 1, counts, max(running_max, reward))
             counts[arm] -= 1
 
-    recurse(0, [0] * k, -1.0, [])
-    return best_j, witness
+    recurse(0, [0] * k, -1.0)
+    return best_j
 
 
 class _ListCurve:
@@ -226,8 +220,7 @@ class _ListCurve:
         return self.values[n - 1]
 
 
-# A few exact values, so that rewards tie within and across arms and the
-# witness has to break ties the way the enumeration does.
+# A few exact values, so that rewards tie within and across arms.
 _LEVELS = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
 
 
@@ -268,16 +261,6 @@ def _rising_instances(draw):
     return curves, draw(st.integers(1, 20))
 
 
-def _replay(curves, witness):
-    """The largest reward that pulling ``witness`` in order observes."""
-    counts = [0] * len(curves)
-    observed = []
-    for arm in witness:
-        counts[arm - 1] += 1
-        observed.append(curves[arm - 1].eval(counts[arm - 1]))
-    return max(observed)
-
-
 def _reference_gamma(curves, horizon, epsilon):
     """``compute_gamma`` as it was, four ``eval`` calls per step, kept as its reference."""
     k_star, _ = offline_max_run(curves, horizon)
@@ -301,7 +284,7 @@ def _reference_gamma(curves, horizon, epsilon):
             gamma_k = horizon
             non_identifiable.append(idx)
         per_arm.append(gamma_k)
-    return GammaResult(max(per_arm), tuple(per_arm), k_star, tuple(non_identifiable))
+    return GammaResult(max(per_arm), tuple(per_arm), tuple(non_identifiable))
 
 
 @st.composite
@@ -334,28 +317,21 @@ class TestComputeGammaReference:
 
 class TestBruteForceOptimal:
     def test_enumeration_example(self):
-        value, witness = brute_force_optimal([ARM1, ARM2], 5)
-        assert value == 0.875
-        assert witness == (1, 1, 1, 1, 1)
+        assert brute_force_optimal([ARM1, ARM2], 5) == 0.875
 
     def test_single_arm(self):
-        value, witness = brute_force_optimal([ARM1], 5)
-        assert value == ARM1.eval(5)
-        assert witness == (1, 1, 1, 1, 1)
+        assert brute_force_optimal([ARM1], 5) == ARM1.eval(5)
 
     def test_agrees_with_analytic_optimum(self):
         curves = [ARM1, ARM2, PowerCurve(limit=0.85, scale=0.5, exponent=1.3)]
-        value, _ = brute_force_optimal(curves, 7)
+        value = brute_force_optimal(curves, 7)
         assert value == pytest.approx(offline_max_run(curves, 7)[1], abs=1e-12)
 
-    def test_long_horizon_witness_observes_the_optimum(self):
+    def test_long_horizon_meets_the_best_single_arm(self):
         # 2 arms over 1000 pulls: 2^1000 sequences and C(1002, 2) = 501501
         # count vectors, none of which the oracle has to visit.
         curves = [ARM1, ARM2]
-        value, witness = brute_force_optimal(curves, 1000)
-        assert value == offline_max_run(curves, 1000)[1]
-        assert len(witness) == 1000
-        assert _replay(curves, witness) == value
+        assert brute_force_optimal(curves, 1000) == offline_max_run(curves, 1000)[1]
 
     @settings(deadline=None)
     @given(_rising_instances())
@@ -363,10 +339,8 @@ class TestBruteForceOptimal:
         # Lemma 1: on non-decreasing curves no sequence beats the best arm
         # pulled T times.
         curves, horizon = instance
-        value, witness = brute_force_optimal(curves, horizon)
+        value = brute_force_optimal(curves, horizon)
         assert value == pytest.approx(offline_max_run(curves, horizon)[1], abs=1e-12)
-        assert len(witness) == horizon
-        assert _replay(curves, witness) == value
 
     @settings(deadline=None)
     @given(_oracle_instances())
@@ -375,11 +349,10 @@ class TestBruteForceOptimal:
         assert brute_force_optimal(curves, horizon) == _enumerate_optimal(curves, horizon)
 
     def test_non_monotone_curves(self):
-        # The best reward is arm 2's second pull. The first sequence, in
-        # lexicographic order, that reaches it spends two pulls on arm 1
-        # before it, though arm 1 gains nothing from the second.
+        # The best reward is arm 2's second pull, above every value arm 1
+        # reaches and above arm 2's value at the horizon.
         curves = [_ListCurve([0.5, 0.0, 0.5, 0.0]), _ListCurve([0.25, 0.75, 0.0, 0.0])]
-        assert brute_force_optimal(curves, 4) == _enumerate_optimal(curves, 4) == (0.75, (1, 1, 2, 2))
+        assert brute_force_optimal(curves, 4) == _enumerate_optimal(curves, 4) == 0.75
 
     def test_matches_enumeration_on_lemma1_instances(self):
         rng = np.random.default_rng(LEMMA1_SEED)
@@ -388,9 +361,7 @@ class TestBruteForceOptimal:
             assert brute_force_optimal(curves, horizon) == _enumerate_optimal(curves, horizon)
 
     def test_deep_instance_needs_no_recursion(self):
-        value, witness = brute_force_optimal([ARM2], 2000)
-        assert value == ARM2.eval(2000)
-        assert witness == (1,) * 2000
+        assert brute_force_optimal([ARM2], 2000) == ARM2.eval(2000)
 
 
 class TestRegret:
