@@ -24,7 +24,6 @@ from .arms import (
 from .bandit import (
     ArmState,
     BanditConfig,
-    InsufficientHistoryError,
     PolicyTrace,
     StepRecord,
     eliminate,
@@ -42,7 +41,6 @@ from .curves import (
     TabulatedCurve,
 )
 from .harness import (
-    GammaResult,
     RegretReport,
     brute_force_optimal,
     build_report,

@@ -216,10 +216,6 @@ class InstanceSpec:
         if not self.arms:
             raise ConfigurationError("an instance needs at least one arm")
 
-    @property
-    def k(self) -> int:
-        return len(self.arms)
-
     def curves(self) -> list[RewardCurve] | None:
         """Ground-truth curves, or None if any arm draws randomness, and so has no exact curve."""
         if any(spec.draws for spec in self.arms):

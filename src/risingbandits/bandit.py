@@ -37,10 +37,6 @@ DEFAULT_SMOOTH_WINDOW = 7
 GROWTH_MODES = ("last", "smooth")
 
 
-class InsufficientHistoryError(ValueError):
-    """Raised when a growth rate is requested from fewer than two observations."""
-
-
 @dataclass(slots=True)
 class ArmState:
     """Per-arm state of a run.  The engine counts ``pulls``; the elimination
@@ -134,7 +130,7 @@ def growth_rate(history: Sequence[float], window: int) -> float:
     """
     n = len(history)
     if n < 2:
-        raise InsufficientHistoryError(f"growth rate needs >= 2 observations, got {n}")
+        raise ValueError(f"growth rate needs >= 2 observations, got {n}")
     if n > window:
         return (history[-1] - history[-1 - window]) / window
     return (history[-1] - history[0]) / (n - 1)

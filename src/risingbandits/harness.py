@@ -69,36 +69,25 @@ def simulate(
     return run_policy(policy, arms, config, sink)
 
 
-@dataclass(frozen=True)
-class GammaResult:
-    gamma: int
-    per_arm: tuple[int, ...]
-    non_identifiable_arms: tuple[int, ...]
-
-    @property
-    def identifiable(self) -> bool:
-        return not self.non_identifiable_arms
-
-
-def compute_gamma(curves: list[RewardCurve], horizon: int) -> GammaResult:
-    """Separation times from lockstep two-arm simulation on ground truth.
+def compute_gamma(curves: list[RewardCurve], horizon: int) -> tuple[int, ...]:
+    """Separation times gamma_k from lockstep two-arm simulation on ground truth.
 
     For each suboptimal arm k, arm k and the optimal arm are pulled strictly
     alternately (k first) on their true values; gamma_k is the first per-arm
     pull count at which k's extrapolated upper bound falls to the optimal
     arm's lower bound.  An arm not separated within the horizon gets
-    gamma_k = horizon and is flagged non-identifiable.
+    gamma_k = horizon, which no separated arm reaches: separation at n needs
+    2n <= horizon.  The optimal arm gets 0.  Theorem 1's gamma is their maximum.
     """
     k_star, _ = offline_max_run(curves, horizon)
     star_curve = curves[k_star - 1]
     epsilon = DEFAULT_EPSILON
     per_arm = []
-    non_identifiable = []
     for idx, curve in enumerate(curves, start=1):
         if idx == k_star:
             per_arm.append(0)
             continue
-        gamma_k = None
+        gamma_k = horizon
         # Each value is evaluated once: this step's is the next step's previous one.
         previous = curve.eval(1)
         n = 2
@@ -112,15 +101,8 @@ def compute_gamma(curves: list[RewardCurve], horizon: int) -> GammaResult:
                 break
             previous = value
             n += 1
-        if gamma_k is None:
-            gamma_k = horizon
-            non_identifiable.append(idx)
         per_arm.append(gamma_k)
-    return GammaResult(
-        gamma=max(per_arm),
-        per_arm=tuple(per_arm),
-        non_identifiable_arms=tuple(non_identifiable),
-    )
+    return tuple(per_arm)
 
 
 def theorem1_is_vacuous(k: int, gamma: int, horizon: int) -> bool:
@@ -305,8 +287,6 @@ class RegretReport:
             name: {"j_mean": res.j_mean, "j_per_replication": res.j_values}
             for name, res in self.policies.items()
         }
-        if self.gamma_per_arm is not None:
-            out["gamma_per_arm"] = list(self.gamma_per_arm)
         return out
 
 
@@ -339,21 +319,22 @@ def build_report(
     report.j_oracle = j_oracle
     for name, res in results.items():
         report.regrets[name] = regret(res.j_mean, j_oracle)
-    gamma_result = compute_gamma(curves, horizon)
-    report.gamma = gamma_result.gamma
-    report.gamma_per_arm = gamma_result.per_arm
-    if not gamma_result.identifiable:
+    per_arm = compute_gamma(curves, horizon)
+    gamma = max(per_arm)
+    report.gamma, report.gamma_per_arm = gamma, per_arm
+    unseparated = [arm for arm, gamma_k in enumerate(per_arm, start=1) if gamma_k == horizon]
+    if unseparated:
         report.interpretation_notes.append(
-            f"arms {list(gamma_result.non_identifiable_arms)} not separated within the "
+            f"arms {unseparated} not separated within the "
             "horizon; their separation time is reported as the horizon itself"
         )
-    report.theorem1_vacuous = theorem1_is_vacuous(k, gamma_result.gamma, horizon)
-    report.theorem1_bound = theorem1_bound(curves, horizon, gamma_result.gamma)
+    report.theorem1_vacuous = theorem1_is_vacuous(k, gamma, horizon)
+    report.theorem1_bound = theorem1_bound(curves, horizon, gamma)
     if report.theorem1_vacuous:
         report.interpretation_notes.append(
             "regret bound vacuous: (K-1)*gamma reaches the horizon; reported as 1.0"
         )
-    condition, avg_regret = corollary1_check(curves, horizon, gamma_result.gamma)
+    condition, avg_regret = corollary1_check(curves, horizon, gamma)
     report.corollary1_condition_holds = condition
     report.avg_policy_regret = avg_regret
     if horizon % k != 0:

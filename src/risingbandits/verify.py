@@ -171,9 +171,8 @@ def suite_lemma1(count: int = LEMMA1_COUNT, seed: int = LEMMA1_SEED) -> SuiteRes
     return result
 
 
-def suite_safety(battery: list[ConcaveCase] | None = None) -> SuiteResult:
+def suite_safety(battery: list[ConcaveCase]) -> SuiteResult:
     """The horizon-best arm is never removed from the candidate set."""
-    battery = concave_battery() if battery is None else battery
     result = SuiteResult(name="safety", total=len(battery))
     for i, case in enumerate(battery):
         oracle_arm = case.report.oracle_arm
@@ -183,9 +182,8 @@ def suite_safety(battery: list[ConcaveCase] | None = None) -> SuiteResult:
     return result
 
 
-def suite_theorem1(battery: list[ConcaveCase] | None = None) -> SuiteResult:
+def suite_theorem1(battery: list[ConcaveCase]) -> SuiteResult:
     """Measured regret never exceeds the separation-time bound."""
-    battery = concave_battery() if battery is None else battery
     result = SuiteResult(name="theorem1", total=len(battery))
     for i, case in enumerate(battery):
         regret, bound = case.report.regrets["rising_bandit"], case.report.theorem1_bound
@@ -194,9 +192,8 @@ def suite_theorem1(battery: list[ConcaveCase] | None = None) -> SuiteResult:
     return result
 
 
-def suite_corollary1(battery: list[ConcaveCase] | None = None) -> SuiteResult:
+def suite_corollary1(battery: list[ConcaveCase]) -> SuiteResult:
     """Where the separation condition holds, elimination beats round-robin."""
-    battery = concave_battery() if battery is None else battery
     # Numbered by battery index, as the other battery suites number theirs.
     applicable = [(i, case.report) for i, case in enumerate(battery) if case.report.corollary1_condition_holds]
     result = SuiteResult(name="corollary1", total=len(applicable))
@@ -309,10 +306,11 @@ def allocation_instance() -> InstanceSpec:
     return InstanceSpec(specs)
 
 
+# The suites that `rising-bandits verify` runs by name; each battery suite builds its own battery.
 SUITES = {
     "lemma1": suite_lemma1,
-    "safety": suite_safety,
-    "theorem1": suite_theorem1,
-    "corollary1": suite_corollary1,
+    "safety": lambda: suite_safety(concave_battery()),
+    "theorem1": lambda: suite_theorem1(concave_battery()),
+    "corollary1": lambda: suite_corollary1(concave_battery()),
     "theorem2": suite_theorem2,
 }

@@ -269,7 +269,7 @@ class TestHpoArm:
 class TestInstanceSpec:
     def test_curves_returns_ground_truth_for_curve_arms(self):
         spec = InstanceSpec([CurveArmSpec(CURVE), CurveArmSpec(CURVE)])
-        assert spec.k == 2
+        assert len(spec.arms) == 2
         assert spec.curves() == [CURVE, CURVE]
 
     def test_curves_is_none_with_any_nondeterministic_arm(self):

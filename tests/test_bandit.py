@@ -12,7 +12,6 @@ from risingbandits import (
     ConfigurationError,
     CurveArmSpec,
     ExponentialCurve,
-    InsufficientHistoryError,
     InstanceSpec,
     PowerCurve,
     RisingBanditPolicy,
@@ -100,7 +99,7 @@ class TestGrowthRate:
         assert growth_rate(history, 7) == pytest.approx((0.6 - 0.2) / 2)
 
     def test_requires_two_observations(self):
-        with pytest.raises(InsufficientHistoryError):
+        with pytest.raises(ValueError, match=r"^growth rate needs >= 2 observations, got 1$"):
             growth_rate([0.5], 1)
 
     @settings(max_examples=100, deadline=None)
@@ -462,7 +461,7 @@ class TestSettledCandidateSet:
         # Each plan is the set in force for one of the reference's rounds,
         # down to one that makes no pull, if any.  The first set of one arm
         # is planned once, repeated to the end of the run.
-        rounds = [list(range(1, instance.k + 1))] + [list(after) for _, after in expected_sweeps]
+        rounds = [list(range(1, len(instance.arms) + 1))] + [list(after) for _, after in expected_sweeps]
         settled = next((i for i, arms in enumerate(rounds) if len(arms) == 1), None)
         if settled is not None:
             rounds[settled:] = [f"repeat({rounds[settled][0]})"]

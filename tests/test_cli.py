@@ -228,6 +228,25 @@ class TestRunCommand:
         assert set(report["policies"]) == {"rising_bandit", "average"}
         assert report["regrets"]["rising_bandit"] >= 0.0
 
+    def test_policy_above_the_oracle_exits_two(self, config_path, tmp_path, monkeypatch, capsys):
+        real = cli.build_report
+
+        def below_every_policy(instance, config, results):
+            report = real(instance, config, results)
+            report.j_oracle = 0.0
+            return report
+
+        monkeypatch.setattr(cli, "build_report", below_every_policy)
+        out = tmp_path / "results"
+        assert main(["run", config_path, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        # The artifacts are written, then the gate stops at the first policy.
+        mean = json.loads((out / "report.json").read_text())["policies"]["rising_bandit"]["j_mean"]
+        assert captured.err == (
+            f"invariant violation: policy 'rising_bandit' mean value {mean} exceeds the oracle 0.0\n"
+        )
+        assert "wrote" not in captured.out
+
     def test_manifest_echoes_config_and_seed(self, config_path, tmp_path):
         out = str(tmp_path / "results")
         main(["run", config_path, "--output", out, "--seed", "77"])
@@ -950,6 +969,18 @@ class TestVerifyCommand:
         assert main(["verify", "lemma1"]) == 0
         out = capsys.readouterr().out
         assert "lemma1: 200/200 checks passed" in out
+
+    def test_failing_suite_prints_each_failure_and_exits_two(self, monkeypatch, capsys):
+        failures = ["instance 0: optimal arm 2 eliminated", "instance 2: optimal arm 1 eliminated"]
+        monkeypatch.setitem(verify.SUITES, "safety", lambda: verify.SuiteResult("safety", 3, failures))
+        assert main(["verify", "safety"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "FAIL safety: instance 0: optimal arm 2 eliminated\n"
+            "FAIL safety: instance 2: optimal arm 1 eliminated\n"
+            "safety: 1/3 checks passed\n"
+        )
+        assert captured.err == ""
 
     def test_unknown_suite_exits_one(self, capsys):
         assert main(["verify", "no_such_suite"]) == 1

@@ -99,7 +99,7 @@ def _rounds(steps):
 @given(case=experiments())
 def test_engine_invariants(record_sweeps, case):
     instance, config, seed = case
-    everyone = tuple(range(1, instance.k + 1))
+    everyone = tuple(range(1, len(instance.arms) + 1))
     for name in POLICY_NAMES:
         steps = []
         with record_sweeps() as sweeps:
@@ -119,7 +119,7 @@ def test_engine_invariants(record_sweeps, case):
         if name != "rising_bandit":
             assert sweeps == []
             assert trace.candidates == everyone
-            assert all(s.candidate_set_size == instance.k for s in steps)
+            assert all(s.candidate_set_size == len(instance.arms) for s in steps)
             continue
         # The set in force after each sweep: each sweep starts from the set
         # the last one left, keeps a subset of it, and none runs once one
@@ -200,7 +200,7 @@ def test_a_plan_is_requested_only_while_some_candidates_pull_fits(case):
             # A baseline's run: one check before each plan and one before
             # its pull, then one per arm, none of which fits.
             assert trace.horizon == len(fitting) == config.trials
-            assert len(checked) == 2 * config.trials + instance.k, name
+            assert len(checked) == 2 * config.trials + len(instance.arms), name
 
 
 @settings(max_examples=40, deadline=None)

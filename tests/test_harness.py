@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from risingbandits import (
     BanditConfig,
     CurveArmSpec,
     ExponentialCurve,
-    GammaResult,
     InstanceSpec,
     PowerCurve,
     SoftmaxPolicy,
@@ -84,20 +85,16 @@ class TestSimulate:
 class TestComputeGamma:
     def test_two_arm_example_golden(self):
         # Frozen from the first oracle run on the enumeration example.
-        result = compute_gamma([ARM1, ARM2], 5)
-        assert result == GammaResult(gamma=2, per_arm=(0, 2), non_identifiable_arms=())
+        assert compute_gamma([ARM1, ARM2], 5) == (0, 2)
 
     def test_optimal_arm_gets_zero(self):
         curves = [ARM2, ARM1]
         oracle_arm, _ = offline_max_run(curves, 5)
-        assert compute_gamma(curves, 5).per_arm[oracle_arm - 1] == 0
+        assert compute_gamma(curves, 5)[oracle_arm - 1] == 0
 
     def test_unseparated_arm_flagged(self):
         # Identical curves never separate; the suboptimal copy gets the horizon.
-        result = compute_gamma([ARM1, ARM1], 10)
-        assert result.per_arm == (0, 10)
-        assert result.non_identifiable_arms == (2,)
-        assert not result.identifiable
+        assert compute_gamma([ARM1, ARM1], 10) == (0, 10)
 
 
 class TestTheorem1Bound:
@@ -262,10 +259,11 @@ def _rising_instances(draw):
 
 
 def _reference_gamma(curves, horizon, epsilon):
-    """``compute_gamma`` as it was, four ``eval`` calls per step, kept as its reference."""
+    """``compute_gamma`` as it was, four ``eval`` calls per step, kept as its
+    reference.  Returns the per-arm times and the arms it finds unseparated."""
     k_star, _ = offline_max_run(curves, horizon)
     star_curve = curves[k_star - 1]
-    per_arm, non_identifiable = [], []
+    per_arm, unseparated = [], []
     for idx, curve in enumerate(curves, start=1):
         if idx == k_star:
             per_arm.append(0)
@@ -282,9 +280,9 @@ def _reference_gamma(curves, horizon, epsilon):
             n += 1
         if gamma_k is None:
             gamma_k = horizon
-            non_identifiable.append(idx)
+            unseparated.append(idx)
         per_arm.append(gamma_k)
-    return GammaResult(max(per_arm), tuple(per_arm), tuple(non_identifiable))
+    return tuple(per_arm), unseparated
 
 
 @st.composite
@@ -312,7 +310,10 @@ class TestComputeGammaReference:
     @given(_gamma_instances())
     def test_matches_the_four_eval_loop(self, case):
         curves, horizon = case
-        assert compute_gamma(curves, horizon) == _reference_gamma(curves, horizon, DEFAULT_EPSILON)
+        per_arm, unseparated = _reference_gamma(curves, horizon, DEFAULT_EPSILON)
+        assert compute_gamma(curves, horizon) == per_arm
+        # build_report names the unseparated arms as those whose time is the horizon.
+        assert unseparated == [arm for arm, gamma_k in enumerate(per_arm, start=1) if gamma_k == horizon]
 
 
 class TestBruteForceOptimal:
@@ -415,7 +416,7 @@ class TestBuildReport:
         assert report.regrets["rising_bandit"] == pytest.approx(0.075, abs=1e-12)
         assert report.theorem1_bound == pytest.approx(0.075, abs=1e-12)
         assert report.corollary1_condition_holds is True
-        assert report.to_dict()["gamma_per_arm"] == [0, 2]
+        assert json.loads(json.dumps(report.to_dict()))["gamma_per_arm"] == [0, 2]
 
     def test_hpo_instance_skips_oracle_with_note(self):
         from risingbandits import HpoArmSpec

@@ -1,8 +1,9 @@
 """The verify suites' instance generators draw exactly what numpy's scalar
-``Generator.uniform`` would, from the same stream, and the battery suites
-name a failing instance by its battery index."""
+``Generator.uniform`` would, from the same stream, and each suite names a
+failing instance by its index, in the text that ``verify`` prints."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from risingbandits import verify
 from risingbandits.cli import main
-from risingbandits.curves import StaircaseCurve, TabulatedCurve
+from risingbandits.curves import RewardCurve, StaircaseCurve, TabulatedCurve
 from risingbandits.harness import RegretReport
 from risingbandits.verify import ConcaveCase, _uniform
 
@@ -122,6 +123,59 @@ def test_corollary1_names_the_battery_index():
     result = verify.suite_corollary1(battery)
     assert result.total == 2
     assert result.failures == ["instance 1: regret 0.5 exceeds round-robin regret 0.1"]
+
+
+def test_safety_names_the_eliminated_oracle_arm():
+    # Case 0 kept its oracle arm 1; case 1 dropped its oracle arm 2.
+    battery = [
+        ConcaveCase((1, 2), RegretReport(horizon=10, policies={}, oracle_arm=1)),
+        ConcaveCase((1,), RegretReport(horizon=10, policies={}, oracle_arm=2)),
+    ]
+    result = verify.suite_safety(battery)
+    assert result.total == 2
+    assert result.failures == ["instance 1: optimal arm 2 eliminated"]
+
+
+def _bound_case(regret, bound):
+    report = RegretReport(horizon=10, policies={}, regrets={"rising_bandit": regret}, theorem1_bound=bound)
+    return ConcaveCase((1,), report)
+
+
+def test_theorem1_names_a_regret_above_the_bound():
+    # A regret equal to its bound holds; one above it fails.
+    battery = [_bound_case(0.2, 0.2), _bound_case(0.3, 0.2)]
+    result = verify.suite_theorem1(battery)
+    assert result.total == 2
+    assert result.failures == ["instance 1: regret 0.3 exceeds bound 0.2"]
+
+
+class _PeakedCurve(RewardCurve):
+    """Best at its first pull: no curve of the package falls, but then the
+    best reward a pull sequence observes is not the value at the horizon."""
+
+    limit = 0.9
+
+    def eval(self, n):
+        return 0.9 if n == 1 else 0.5
+
+
+def test_lemma1_names_an_exact_maximum_off_the_analytic_one(monkeypatch):
+    instances = iter([([TabulatedCurve([0.5])], 4), ([_PeakedCurve()], 4)])
+    monkeypatch.setattr(verify, "random_small_instance", lambda rng: next(instances))
+    result = verify.suite_lemma1(count=2)
+    assert result.total == 2
+    assert result.failures == ["instance 1: exact maximum 0.9 != analytic 0.5"]
+
+
+def test_theorem2_names_a_wrongly_returned_arm(monkeypatch):
+    # Flat arms meet the ratio condition, and arm 1 is the oracle's argmax.
+    curves = [TabulatedCurve([0.9]), TabulatedCurve([0.5])]
+    monkeypatch.setattr(verify, "theorem2_instance", lambda rng: (curves, 30, 1))
+    returned = iter([1, 2])
+    monkeypatch.setattr(verify, "rising_bandit_run", lambda arms, config: SimpleNamespace(best_arm=next(returned)))
+    result = verify.suite_theorem2(count=2)
+    assert result.total == 2
+    assert result.failures == ["instance 1: returned arm 2, optimal is 1"]
 
 
 # Flat arms have no bias, so they meet the ratio condition; a staircase with
