@@ -34,6 +34,8 @@ class ArmProcess:
     varies draws the following pull's cost in ``_raw_reward``.
     """
 
+    __slots__ = ("pulls_so_far", "_best", "_next_cost")
+
     def __init__(self, cost: float) -> None:
         self.pulls_so_far = 0
         self._best = 0.0
@@ -61,6 +63,8 @@ class ArmProcess:
 class CurveArm(ArmProcess):
     """Plays back a reward curve exactly, at a constant per-pull cost."""
 
+    __slots__ = ("curve",)
+
     def __init__(self, curve: RewardCurve, cost: float) -> None:
         super().__init__(float(cost))
         self.curve = curve
@@ -75,6 +79,8 @@ class NoisyCurveArm(CurveArm):
     Output is max(previous output, clamp(curve(n) - U(0, amplitude))), which
     preserves the best-so-far invariant while breaking exact concavity.
     """
+
+    __slots__ = ("noise_amplitude", "_random")
 
     def __init__(
         self, curve: RewardCurve, noise_amplitude: float, rng: np.random.Generator, cost: float
@@ -98,6 +104,10 @@ class HpoArm(ArmProcess):
     Per-pull cost is mean_cost scaled by U(0.8, 1.2), drawn one pull ahead
     from a stream of its own so that ``peek_cost`` is exact.
     """
+
+    __slots__ = (
+        "strategy", "mean_cost", "_search_rng", "_cost_random", "objective", "_state", "_first_loss",
+    )
 
     def __init__(
         self, objective: str, dimension: int, rng: np.random.Generator, strategy: str, mean_cost: float
@@ -134,7 +144,7 @@ def check_positive(what: str, value: float) -> None:
         raise ConfigurationError(f"{what} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveArmSpec:
     """Curve playback: exact at amplitude 0, noisy above it."""
 
@@ -165,7 +175,7 @@ class CurveArmSpec:
         return CurveArm(self.curve, cost=self.cost)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HpoArmSpec:
     objective: str = "sphere"
     dimension: int = 2

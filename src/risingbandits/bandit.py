@@ -18,8 +18,6 @@ every other piece of per-arm state is kept by the policy that reads it.
 from __future__ import annotations
 
 import math
-import sys
-from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -40,12 +38,12 @@ GROWTH_MODES = ("last", "smooth")
 @dataclass(slots=True)
 class ArmState:
     """Per-arm state of a run.  The engine counts ``pulls``; the elimination
-    policy's ``observe`` writes the rest, keeping in ``history`` the last
-    ``window + 1`` rewards, oldest first, all that ``growth_rate`` reads."""
+    policy's ``observe`` writes the rest, keeping in the list ``history`` the
+    last ``window + 1`` rewards, oldest first, all that ``growth_rate`` reads."""
 
     arm_id: int
     pulls: int = 0
-    history: deque[float] = field(default_factory=deque)
+    history: list[float] = field(default_factory=list)
     upper: float = 1.0
     # The last reward, or 0.0 before the first pull: not always history[-1],
     # since a budget-mode sweep can read an arm that no pull has fitted.
@@ -106,7 +104,7 @@ def list_sink(steps: list[StepRecord]) -> StepSink:
     return keep
 
 
-@dataclass
+@dataclass(slots=True)
 class PolicyTrace:
     """Summary of one run; its steps go to the run's sink, if one is given.
     ``total_cost`` is the spend the budget checks compared, summed pull by
@@ -264,11 +262,6 @@ class RisingBanditPolicy(Policy):
         super().start(states, config, horizon)
         self._upper = horizon.upper
         self._window = config.window
-        # growth_rate reads at most the last window + 1 rewards; no deque can
-        # hold sys.maxsize, so the clamp changes nothing.
-        keep = min(config.window + 1, sys.maxsize)
-        for st in states:
-            st.history = deque(maxlen=keep)
 
     def plan(self, states: list[ArmState], t: int) -> Iterable[int]:
         if t > 1 and len(self.candidates) > 1:
@@ -283,11 +276,16 @@ class RisingBanditPolicy(Policy):
         # left.  After one pull no growth rate is known: 1.0 is the only sound upper.
         if len(self.candidates) == 1:
             return
-        state.history.append(reward)
+        # growth_rate reads at most the last window + 1 rewards: once the
+        # history holds that many, the oldest goes before the next is kept.
+        history = state.history
+        if len(history) > self._window:
+            del history[0]
+        history.append(reward)
         state.lower = reward
         state.total_cost += cost
         if state.pulls >= 2:
-            state.upper = self._upper(state, growth_rate(state.history, self._window))
+            state.upper = self._upper(state, growth_rate(history, self._window))
 
 
 def run_policy(

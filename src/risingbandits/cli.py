@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 configuration, usage or file error, 2 invariant
 violation, 130 stopped by ``SIGINT`` (Ctrl-C), 143 stopped by ``SIGTERM``.
 ``main`` turns each signal into ``SystemExit(128 + signal)``, so a stopped
 run prints no traceback, removes its staged files and leaves the previous
-artifacts as they were; the caller's handlers are restored on return.
+artifacts as they were; the caller's handlers are restored on return.  A
+run that exits 2 at the oracle gate leaves them as they were too: the gate
+runs before any artifact moves into place.
 """
 
 from __future__ import annotations
@@ -200,6 +202,17 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
             with open(staged[name], "w", encoding="utf-8") as handle:
                 json.dump(obj, handle, indent=2, sort_keys=True)
                 handle.write("\n")
+        # Sanity gate, before any artifact moves: no policy may beat the
+        # analytic oracle beyond tolerance.
+        if report.j_oracle is not None:
+            for name, res in report.policies.items():
+                if res.j_mean > report.j_oracle + DEFAULT_EPSILON:
+                    print(
+                        f"invariant violation: policy {name!r} mean value {res.j_mean} "
+                        f"exceeds the oracle {report.j_oracle}",
+                        file=sys.stderr,
+                    )
+                    return 2
         for name, path in staged.items():
             os.replace(path, os.path.join(output_dir, name))
     finally:
@@ -207,16 +220,6 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
             if os.path.exists(path):
                 os.remove(path)
 
-    # Sanity gate: no policy may beat the analytic oracle beyond tolerance.
-    if report.j_oracle is not None:
-        for name, res in report.policies.items():
-            if res.j_mean > report.j_oracle + DEFAULT_EPSILON:
-                print(
-                    f"invariant violation: policy {name!r} mean value {res.j_mean} "
-                    f"exceeds the oracle {report.j_oracle}",
-                    file=sys.stderr,
-                )
-                return 2
     print(f"wrote trace.csv, report.json, manifest.json to {output_dir}")
     return 0
 

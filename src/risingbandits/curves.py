@@ -20,6 +20,7 @@ class RewardCurve:
     property giving the supremum the curve saturates towards.
     """
 
+    __slots__ = ()
     limit: float
 
     def eval(self, n: int) -> float:
@@ -40,7 +41,7 @@ def _bad_pull_index(n: int) -> ValueError:
     return ValueError(f"pull index must be >= 1, got {n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExponentialCurve(RewardCurve):
     """r(n) = limit - (limit - initial) * decay**(n - 1)."""
 
@@ -63,7 +64,7 @@ class ExponentialCurve(RewardCurve):
         return self.limit - (self.limit - self.initial) * self.decay ** (n - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerCurve(RewardCurve):
     """r(n) = limit - scale * n**(-exponent)."""
 
@@ -89,7 +90,7 @@ class PowerCurve(RewardCurve):
         return self.limit - self.scale * float(n) ** (-self.exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TabulatedCurve(RewardCurve):
     """Explicit table of rewards; pulls beyond the table hold the last value."""
 
@@ -115,7 +116,7 @@ class TabulatedCurve(RewardCurve):
         return self.values[min(n, len(self.values)) - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaircaseCurve(RewardCurve):
     """Non-concave curve: flat for ``plateau_length`` pulls, then a jump.
 

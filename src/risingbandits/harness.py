@@ -255,7 +255,7 @@ def regret(trace_j: float, j_oracle: float) -> float:
     return max(gap, 0.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class PolicyResult:
     j_values: list[float] = field(default_factory=list)
 
@@ -264,7 +264,7 @@ class PolicyResult:
         return sum(self.j_values) / len(self.j_values)
 
 
-@dataclass
+@dataclass(slots=True)
 class RegretReport:
     """Summary of one experiment on a curve-backed instance."""
 

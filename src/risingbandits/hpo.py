@@ -23,7 +23,7 @@ _N_CANDIDATES = 24
 _INITIAL_CAPACITY = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class ToyObjective:
     """A synthetic loss over the box [-halfwidth, halfwidth]^dim with minimum 0."""
 
@@ -68,6 +68,8 @@ class SearchState:
     buffer that doubles when full, so recording a trial never re-stacks the
     history.
     """
+
+    __slots__ = ("_ranked", "_sorted_losses")
 
     def __init__(self) -> None:
         self._ranked = np.empty((0, 0))

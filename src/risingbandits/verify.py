@@ -125,7 +125,7 @@ def random_dominant_instance(rng: np.random.Generator) -> tuple[list[RewardCurve
     return curves, horizon, k_star
 
 
-@dataclass
+@dataclass(slots=True)
 class ConcaveCase:
     """One battery instance: the elimination run's final candidate set and
     the report the CLI would write."""

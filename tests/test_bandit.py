@@ -123,7 +123,8 @@ class TestGrowthRate:
         window=st.integers(1, 12),
     )
     def test_reads_only_the_last_window_plus_one(self, history, window):
-        # A run keeps each arm's last window + 1 rewards in a deque.
+        # A run keeps each arm's last window + 1 rewards in a list that drops
+        # its oldest once it holds that many: the rewards this deque holds.
         kept = deque(history, maxlen=window + 1)
         assert growth_rate(kept, window) == growth_rate(history, window)
 

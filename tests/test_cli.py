@@ -229,6 +229,12 @@ class TestRunCommand:
         assert report["regrets"]["rising_bandit"] >= 0.0
 
     def test_policy_above_the_oracle_exits_two(self, config_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "results"
+        assert main(["run", config_path, "--output", str(out)]) == 0
+        previous = {name: (out / name).read_bytes() for name in cli.ARTIFACTS}
+        # The same seed gives the same runs, so the same mean.
+        mean = json.loads(previous["report.json"])["policies"]["rising_bandit"]["j_mean"]
+        capsys.readouterr()
         real = cli.build_report
 
         def below_every_policy(instance, config, results):
@@ -237,15 +243,15 @@ class TestRunCommand:
             return report
 
         monkeypatch.setattr(cli, "build_report", below_every_policy)
-        out = tmp_path / "results"
         assert main(["run", config_path, "--output", str(out)]) == 2
         captured = capsys.readouterr()
-        # The artifacts are written, then the gate stops at the first policy.
-        mean = json.loads((out / "report.json").read_text())["policies"]["rising_bandit"]["j_mean"]
+        # The gate stops at the first policy, before any artifact moves.
         assert captured.err == (
             f"invariant violation: policy 'rising_bandit' mean value {mean} exceeds the oracle 0.0\n"
         )
         assert "wrote" not in captured.out
+        assert {name: (out / name).read_bytes() for name in cli.ARTIFACTS} == previous
+        assert sorted(os.listdir(out)) == sorted(cli.ARTIFACTS)
 
     def test_manifest_echoes_config_and_seed(self, config_path, tmp_path):
         out = str(tmp_path / "results")
