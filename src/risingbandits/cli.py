@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 configuration, usage or file error, 2 invariant
 violation, 130 stopped by ``SIGINT`` (Ctrl-C), 143 stopped by ``SIGTERM``.
 ``main`` turns each signal into ``SystemExit(128 + signal)``, so a stopped
 run prints no traceback, removes its staged files and leaves the previous
-artifacts as they were; the caller's handlers are restored on return.  A
-run that exits 2 at the oracle gate leaves them as they were too: the gate
-runs before any artifact moves into place.
+artifacts as they were; the caller's handlers are restored on return.  An
+invariant violation (``harness.InvariantViolation``: a policy above the
+oracle in ``build_report``, or a broken suite fixture) exits 2 with one
+line, from ``run`` and ``verify`` alike, before any artifact moves.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from functools import partial
 
 from . import __version__
 from .arms import ConfigurationError
-from .bandit import DEFAULT_EPSILON, PolicyTrace, StepRecord, StepSink, list_sink
+from .bandit import PolicyTrace, StepRecord, StepSink, list_sink
 from .config import ExperimentConfig, parse_experiment
-from .harness import PolicyResult, build_report, simulate
+from .harness import InvariantViolation, PolicyResult, build_report, simulate
 from .policies import make_policy
 
 TRACE_COLUMNS = (
@@ -202,17 +203,6 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
             with open(staged[name], "w", encoding="utf-8") as handle:
                 json.dump(obj, handle, indent=2, sort_keys=True)
                 handle.write("\n")
-        # Sanity gate, before any artifact moves: no policy may beat the
-        # analytic oracle beyond tolerance.
-        if report.j_oracle is not None:
-            for name, res in report.policies.items():
-                if res.j_mean > report.j_oracle + DEFAULT_EPSILON:
-                    print(
-                        f"invariant violation: policy {name!r} mean value {res.j_mean} "
-                        f"exceeds the oracle {report.j_oracle}",
-                        file=sys.stderr,
-                    )
-                    return 2
         for name, path in staged.items():
             os.replace(path, os.path.join(output_dir, name))
     finally:
@@ -226,18 +216,14 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
 
 def run_verify(suite_name: str) -> int:
     # Imported here only: a run never needs the suites.
-    from .verify import SUITES, FixtureError
+    from .verify import SUITES
 
     if suite_name not in SUITES:
         choices = ", ".join(map(repr, sorted(SUITES)))
         raise _UsageError(
             f"rising-bandits verify: argument suite: invalid choice: {suite_name!r} (choose from {choices})"
         )
-    try:
-        result = SUITES[suite_name]()
-    except FixtureError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 2
+    result = SUITES[suite_name]()
     for failure in result.failures:
         print(f"FAIL {result.name}: {failure}")
     print(f"{result.name}: {result.passed}/{result.total} checks passed")
@@ -291,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser = sub.add_parser("run", help="run a configured experiment")
     run_parser.add_argument("config", help="experiment configuration file")
     run_parser.add_argument("--output", default="results", help="output directory")
-    run_parser.add_argument("--jobs", type=int, default=1, help="parallel replications")
+    run_parser.add_argument("--jobs", type=int, default=1, help="parallel runs, one per (policy, replication)")
     run_parser.add_argument("--seed", type=int, default=None, help="override the base seed")
 
     verify_parser = sub.add_parser("verify", help="run a named invariant suite")
@@ -316,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 2
     except (OSError, UnicodeDecodeError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

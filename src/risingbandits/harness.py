@@ -10,7 +10,6 @@ smooth growth rate.
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from dataclasses import dataclass, field, fields
 
@@ -244,15 +243,14 @@ def brute_force_optimal(curves: list[RewardCurve], horizon: int) -> float:
 def regret(trace_j: float, j_oracle: float) -> float:
     """Oracle value minus achieved value, clamped at zero.
 
-    A policy beating the oracle beyond tolerance indicates an oracle bug and
-    is surfaced as a warning.
+    A value above the oracle beyond tolerance is refused by ``build_report``,
+    not here.
     """
-    gap = j_oracle - trace_j
-    if gap < -DEFAULT_EPSILON:
-        warnings.warn(
-            f"policy value {trace_j} exceeds oracle {j_oracle} beyond tolerance", stacklevel=2
-        )
-    return max(gap, 0.0)
+    return max(j_oracle - trace_j, 0.0)
+
+
+class InvariantViolation(RuntimeError):
+    """A result that the paper's guarantees rule out: the checking code is wrong."""
 
 
 @dataclass(slots=True)
@@ -298,7 +296,8 @@ def build_report(
     """Assemble the analytic comparisons available for this instance.
 
     Oracle-dependent fields need ground-truth curves and a trial-count
-    horizon; otherwise they stay None with an explanatory note.
+    horizon; otherwise they stay None with an explanatory note.  A policy
+    mean above the oracle beyond tolerance raises :class:`InvariantViolation`.
     """
     report = RegretReport(horizon=config.trials, policies=results)
     curves = instance.curves()
@@ -318,7 +317,11 @@ def build_report(
     report.oracle_arm = oracle_arm
     report.j_oracle = j_oracle
     for name, res in results.items():
-        report.regrets[name] = regret(res.j_mean, j_oracle)
+        mean = res.j_mean
+        # Lemma 1: no pull sequence observes more than the best single arm.
+        if mean > j_oracle + DEFAULT_EPSILON:
+            raise InvariantViolation(f"policy {name!r} mean value {mean} exceeds the oracle {j_oracle}")
+        report.regrets[name] = regret(mean, j_oracle)
     per_arm = compute_gamma(curves, horizon)
     gamma = max(per_arm)
     report.gamma, report.gamma_per_arm = gamma, per_arm

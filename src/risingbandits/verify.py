@@ -30,6 +30,7 @@ from .arms import CurveArmSpec, InstanceSpec
 from .bandit import DEFAULT_EPSILON, BanditConfig, rising_bandit_run
 from .curves import ExponentialCurve, PowerCurve, RewardCurve, StaircaseCurve, TabulatedCurve
 from .harness import (
+    InvariantViolation,
     PolicyResult,
     RegretReport,
     brute_force_optimal,
@@ -57,7 +58,7 @@ ALLOCATION_GOLDEN_SHARE = 0.596
 ALLOCATION_SHARE_THRESHOLD = 0.40
 
 
-class FixtureError(RuntimeError):
+class FixtureError(InvariantViolation):
     """A generator made an instance that breaks the guarantee its suites rely on."""
 
 

@@ -15,6 +15,7 @@ from risingbandits import (
     InstanceSpec,
     NoisyCurveArm,
     TabulatedCurve,
+    hpo,
     make_instance,
 )
 
@@ -223,6 +224,12 @@ class TestHpoArm:
         arm = HpoArmSpec(objective="sphere", dimension=2).build(_rng(9))
         reward, _ = arm.pull()
         assert reward == 0.0
+
+    def test_zero_first_loss_scores_one_on_every_pull(self, monkeypatch):
+        # A first trial already at the minimum leaves no loss to normalise by.
+        monkeypatch.setattr(hpo.ToyObjective, "loss", lambda self, x: 0.0)
+        arm = HpoArmSpec(objective="sphere", dimension=2).build(_rng(9))
+        assert [arm.pull()[0] for _ in range(5)] == [1.0] * 5
 
     def test_peek_cost_is_exact_and_varies(self):
         arm = HpoArmSpec(objective="sphere", dimension=2, mean_cost=5.0).build(_rng(4))

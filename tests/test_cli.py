@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, InstanceSpec, cli, verify
+from risingbandits import ConfigurationError, CurveArmSpec, HpoArmSpec, InstanceSpec, cli, harness, verify
 from risingbandits import config as config_module
 from risingbandits.bandit import BanditConfig, list_sink
 from risingbandits.cli import main, worker_count
@@ -235,17 +235,11 @@ class TestRunCommand:
         # The same seed gives the same runs, so the same mean.
         mean = json.loads(previous["report.json"])["policies"]["rising_bandit"]["j_mean"]
         capsys.readouterr()
-        real = cli.build_report
-
-        def below_every_policy(instance, config, results):
-            report = real(instance, config, results)
-            report.j_oracle = 0.0
-            return report
-
-        monkeypatch.setattr(cli, "build_report", below_every_policy)
+        # An oracle below every policy: build_report refuses the first one.
+        monkeypatch.setattr(harness, "offline_max_run", lambda curves, horizon: (1, 0.0))
         assert main(["run", config_path, "--output", str(out)]) == 2
         captured = capsys.readouterr()
-        # The gate stops at the first policy, before any artifact moves.
+        # The check stops at the first policy, before any artifact moves.
         assert captured.err == (
             f"invariant violation: policy 'rising_bandit' mean value {mean} exceeds the oracle 0.0\n"
         )
@@ -993,6 +987,18 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "invalid choice: 'no_such_suite'" in err
+
+    @pytest.mark.parametrize("suite", ["safety", "theorem1", "corollary1"])
+    def test_policy_above_the_oracle_exits_two(self, suite, monkeypatch, capsys):
+        # Each battery case's report is built by build_report, which refuses
+        # the first instance's run once the oracle reads below it.
+        monkeypatch.setattr(harness, "offline_max_run", lambda curves, horizon: (1, 0.0))
+        assert main(["verify", suite]) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(
+            r"invariant violation: policy 'rising_bandit' mean value \S+ exceeds the oracle 0\.0\n", captured.err
+        )
+        assert captured.out == ""
 
     def test_inconsistent_battery_exits_two(self, monkeypatch, capsys):
         real = verify.random_dominant_instance

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from risingbandits import (
     AveragePolicy,
     BanditConfig,
+    ConfigurationError,
     CurveArmSpec,
     ExponentialCurve,
     InstanceSpec,
@@ -29,7 +30,7 @@ from risingbandits import (
     upper_bound,
 )
 from risingbandits.bandit import DEFAULT_EPSILON
-from risingbandits.harness import PolicyResult, derive_seed, theorem1_is_vacuous
+from risingbandits.harness import InvariantViolation, PolicyResult, derive_seed, theorem1_is_vacuous
 from risingbandits import verify
 from risingbandits.verify import LEMMA1_COUNT, LEMMA1_SEED, random_small_instance
 
@@ -154,6 +155,9 @@ class TestLeastConcaveMajorant:
         hull = least_concave_majorant(observed)
         assert hull[0] == pytest.approx(0.2)
         assert hull[-1] == pytest.approx(0.7)
+
+    def test_single_observation_is_its_own_majorant(self):
+        assert least_concave_majorant([0.4]) == [0.4]
 
     def test_rejects_empty_and_limit_violations(self):
         with pytest.raises(ValueError):
@@ -323,6 +327,12 @@ class TestBruteForceOptimal:
     def test_single_arm(self):
         assert brute_force_optimal([ARM1], 5) == ARM1.eval(5)
 
+    def test_rejects_no_curves_and_a_horizon_below_one(self):
+        with pytest.raises(ConfigurationError, match="^an instance needs at least one arm$"):
+            brute_force_optimal([], 5)
+        with pytest.raises(ValueError, match="^horizon must be >= 1, got 0$"):
+            brute_force_optimal([ARM1], 0)
+
     def test_agrees_with_analytic_optimum(self):
         curves = [ARM1, ARM2, PowerCurve(limit=0.85, scale=0.5, exponent=1.3)]
         value = brute_force_optimal(curves, 7)
@@ -372,10 +382,6 @@ class TestRegret:
     def test_clamped_at_zero_within_tolerance(self):
         assert regret(0.9 + 1e-15, 0.9) == 0.0
 
-    def test_warns_when_policy_beats_oracle(self):
-        with pytest.warns(UserWarning):
-            regret(0.95, 0.9)
-
 
 class TestBatteryInvariants:
     def test_no_negative_regret(self, concave_battery):
@@ -417,6 +423,15 @@ class TestBuildReport:
         assert report.theorem1_bound == pytest.approx(0.075, abs=1e-12)
         assert report.corollary1_condition_holds is True
         assert json.loads(json.dumps(report.to_dict()))["gamma_per_arm"] == [0, 2]
+
+    def test_policy_above_the_oracle_raises(self):
+        # By Lemma 1 no run observes more than the oracle's 0.875 here.
+        instance = InstanceSpec([CurveArmSpec(ARM1), CurveArmSpec(ARM2)])
+        results = {"average": PolicyResult(j_values=[0.8]), "rising_bandit": PolicyResult(j_values=[0.9, 0.95])}
+        with pytest.raises(
+            InvariantViolation, match=r"^policy 'rising_bandit' mean value 0\.925 exceeds the oracle 0\.875$"
+        ):
+            build_report(instance, BanditConfig(trials=5), results)
 
     def test_hpo_instance_skips_oracle_with_note(self):
         from risingbandits import HpoArmSpec
