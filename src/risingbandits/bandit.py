@@ -144,30 +144,20 @@ def upper_bound(last: float, omega: float, pulls_left: float) -> float:
 def eliminate(candidates: list[int], states: list[ArmState]) -> list[int]:
     """One elimination sweep over the candidate set, in O(|candidates|).
 
-    Arm j is dropped iff some other candidate's lower bound reaches j's upper
-    bound (within ``DEFAULT_EPSILON``).  All removals are decided against the
-    set as it stood at sweep start; if mutual dominance would empty the set,
-    the lowest-numbered candidate survives.
+    Arm j is dropped iff the top lower bound among the candidates is above
+    j's upper bound by more than ``DEFAULT_EPSILON``, so a tie drops no arm.
+    Removals are decided against the set at sweep start.  Every state has
+    lower <= upper, so the arm with the top lower bound survives.
     """
-    # The largest lower bound among the candidates other than j is the top
-    # one, or the runner-up when j holds the top; a tie for the top makes
-    # the two equal.  One pass finds both, a second decides each arm.
-    top = runner_up = -math.inf
-    top_arm = None
+    top = -math.inf
     for i in candidates:
         lower = states[i - 1].lower
         if lower > top:
-            top, runner_up, top_arm = lower, top, i
-        elif lower > runner_up:
-            runner_up = lower
-    epsilon = DEFAULT_EPSILON
+            top = lower
     survivors = []
     for j in candidates:
-        best_other = runner_up if j == top_arm else top
-        if not best_other >= states[j - 1].upper - epsilon:
+        if states[j - 1].upper + DEFAULT_EPSILON >= top:
             survivors.append(j)
-    if not survivors:
-        survivors = [min(candidates)]
     return survivors
 
 

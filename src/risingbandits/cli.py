@@ -19,6 +19,7 @@ line, from ``run`` and ``verify`` alike, before any artifact moves.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -177,15 +178,20 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
         for replication in range(config.replications)
     ]
     workers = worker_count(jobs, len(tasks))
-    os.makedirs(output_dir, exist_ok=True)
 
     # Each artifact goes to a temporary file, and all three move into place
     # only once all are written: a failed run cannot leave a new trace.csv
     # next to an old report.json.  Rows go into the staged trace as the pulls
-    # are made, so a run that fails mid-experiment is cleaned up here too.
+    # are made, so a run that fails mid-experiment is cleaned up here too, as
+    # is each directory it made (``made``, deepest first) and left empty.
+    made, path = [], os.path.abspath(output_dir)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     staged = {name: os.path.join(output_dir, f".{name}.{os.getpid()}.tmp") for name in ARTIFACTS}
     results: dict[str, PolicyResult] = {}
     try:
+        os.makedirs(output_dir, exist_ok=True)
         _write_trace(staged["trace.csv"], partial(_run_tasks, config, tasks, workers, results))
         report = build_report(config.instance, config.bandit, results)
         for note in report.interpretation_notes:
@@ -209,6 +215,9 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
         for path in staged.values():
             if os.path.exists(path):
                 os.remove(path)
+        with contextlib.suppress(OSError):  # Not empty: the artifacts are in place.
+            for path in made:
+                os.rmdir(path)
 
     print(f"wrote trace.csv, report.json, manifest.json to {output_dir}")
     return 0

@@ -195,33 +195,35 @@ class TestCostAwareUpperBound:
 
 def _eliminate_pairwise(candidates, states, epsilon):
     """The sweep by its definition: compare every candidate with every other, O(K^2)."""
-    survivors = [
+    return [
         j
         for j in candidates
-        if not any(states[i - 1].lower >= states[j - 1].upper - epsilon for i in candidates if i != j)
+        if not any(states[i - 1].lower > states[j - 1].upper + epsilon for i in candidates if i != j)
     ]
-    return survivors or [min(candidates)]
 
 
-# A few shared values make ties for the top lower bound and mutual dominance
-# likely; negative values stand in for bounds below every reward.
+# A few shared values make ties between bounds likely; negative values stand
+# in for bounds below every reward.
 BOUNDS = st.one_of(st.sampled_from([-1.0, -0.25, 0.0, 0.3, 0.5, 0.7, 1.0]), st.floats(-2.0, 1.0))
 
 
 @st.composite
 def sweeps(draw):
-    """(candidates, per-arm (lower, upper)) for one sweep."""
+    """(candidates, per-arm (lower, upper)) for one sweep, each with lower <=
+    upper, as every state of a run has (see test_engine_invariants)."""
     k = draw(st.integers(1, 40))
     lowers = draw(st.lists(BOUNDS, min_size=k, max_size=k))
     uppers = draw(st.lists(BOUNDS, min_size=k, max_size=k))
-    # Put some lower bounds exactly on another arm's upper - DEFAULT_EPSILON,
-    # the edge where domination starts.
-    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=6)):
-        lowers[i] = uppers[j] - DEFAULT_EPSILON
+    # Put some lower bounds on another arm's upper + DEFAULT_EPSILON, the
+    # edge where domination starts, or just past it.
+    edges = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.sampled_from([0.0, 1e-13, 1e-11]))
+    for i, j, past in draw(st.lists(edges, max_size=6)):
+        lowers[i] = uppers[j] + DEFAULT_EPSILON + past
     if draw(st.booleans()):
         # A tie for the top lower bound.
         top = max(range(k), key=lowers.__getitem__)
         lowers[draw(st.integers(0, k - 1))] = lowers[top]
+    uppers = [max(lower, upper) for lower, upper in zip(lowers, uppers)]
     order = draw(st.permutations(range(1, k + 1)))
     candidates = list(order[: draw(st.integers(1, k))])
     return candidates, list(zip(lowers, uppers))
@@ -265,9 +267,13 @@ class TestEliminate:
         states = [self._state(1, 0.5, 0.9), self._state(2, 0.4, 0.8)]
         assert eliminate([1, 2], states) == [1, 2]
 
-    def test_epsilon_slack_triggers_elimination_on_ties(self):
-        states = [self._state(1, 0.7, 1.0), self._state(2, 0.2, 0.7)]
-        assert eliminate([1, 2], states) == [1]
+    def test_epsilon_slack_keeps_an_arm_on_a_tie(self):
+        # Arm 2 is dropped only when arm 1's lower bound is above its upper
+        # bound by more than DEFAULT_EPSILON.
+        cases = [(0.7, [1, 2]), (0.7 - DEFAULT_EPSILON / 2, [1, 2]), (0.7 - 2 * DEFAULT_EPSILON, [1])]
+        for upper, survivors in cases:
+            states = [self._state(1, 0.7, 1.0), self._state(2, 0.2, upper)]
+            assert eliminate([1, 2], states) == survivors
 
     def test_sweep_uses_snapshot_not_survivors(self):
         # Arm 2 dominates 3, arm 1 dominates 2; decisions are simultaneous,
@@ -275,9 +281,14 @@ class TestEliminate:
         states = [self._state(1, 0.8, 1.0), self._state(2, 0.5, 0.7), self._state(3, 0.1, 0.4)]
         assert eliminate([1, 2, 3], states) == [1]
 
-    def test_lowest_id_survives_mutual_dominance(self):
-        states = [self._state(1, 0.5, 0.5), self._state(2, 0.5, 0.5)]
-        assert eliminate([1, 2], states) == [1]
+    def test_the_top_lower_bound_survives_an_all_tie_sweep(self):
+        # Every upper bound ties with the top lower bound: no arm is dropped,
+        # and none by its id.
+        states = [self._state(1, 0.5, 0.5), self._state(2, 0.5, 0.5), self._state(3, 0.5, 0.5)]
+        assert eliminate([3, 1, 2], states) == [3, 1, 2]
+        # The arm that holds the top has lower == upper, and dominates the rest.
+        states = [self._state(1, 0.2, 0.3), self._state(2, 0.7, 0.7), self._state(3, 0.0, 0.0)]
+        assert eliminate([1, 2, 3], states) == [2]
 
     def test_inactive_candidates_not_consulted(self):
         states = [self._state(1, 0.9, 1.0), self._state(2, 0.1, 0.2)]
@@ -285,7 +296,7 @@ class TestEliminate:
 
     @settings(max_examples=400, deadline=None)
     @given(sweeps())
-    # Mutual dominance empties the set: the lowest id survives.
+    # Every bound ties: no arm is dropped.
     @example(([3, 1, 2], [(0.5, 0.5)] * 3))
     # Two arms tie for the top lower bound; negative upper bounds.
     @example(([2, 1, 3], [(0.7, 0.9), (0.7, 0.8), (-0.5, -0.25)]))

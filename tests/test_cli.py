@@ -76,7 +76,9 @@ BUDGET_DIGESTS = {
 
 # The same for three density_estimator tuning arms under a budget, so the
 # sampler's outputs are pinned at dimensions 2, 3 and 5 under every policy;
-# recorded before the sampler kept its history incrementally.
+# recorded before the sampler kept its history incrementally, and again when
+# a tie stopped dropping an arm: rising_bandit's rewards are all 0 after
+# round 2, and its sweep keeps all three arms.
 HPO_CONFIG = """
 horizon_budget = 300
 policies = rising_bandit, average, ucb, softmax, thompson
@@ -106,8 +108,8 @@ mean_cost = 2
 """
 
 HPO_DIGESTS = {
-    "trace.csv": "543ab7454d92c09c261084387e73c60f8db67a29fef42294b2e8c7453edb4233",
-    "report.json": "9b364f439c48a15948ef5c9044944704545c63945c0081031f776431fc989a6b",
+    "trace.csv": "a0740ec663f4720b4075741621e2e1e75ae9c5bc84ee0931e420bb6b6240d05c",
+    "report.json": "60020ef3e684f3ba71c0b5abdbffdf4526d9dc30f67fb278a9e7db82e99c73b9",
 }
 
 # The same for a staircase, a tabulated and a noisy power arm under the smooth
@@ -143,6 +145,44 @@ noise_amplitude = 0.05
 STAIRCASE_DIGESTS = {
     "trace.csv": "dc3dee2a1d7efb550257cee931532539868834d683b4b34d9b2e124b06aa734a",
     "report.json": "b3aba378dceb925c2be8cd2415e4b3681e1bcc7bb39d977ebe5a9293aaf758b8",
+}
+
+# The same for four exact curve arms under a trial horizon that 4 does not
+# divide, so the report's oracle half is pinned: regrets, separation times,
+# the regret bound, the round-robin comparison and the floor(T/K) note.  The
+# same under either tie rule: no sweep here meets a tie.
+EXACT_CONFIG = """
+horizon_trials = 50
+policies = rising_bandit, average, ucb, softmax, thompson
+replications = 2
+base_seed = 13
+
+[arm]
+kind = exponential
+limit = 0.92
+initial = 0.4
+decay = 0.8
+
+[arm]
+kind = power
+limit = 0.75
+scale = 0.45
+exponent = 1.0
+
+[arm]
+kind = exponential
+limit = 0.55
+initial = 0.2
+decay = 0.6
+
+[arm]
+kind = tabulated
+values = 0.1, 0.25, 0.3, 0.32, 0.33
+"""
+
+EXACT_DIGESTS = {
+    "trace.csv": "99954762592a81767fcf6a93e21e84c47d2a75ec4b8933e63d7b7c72093323f5",
+    "report.json": "895d25d9ac86f19b5d0dd3ef1a25d0395f2ff2932e469cf5f42e022a3e16dc17",
 }
 
 CONFIG = """
@@ -246,6 +286,18 @@ class TestRunCommand:
         assert "wrote" not in captured.out
         assert {name: (out / name).read_bytes() for name in cli.ARTIFACTS} == previous
         assert sorted(os.listdir(out)) == sorted(cli.ARTIFACTS)
+
+    @pytest.mark.parametrize("made", ["", "new", "new/deeper"], ids=["existing", "new", "new_deeper"])
+    def test_a_failed_run_removes_each_directory_it_made(
+        self, made, config_path, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.setattr(harness, "offline_max_run", lambda curves, horizon: (1, 0.0))
+        assert main(["run", config_path, "--output", str(out / made)]) == 2
+        assert "invariant violation" in capsys.readouterr().err
+        # The directory that was there before the run stays, and stays empty.
+        assert os.listdir(out) == []
 
     def test_manifest_echoes_config_and_seed(self, config_path, tmp_path):
         out = str(tmp_path / "results")
@@ -597,6 +649,14 @@ class TestGoldenArtifacts:
         path = tmp_path / "staircase.cfg"
         path.write_text(STAIRCASE_CONFIG)
         self._check(["run", str(path), "--output", str(tmp_path / "results")], STAIRCASE_DIGESTS)
+
+    def test_exact_curve_digests(self, tmp_path, capsys):
+        path = tmp_path / "exact.cfg"
+        path.write_text(EXACT_CONFIG)
+        self._check(["run", str(path), "--output", str(tmp_path / "results")], EXACT_DIGESTS)
+        report = json.loads((tmp_path / "results" / "report.json").read_text())
+        assert report["theorem1_vacuous"] is False
+        assert report["interpretation_notes"][0].startswith("horizon not divisible by the arm count")
 
 
 def _reference_write_trace(path, runs):

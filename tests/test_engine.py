@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risingbandits import (
@@ -101,10 +101,23 @@ def test_engine_invariants(record_sweeps, case):
     instance, config, seed = case
     everyone = tuple(range(1, len(instance.arms) + 1))
     for name in POLICY_NAMES:
-        steps = []
+        steps, bounds = [], []
+        policy = make_policy(name)
+        observe = policy.observe
+
+        def recording(state, reward, cost):
+            observe(state, reward, cost)
+            bounds.append((state.lower, state.upper))
+
+        policy.observe = recording
         with record_sweeps() as sweeps:
-            trace = simulate(make_policy(name), instance, config, seed=seed, sink=list_sink(steps))
+            trace = simulate(policy, instance, config, seed=seed, sink=list_sink(steps))
         n = len(steps)
+        # Only observe writes the bounds, and every state starts at lower 0.0
+        # and upper 1.0.  So every state keeps lower <= upper, and the arm
+        # that holds a sweep's top lower bound survives it: no set empties.
+        assert len(bounds) == n
+        assert all(lower <= upper for lower, upper in bounds)
         assert trace.horizon == n
         if config.trials is not None:
             assert n == config.trials
@@ -312,8 +325,8 @@ def zero_arm_runs(draw):
     return InstanceSpec(specs), zero, config, draw(st.integers(0, 2**16))
 
 
-# Every candidate dominated at the second sweep: the noisy arm's first two
-# rewards are 0, as the zero arm's are.
+# Every bound ties at 0 at the second sweep: the noisy arm's first two rewards
+# are 0, as the zero arm's are.
 TIED_ZERO_ARMS = InstanceSpec(
     [
         CurveArmSpec(TabulatedCurve([0.0])),
@@ -326,11 +339,10 @@ TIED_ZERO_ARMS = InstanceSpec(
 @given(case=zero_arm_runs())
 @example(case=(TIED_ZERO_ARMS, 1, BanditConfig(trials=60), 12))
 def test_an_arm_that_pays_nothing_is_pulled_twice_and_dropped(record_sweeps, case):
-    # After one pull the arm's upper bound is 1.0, so the first sweep keeps it
-    # unless another arm's first reward reaches 1.0.  Its second pull gives a
-    # growth rate of 0 and an upper bound of 0, which every lower bound
-    # reaches, so the second sweep drops it, unless that sweep finds every
-    # candidate dominated and so keeps the lowest id.
+    # After one pull every upper bound is 1.0, which no lower bound passes,
+    # so the first sweep keeps every arm.  The zero arm's second pull gives a
+    # growth rate of 0 and an upper bound of 0, so the second sweep drops it,
+    # unless no other arm's lower bound is above 0 either: a tie drops no arm.
     instance, zero, config, seed = case
     policy, uppers, steps = RisingBanditPolicy(), [], []
     observe = policy.observe
@@ -347,17 +359,52 @@ def test_an_arm_that_pays_nothing_is_pulled_twice_and_dropped(record_sweeps, cas
     for step in steps:
         rewards.setdefault(step.arm, []).append(step.reward)
     others = [history for arm, history in rewards.items() if arm != zero]
-    assume(all(history[0] < 1.0 - DEFAULT_EPSILON for history in others))
     assert uppers[:2] == [1.0, 0.0]
-    assert zero in sweeps[0][1] and zero in sweeps[1][0]
+    assert sweeps[0][1] == sweeps[0][0] == sweeps[1][0]
     if zero in sweeps[1][1]:
-        # Every other arm's first two rewards were 0 too (noise clamped at
-        # 0), so every bound was 0, and the zero arm is the lowest id.
-        assert all(history[:2] == [0.0, 0.0] for history in others)
-        assert sweeps[1][1] == (zero,) == (1,)
+        # Every other arm's second reward was 0 too (noise clamped at 0), so
+        # every bound was 0, and the sweep kept every arm.
+        assert max(history[1] for history in others) <= DEFAULT_EPSILON
+        assert sweeps[1][1] == sweeps[1][0]
     else:
         assert len(rewards[zero]) == 2
         assert zero not in trace.candidates
+
+
+# CASH: one hpo arm per algorithm.  An hpo arm's first reward is always 0,
+# and at seed 6 no arm's second trial improves on its first.
+CASH_ARMS = InstanceSpec(
+    [
+        HpoArmSpec(objective=objective, dimension=dimension, strategy="density_estimator", mean_cost=1.0)
+        for objective, dimension in [("sphere", 2), ("rosenbrock", 3), ("quadratic", 2)]
+    ]
+)
+
+
+def test_a_tie_at_zero_does_not_settle_a_cash_run(record_sweeps):
+    steps = []
+    with record_sweeps() as sweeps:
+        trace = simulate(
+            RisingBanditPolicy(), CASH_ARMS, BanditConfig(trials=120), seed=6, sink=list_sink(steps)
+        )
+    # After round 2 every reward is 0, so every bound is 0: a tie, which
+    # drops no arm.  A sweep that dropped on it would keep arm 1 alone.
+    assert [step.reward for step in steps[:6]] == [0.0] * 6
+    assert sweeps[1] == ((1, 2, 3), (1, 2, 3))
+    assert steps[6].candidate_set_size == 3
+    assert trace.pull_counts == [3, 3, 114]
+    assert trace.final_j > 0.9
+
+
+def test_a_tie_at_zero_keeps_the_zero_arm_until_another_arm_pays(record_sweeps):
+    # The example above: both arms' first two rewards are 0, so the second
+    # sweep keeps both.  The noisy arm's third reward is above 0, so the
+    # third sweep drops the zero arm, and the run does not settle on 0.
+    with record_sweeps() as sweeps:
+        trace = simulate(RisingBanditPolicy(), TIED_ZERO_ARMS, BanditConfig(trials=60), seed=12)
+    assert sweeps == [((1, 2), (1, 2)), ((1, 2), (1, 2)), ((1, 2), (2,))]
+    assert trace.pull_counts == [3, 57]
+    assert trace.final_j == pytest.approx(0.199, abs=5e-4)
 
 
 @settings(max_examples=200, deadline=None)

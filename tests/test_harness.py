@@ -133,6 +133,25 @@ class TestCorollary1Check:
         assert avg_regret == pytest.approx(0.6 - 0.2, abs=1e-12)
 
 
+# A few shared values make equal neighbours, and so flat runs, likely.
+UNIT_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _majorant_by_chords(observed):
+    """The least concave majorant by its definition: at x, the largest of y_x
+    and every chord y_i + (y_j - y_i)(x - i)/(j - i) with i <= x <= j."""
+    n = len(observed)
+    out = []
+    for x in range(1, n + 1):
+        best = observed[x - 1]
+        for i in range(1, x + 1):
+            for j in range(max(x, i + 1), n + 1):
+                y_i, y_j = observed[i - 1], observed[j - 1]
+                best = max(best, y_i + (y_j - y_i) * (x - i) / (j - i))
+        out.append(best)
+    return out
+
+
 class TestLeastConcaveMajorant:
     def test_dominates_observations(self):
         observed = [0.1, 0.1, 0.5, 0.5, 0.9]
@@ -165,6 +184,30 @@ class TestLeastConcaveMajorant:
         with pytest.raises(ValueError):
             least_concave_majorant([0.5, 0.9], limit=0.6)
 
+    @pytest.mark.parametrize(
+        "observed",
+        [
+            [0.1, 0.1, 0.5, 0.5, 0.9],
+            [0.1, 0.1, 0.1, 0.6, 0.6, 0.6, 0.8, 0.8],
+            [0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.6, 0.6, 0.6],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+            # Convex runs, which the hull must bridge with one chord.
+            [0.0, 0.2, 0.5],
+            [0.0, 0.0, 0.2, 0.5],
+        ],
+    )
+    def test_is_the_least_majorant_on_fixed_sequences(self, observed):
+        expected = _majorant_by_chords(observed)
+        assert least_concave_majorant(observed) == pytest.approx(expected, abs=DEFAULT_EPSILON)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(UNIT_VALUES, min_size=1, max_size=40))
+    def test_is_the_least_majorant(self, values):
+        # Non-decreasing, as every best-so-far sequence is.
+        observed = sorted(values)
+        expected = _majorant_by_chords(observed)
+        assert least_concave_majorant(observed) == pytest.approx(expected, abs=DEFAULT_EPSILON)
+
 
 class TestTheorem2ConditionCheck:
     def test_concave_sequence_satisfies(self):
@@ -184,6 +227,14 @@ class TestTheorem2ConditionCheck:
         assert not theorem2_condition_check([0.6, 0.7, 0.8, 0.9], [0.5, 0.6, 0.7, 0.8], window=1)
         # Biases 0.1, 0.01, 0.001, 0: ratios 0.1, 0.1 and 0 stay within 2/3, 1/2 and 0.
         assert theorem2_condition_check([0.6, 0.51, 0.501, 0.5], [0.5] * 4, window=1)
+
+    def test_the_last_pulls_are_checked(self):
+        # Biases 0.1, 0.05, 0.02 and 0.01 over T = 4: the ratios 1/2 and 2/5
+        # at t = 2 and 3 stay within 2/3 and 1/2, but at t = T the bound is 0.
+        observed = [0.5] * 4
+        assert not theorem2_condition_check([0.6, 0.55, 0.52, 0.51], observed, window=1)
+        # With no bias at t = T every ratio is within its bound.
+        assert theorem2_condition_check([0.6, 0.55, 0.52, 0.5], observed, window=1)
 
     def test_rejects_observation_above_majorant(self):
         with pytest.raises(ValueError):
