@@ -28,12 +28,13 @@ import threading
 import time
 from collections.abc import Callable
 from functools import partial
+from typing import TextIO
 
 from . import __version__
 from .arms import ConfigurationError
-from .bandit import PolicyTrace, StepRecord, StepSink, list_sink
+from .bandit import PolicyTrace, StepSink
 from .config import ExperimentConfig, parse_experiment
-from .harness import InvariantViolation, PolicyResult, build_report, simulate
+from .harness import InvariantViolation, build_report, simulate
 from .policies import make_policy
 
 TRACE_COLUMNS = (
@@ -60,69 +61,63 @@ def _run_one(
     return simulate(make_policy(policy_name), config.instance, config.bandit, config.base_seed, replication, sink)
 
 
-def _run_listed(
-    config: ExperimentConfig, policy_name: str, replication: int
-) -> tuple[float, list[StepRecord]]:
-    """One run in a worker process: its final J and its steps, for the parent to write."""
-    steps: list[StepRecord] = []
-    return _run_one(config, policy_name, replication, list_sink(steps)).final_j, steps
-
-
-RowSinks = Callable[[str, int], StepSink]
-
-
-def _write_trace(path: str, runs: Callable[[RowSinks], None]) -> None:
-    """Write ``trace.csv`` at ``path`` while ``runs(rows)`` makes the runs.
-
-    ``runs`` calls ``rows(policy_name, replication)`` as each run starts, in
-    task order, and passes each pull of the run to the sink it returns, as
-    ``sink(t, arm, reward, cost, candidate_set_size)``.  Each row is written
-    as its pull arrives, so a serial run builds no step record.
+def _rows(
+    write: Callable[[str], object], cost_memo: dict[int, tuple[float, str]], policy_name: str, replication: int
+) -> StepSink:
+    """The sink that passes each pull of one run to ``write`` as a ``trace.csv`` row.
 
     Each row is one template, with the ``\r\n`` terminator ``csv.writer``
     uses.  No field ever needs CSV quoting: each is an int, a ``.17g`` float
     text or a name from ``POLICY_NAMES``, all free of commas, quotes and line
     breaks.  An arm's cost is formatted again only when it differs from that
-    arm's previous cost: a memo per arm stays small, where one keyed by value
-    would keep a text for every pull of an hpo arm, whose cost is drawn
-    afresh each pull.  The best-so-far is formatted only when it rises:
-    ``reward > best`` holds exactly when ``max(best, reward)`` would return
-    ``reward``.
+    arm's previous cost in ``cost_memo``: a memo per arm stays small, where
+    one keyed by value would keep a text for every pull of an hpo arm, whose
+    cost is drawn afresh each pull.  The best-so-far is formatted only when it
+    rises: ``reward > best`` holds exactly when ``max(best, reward)`` would
+    return ``reward``.
     """
-    cost_memo: dict[int, tuple[float, str]] = {}
+    prefix = f"{policy_name},{replication},"
+    best, best_text = 0.0, _fmt(0.0)
+
+    def row(t: int, arm: int, reward: float, cost: float, candidate_set_size: int) -> None:
+        nonlocal best, best_text
+        reward_text = f"{reward:.17g}"
+        if reward > best:
+            best, best_text = reward, reward_text
+        memo = cost_memo.get(arm)
+        if memo is None or memo[0] != cost:
+            memo = cost_memo[arm] = (cost, _fmt(cost))
+        write(f"{t},{prefix}{arm},{reward_text},{memo[1]},{candidate_set_size},{best_text}\r\n")
+
+    return row
+
+
+def _run_rows(config: ExperimentConfig, policy_name: str, replication: int) -> tuple[float, list[str]]:
+    """One run in a worker process: its final J and its trace rows, for the parent to write."""
+    rows: list[str] = []
+    sink = _rows(rows.append, {}, policy_name, replication)
+    return _run_one(config, policy_name, replication, sink).final_j, rows
+
+
+def _write_trace(path: str, runs: Callable[[TextIO], None]) -> None:
+    """Write ``trace.csv`` at ``path``: its header, then what ``runs(handle)``
+    writes to the open file as it makes the runs, in task order."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        write = handle.write
-        write(",".join(TRACE_COLUMNS) + "\r\n")
-
-        def rows(policy_name: str, replication: int) -> StepSink:
-            prefix = f"{policy_name},{replication},"
-            best, best_text = 0.0, _fmt(0.0)
-
-            def row(t: int, arm: int, reward: float, cost: float, candidate_set_size: int) -> None:
-                nonlocal best, best_text
-                reward_text = f"{reward:.17g}"
-                if reward > best:
-                    best, best_text = reward, reward_text
-                memo = cost_memo.get(arm)
-                if memo is None or memo[0] != cost:
-                    memo = cost_memo[arm] = (cost, _fmt(cost))
-                write(f"{t},{prefix}{arm},{reward_text},{memo[1]},{candidate_set_size},{best_text}\r\n")
-
-            return row
-
-        runs(rows)
+        handle.write(",".join(TRACE_COLUMNS) + "\r\n")
+        runs(handle)
 
 
 def _run_tasks(
     config: ExperimentConfig,
     tasks: list[tuple[str, int]],
     workers: int,
-    results: dict[str, PolicyResult],
-    rows: RowSinks,
+    results: dict[str, list[float]],
+    handle: TextIO,
 ) -> None:
-    """Make each task's run, in task order, passing its steps to ``rows(policy, replication)``
-    and recording its final J into ``results``.  A serial run passes each step
-    on as it is made; a worker's run returns its steps, which are passed on here."""
+    """Make each task's run, writing its trace rows to ``handle`` in task
+    order and recording its final J into ``results``.  A serial run writes
+    each row as its pull is made, so it builds no step record; a worker
+    returns its run's rows, which are written here."""
     if workers > 1:
         # Imported here only: a serial run never needs it, and it costs milliseconds and loads logging.
         import concurrent.futures
@@ -130,23 +125,23 @@ def _run_tasks(
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker
         ) as pool:
-            outcomes = pool.map(_run_listed, [config] * len(tasks), *zip(*tasks))
+            outcomes = pool.map(_run_rows, [config] * len(tasks), *zip(*tasks))
             try:
-                for policy_name, replication in tasks:
-                    final_j, steps = next(outcomes)
-                    results.setdefault(policy_name, PolicyResult()).j_values.append(final_j)
-                    sink = rows(policy_name, replication)
-                    for step in steps:
-                        sink(*step)
+                for policy_name, _ in tasks:
+                    final_j, rows = next(outcomes)
+                    results.setdefault(policy_name, []).append(final_j)
+                    handle.writelines(rows)
             except BaseException:
                 # An error or a stop signal: start no more runs.  Leaving the
                 # block waits only for the runs already in progress.
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
     else:
+        cost_memo: dict[int, tuple[float, str]] = {}
         for policy_name, replication in tasks:
-            final_j = _run_one(config, policy_name, replication, rows(policy_name, replication)).final_j
-            results.setdefault(policy_name, PolicyResult()).j_values.append(final_j)
+            sink = _rows(handle.write, cost_memo, policy_name, replication)
+            final_j = _run_one(config, policy_name, replication, sink).final_j
+            results.setdefault(policy_name, []).append(final_j)
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -184,12 +179,15 @@ def run_experiment(config_path: str, output_dir: str, jobs: int = 1, seed: int |
     # next to an old report.json.  Rows go into the staged trace as the pulls
     # are made, so a run that fails mid-experiment is cleaned up here too, as
     # is each directory it made (``made``, deepest first) and left empty.
-    made, path = [], os.path.abspath(output_dir)
-    while not os.path.exists(path):
-        made.append(path)
+    # The path is walked as given, not folded: ``os.makedirs`` makes
+    # ``missing`` for ``missing/../out``.
+    made, path = [], output_dir
+    while path and not os.path.exists(path):
+        if os.path.basename(path) not in ("", os.curdir, os.pardir):
+            made.append(path)
         path = os.path.dirname(path)
     staged = {name: os.path.join(output_dir, f".{name}.{os.getpid()}.tmp") for name in ARTIFACTS}
-    results: dict[str, PolicyResult] = {}
+    results: dict[str, list[float]] = {}
     try:
         os.makedirs(output_dir, exist_ok=True)
         _write_trace(staged["trace.csv"], partial(_run_tasks, config, tasks, workers, results))
@@ -260,7 +258,7 @@ def _init_worker() -> None:
     """Make a worker process ignore Ctrl-C and ``SIGTERM``, and end once its
     parent is gone.  A terminal sends Ctrl-C to every process in its group,
     but only ``main`` acts on it: it starts no more runs and waits for those
-    in progress.  A worker stopped while sending a run's steps would leave
+    in progress.  A worker stopped while sending a run's rows would leave
     part of a message in the pipe the pool reads from.  A parent that dies
     without cleaning up (``SIGKILL``) cannot stop its workers, so a daemon
     thread in each ends it once its parent changes."""

@@ -42,8 +42,10 @@ MAX_REPLICATIONS = 10_000
 # run's time only where a pull costs the same at any history length: a
 # density_estimator hpo arm's propose is linear in its trials (0.4 ms at
 # 1,000, 7.4 ms at 16,000), so one such arm at the cap would run for days.
-# With --jobs > 1 a worker returns its run's steps as a list, about 150 bytes
-# a pull, so there the cap also bounds each run's list to about 150 MB.
+# With --jobs > 1 a worker returns its run's trace rows as a list: 100,000
+# pulls of one noisy arm peaked at about 126 bytes a pull (tracemalloc), and
+# at about 280 while pickling the list for the parent, so there the cap also
+# bounds a worker's list to about 130 MB, and its peak to about 280 MB.
 MAX_PULLS_PER_RUN = 1_000_000
 # Pulls of one density_estimator arm in one run: its proposes took 65 s of
 # process time in all at 16,000 trials (sphere, dimension 3, 2-CPU VM).

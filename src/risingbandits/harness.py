@@ -254,20 +254,11 @@ class InvariantViolation(RuntimeError):
 
 
 @dataclass(slots=True)
-class PolicyResult:
-    j_values: list[float] = field(default_factory=list)
-
-    @property
-    def j_mean(self) -> float:
-        return sum(self.j_values) / len(self.j_values)
-
-
-@dataclass(slots=True)
 class RegretReport:
     """Summary of one experiment on a curve-backed instance."""
 
     horizon: int | None
-    policies: dict[str, PolicyResult]
+    policies: dict[str, list[float]]  # each policy's final J, one per replication
     j_oracle: float | None = None
     oracle_arm: int | None = None
     regrets: dict[str, float] = field(default_factory=dict)
@@ -282,8 +273,8 @@ class RegretReport:
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["policies"] = {
-            name: {"j_mean": res.j_mean, "j_per_replication": res.j_values}
-            for name, res in self.policies.items()
+            name: {"j_mean": sum(values) / len(values), "j_per_replication": values}
+            for name, values in self.policies.items()
         }
         return out
 
@@ -291,7 +282,7 @@ class RegretReport:
 def build_report(
     instance: InstanceSpec,
     config: BanditConfig,
-    results: dict[str, PolicyResult],
+    results: dict[str, list[float]],
 ) -> RegretReport:
     """Assemble the analytic comparisons available for this instance.
 
@@ -316,8 +307,8 @@ def build_report(
     oracle_arm, j_oracle = offline_max_run(curves, horizon)
     report.oracle_arm = oracle_arm
     report.j_oracle = j_oracle
-    for name, res in results.items():
-        mean = res.j_mean
+    for name, values in results.items():
+        mean = sum(values) / len(values)
         # Lemma 1: no pull sequence observes more than the best single arm.
         if mean > j_oracle + DEFAULT_EPSILON:
             raise InvariantViolation(f"policy {name!r} mean value {mean} exceeds the oracle {j_oracle}")

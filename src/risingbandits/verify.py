@@ -31,7 +31,6 @@ from .bandit import DEFAULT_EPSILON, BanditConfig, rising_bandit_run
 from .curves import ExponentialCurve, PowerCurve, RewardCurve, StaircaseCurve, TabulatedCurve
 from .harness import (
     InvariantViolation,
-    PolicyResult,
     RegretReport,
     brute_force_optimal,
     build_report,
@@ -146,7 +145,7 @@ def concave_battery(count: int = CONCAVE_BATTERY_COUNT, seed: int = CONCAVE_BATT
         # Exact arms draw nothing, so they get no stream: a noisy arm would fail
         # to build, not shift every later instance by the draws it takes.
         trace = rising_bandit_run([spec.build(None) for spec in instance.arms], config)
-        report = build_report(instance, config, {"rising_bandit": PolicyResult([trace.final_j])})
+        report = build_report(instance, config, {"rising_bandit": [trace.final_j]})
         if report.oracle_arm != k_star:
             raise FixtureError(
                 f"battery instance {i}: the generator made arm {k_star} dominant, "

@@ -287,7 +287,11 @@ class TestRunCommand:
         assert {name: (out / name).read_bytes() for name in cli.ARTIFACTS} == previous
         assert sorted(os.listdir(out)) == sorted(cli.ARTIFACTS)
 
-    @pytest.mark.parametrize("made", ["", "new", "new/deeper"], ids=["existing", "new", "new_deeper"])
+    @pytest.mark.parametrize(
+        "made",
+        ["", "new", "new/deeper", "new/deeper/", "missing/../new"],
+        ids=["existing", "new", "new_deeper", "trailing_slash", "through_a_missing_parent"],
+    )
     def test_a_failed_run_removes_each_directory_it_made(
         self, made, config_path, tmp_path, monkeypatch, capsys
     ):
@@ -423,6 +427,28 @@ class TestRunCommand:
             finally:
                 tracemalloc.stop()
             assert peak < 400_000, policy
+
+    def test_worker_run_holds_only_its_rows(self):
+        # A --jobs worker returns its run's trace rows as one list of strings:
+        # under Python 3.11, 100,000 pulls peaked at 88 bytes a pull for
+        # average and 94 for rising_bandit, where a list of step records took 128.
+        for policy in ("rising_bandit", "average"):
+            configs = {
+                trials: parse_experiment(
+                    f"horizon_trials = {trials}\npolicies = {policy}\n[arm]\nkind = tabulated\nvalues = 0.5\n"
+                )
+                for trials in (100, 100000)
+            }
+            # A short run first, so the traced one pays for no first-use imports.
+            cli._run_rows(configs[100], policy, 0)
+            tracemalloc.start()
+            try:
+                final_j, rows = cli._run_rows(configs[100000], policy, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (final_j, len(rows)) == (0.5, 100000)
+            assert peak < 110 * 100000, policy
 
     def test_huge_smooth_window_matches_one_spanning_the_horizon(self, tmp_path, capsys):
         # Either window exceeds every arm's increments, so the smooth growth
@@ -719,12 +745,15 @@ def trace_runs(draw):
     return runs
 
 
-def _replay(runs):
-    """``runs`` as ``cli._write_trace`` takes them: a function that passes each run's steps on."""
+def _replay(runs, shared_memo):
+    """``runs`` as ``cli._write_trace`` takes them: a function that passes each
+    run's steps to its ``cli._rows`` sink, all with one cost memo, as a serial
+    run does, or each with its own, as a worker does."""
 
-    def replay(rows):
+    def replay(handle):
+        cost_memo = {}
         for policy_name, replication, steps in runs:
-            sink = rows(policy_name, replication)
+            sink = cli._rows(handle.write, cost_memo if shared_memo else {}, policy_name, replication)
             for step in steps:
                 sink(*step)
 
@@ -736,11 +765,13 @@ class TestTraceWriter:
     @given(trace_runs())
     def test_matches_the_per_row_reference(self, runs):
         with tempfile.TemporaryDirectory() as tmp:
-            written, expected = os.path.join(tmp, "written.csv"), os.path.join(tmp, "expected.csv")
-            cli._write_trace(written, _replay(runs))
+            expected = os.path.join(tmp, "expected.csv")
             _reference_write_trace(expected, runs)
-            with open(written, "rb") as a, open(expected, "rb") as b:
-                assert a.read() == b.read()
+            for shared_memo in (True, False):
+                written = os.path.join(tmp, f"written-{shared_memo}.csv")
+                cli._write_trace(written, _replay(runs, shared_memo))
+                with open(written, "rb") as a, open(expected, "rb") as b:
+                    assert a.read() == b.read(), shared_memo
 
 
 def test_policy_names_need_no_csv_quoting():

@@ -28,7 +28,6 @@ from risingbandits import (
 )
 from risingbandits.arms import HPO_COST_HIGH, ArmProcess
 from risingbandits.bandit import DEFAULT_EPSILON, ArmState, Horizon, PolicyTrace, RisingBanditPolicy, StepSink
-from risingbandits.harness import PolicyResult
 from risingbandits.hpo import SEARCH_STRATEGIES
 from risingbandits.policies import POLICY_NAMES
 
@@ -428,7 +427,7 @@ def test_a_tabulated_curve_runs_as_its_curve(case):
             steps = []
             runs.append((simulate(make_policy(name), spec, config, seed=seed, sink=list_sink(steps)), steps))
         assert runs[0] == runs[1], name
-        results[name] = PolicyResult(j_values=[runs[0][0].final_j])
+        results[name] = [runs[0][0].final_j]
     if config.trials is not None:
         assert build_report(tabulated, config, results).to_dict() == build_report(instance, config, results).to_dict()
 

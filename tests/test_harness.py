@@ -30,7 +30,7 @@ from risingbandits import (
     upper_bound,
 )
 from risingbandits.bandit import DEFAULT_EPSILON
-from risingbandits.harness import InvariantViolation, PolicyResult, derive_seed, theorem1_is_vacuous
+from risingbandits.harness import InvariantViolation, derive_seed, theorem1_is_vacuous
 from risingbandits import verify
 from risingbandits.verify import LEMMA1_COUNT, LEMMA1_SEED, random_small_instance
 
@@ -436,13 +436,12 @@ class TestRegret:
 
 class TestBatteryInvariants:
     def test_no_negative_regret(self, concave_battery):
-        # The elimination run beating the offline oracle means an oracle bug;
-        # inside the invariant battery this is a hard failure, not a warning.
-        # The report clamps regret at zero, so check the unclamped gap.
-        assert all(
-            case.report.j_oracle - case.report.policies["rising_bandit"].j_values[0] >= -1e-12
-            for case in concave_battery
-        )
+        # build_report refuses a run above the oracle while the battery is
+        # built; each regret it reports is the oracle gap, clamped at zero.
+        for case in concave_battery:
+            report = case.report
+            gap = report.j_oracle - report.policies["rising_bandit"][0]
+            assert report.regrets["rising_bandit"] == max(gap, 0.0)
 
     def test_bounds_nonnegative(self, concave_battery):
         assert all(case.report.theorem1_bound >= 0.0 for case in concave_battery)
@@ -462,7 +461,7 @@ class TestBatteryInvariants:
 
 class TestBuildReport:
     def _results(self):
-        return {"rising_bandit": PolicyResult(j_values=[0.8])}
+        return {"rising_bandit": [0.8]}
 
     def test_curve_instance_gets_full_report(self):
         instance = InstanceSpec([CurveArmSpec(ARM1), CurveArmSpec(ARM2)])
@@ -478,7 +477,7 @@ class TestBuildReport:
     def test_policy_above_the_oracle_raises(self):
         # By Lemma 1 no run observes more than the oracle's 0.875 here.
         instance = InstanceSpec([CurveArmSpec(ARM1), CurveArmSpec(ARM2)])
-        results = {"average": PolicyResult(j_values=[0.8]), "rising_bandit": PolicyResult(j_values=[0.9, 0.95])}
+        results = {"average": [0.8], "rising_bandit": [0.9, 0.95]}
         with pytest.raises(
             InvariantViolation, match=r"^policy 'rising_bandit' mean value 0\.925 exceeds the oracle 0\.875$"
         ):

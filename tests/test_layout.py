@@ -8,7 +8,7 @@ from risingbandits import BanditConfig, CurveArmSpec, HpoArmSpec, InstanceSpec, 
 from risingbandits.bandit import ArmState, PolicyTrace
 from risingbandits.config import ExperimentConfig
 from risingbandits.curves import ExponentialCurve, PowerCurve, StaircaseCurve, TabulatedCurve
-from risingbandits.harness import PolicyResult, RegretReport
+from risingbandits.harness import RegretReport
 from risingbandits.hpo import SearchState
 from risingbandits.verify import ConcaveCase
 
@@ -37,7 +37,6 @@ def slotted_instances():
     yield SearchState()
     yield ArmState(arm_id=1)
     yield PolicyTrace(horizon=1, pull_counts=[1], total_cost=1.0, best_arm=1, final_j=0.5, candidates=(1,))
-    yield PolicyResult([0.5])
     yield RegretReport(horizon=1, policies={})
     yield ConcaveCase(candidates=(1,), report=RegretReport(horizon=1, policies={}))
 
