@@ -28,22 +28,21 @@ HPO_COST_LOW, HPO_COST_HIGH = 0.8, 1.2
 class ArmProcess:
     """Base class: a reward source with best-so-far semantics.
 
-    ``_next_cost`` holds the exact cost of the next ``pull``, and
-    ``peek_cost`` returns it without consuming randomness, which lets
+    ``next_cost`` holds the exact cost of the next ``pull``, which lets
     budgeted runs refuse a pull that would overshoot.  An arm whose cost
     varies draws the following pull's cost in ``_raw_reward``.
     """
 
-    __slots__ = ("pulls_so_far", "_best", "_next_cost")
+    __slots__ = ("pulls_so_far", "_best", "next_cost")
 
     def __init__(self, cost: float) -> None:
         self.pulls_so_far = 0
         self._best = 0.0
-        self._next_cost = cost
+        self.next_cost = cost
 
     def pull(self) -> tuple[float, float]:
         """Consume one unit of resource; return (reward, cost)."""
-        cost = self._next_cost
+        cost = self.next_cost
         n = self.pulls_so_far + 1
         self.pulls_so_far = n
         raw = self._raw_reward(n)
@@ -52,9 +51,6 @@ class ArmProcess:
         if raw > self._best:
             self._best = raw if raw < 1.0 else 1.0
         return self._best, cost
-
-    def peek_cost(self) -> float:
-        return self._next_cost
 
     def _raw_reward(self, n: int) -> float:
         raise NotImplementedError
@@ -102,7 +98,7 @@ class HpoArm(ArmProcess):
     its minimum at 0).  It never rises with the loss, so the best so far that
     ``pull`` keeps is 1 - best_loss / first_loss, clamped to [0, 1].
     Per-pull cost is mean_cost scaled by U(0.8, 1.2), drawn one pull ahead
-    from a stream of its own so that ``peek_cost`` is exact.
+    from a stream of its own so that ``next_cost`` is exact.
     """
 
     __slots__ = (
@@ -127,7 +123,7 @@ class HpoArm(ArmProcess):
         return self.mean_cost * (HPO_COST_LOW + (HPO_COST_HIGH - HPO_COST_LOW) * self._cost_random())
 
     def _raw_reward(self, n: int) -> float:
-        self._next_cost = self._draw_cost()
+        self.next_cost = self._draw_cost()
         point = hpo.propose(self._state, self.objective, self.strategy, self._search_rng)
         loss = self.objective.loss(point)
         self._state.add(point, loss)

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
-import numpy as np
-
 from .arms import ArmProcess, ConfigurationError, check_positive, is_integer
 
 # The package's one float tolerance: budget fit, elimination ties, and the
@@ -183,7 +181,7 @@ class Horizon:
         """Whether one more pull of ``arm_id`` stays within the horizon."""
         if self.trials is not None:
             return self.t < self.trials
-        return self.spent + self.arms[arm_id - 1].peek_cost() <= self.budget + DEFAULT_EPSILON
+        return self.spent + self.arms[arm_id - 1].next_cost <= self.budget + DEFAULT_EPSILON
 
     def upper(self, state: ArmState, omega: float) -> float:
         """Upper bound of ``state``, growing at ``omega`` per pull, over the
@@ -203,17 +201,13 @@ class Policy:
     ``plan`` returns the next arms to pull, in order; a plan that makes no
     pull ends the run.  By default it is the one arm ``select`` names, or
     none.  Only a plan made when one candidate is left may be endless: the
-    engine ends it at the first pull that does not fit.  ``reset`` keeps the
-    run-local RNG stream as ``_rng``, which only the sampling policies draw
-    from.  ``candidates`` is the arm set in force, which only the
-    elimination policy shrinks, and only in ``plan``.
+    engine ends it at the first pull that does not fit.  ``rng`` is the
+    run-local RNG stream, which ``simulate`` sets and only the sampling
+    policies draw from.  ``candidates`` is the arm set in force, which only
+    the elimination policy shrinks, and only in ``plan``.
     """
 
     name = "policy"
-
-    def reset(self, rng: np.random.Generator) -> None:
-        """Install the run-local RNG stream."""
-        self._rng = rng
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         """Begin a run over ``states``."""
@@ -341,7 +335,7 @@ def run_policy(
             raise ConfigurationError(f"policy {policy.name!r} ended the run before its first pull")
         raise ConfigurationError(
             f"policy {policy.name!r} chose arm {arm_id} for its first pull, at cost "
-            f"{arms[arm_id - 1].peek_cost()}, above the budget {config.budget}"
+            f"{arms[arm_id - 1].next_cost}, above the budget {config.budget}"
         )
     return PolicyTrace(
         horizon=t,

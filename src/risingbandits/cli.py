@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import signal
@@ -61,23 +62,22 @@ def _run_one(
     return simulate(make_policy(policy_name), config.instance, config.bandit, config.base_seed, replication, sink)
 
 
-def _rows(
-    write: Callable[[str], object], cost_memo: dict[int, tuple[float, str]], policy_name: str, replication: int
-) -> StepSink:
+def _rows(write: Callable[[str], object], policy_name: str, replication: int) -> StepSink:
     """The sink that passes each pull of one run to ``write`` as a ``trace.csv`` row.
 
     Each row is one template, with the ``\r\n`` terminator ``csv.writer``
     uses.  No field ever needs CSV quoting: each is an int, a ``.17g`` float
     text or a name from ``POLICY_NAMES``, all free of commas, quotes and line
     breaks.  An arm's cost is formatted again only when it differs from that
-    arm's previous cost in ``cost_memo``: a memo per arm stays small, where
-    one keyed by value would keep a text for every pull of an hpo arm, whose
-    cost is drawn afresh each pull.  The best-so-far is formatted only when it
+    arm's previous cost in the run: a memo per arm stays small, where one
+    keyed by value would keep a text for every pull of an hpo arm, whose cost
+    is drawn afresh each pull.  The best-so-far is formatted only when it
     rises: ``reward > best`` holds exactly when ``max(best, reward)`` would
     return ``reward``.
     """
     prefix = f"{policy_name},{replication},"
     best, best_text = 0.0, _fmt(0.0)
+    cost_memo: dict[int, tuple[float, str]] = {}
 
     def row(t: int, arm: int, reward: float, cost: float, candidate_set_size: int) -> None:
         nonlocal best, best_text
@@ -92,11 +92,15 @@ def _rows(
     return row
 
 
-def _run_rows(config: ExperimentConfig, policy_name: str, replication: int) -> tuple[float, list[str]]:
-    """One run in a worker process: its final J and its trace rows, for the parent to write."""
-    rows: list[str] = []
-    sink = _rows(rows.append, {}, policy_name, replication)
-    return _run_one(config, policy_name, replication, sink).final_j, rows
+def _run_rows(config: ExperimentConfig, policy_name: str, replication: int) -> tuple[float, bytes]:
+    """One run in a worker process: its final J and its trace rows, encoded
+    into one block for the parent to write.  The block holds the rows' own
+    bytes, where a list of row strings adds an object to each row.  It is
+    ``bytes``, which the pool pickles without a copy, where a ``bytearray``
+    is first copied into one."""
+    rows = io.BytesIO()
+    sink = _rows(lambda row: rows.write(row.encode()), policy_name, replication)
+    return _run_one(config, policy_name, replication, sink).final_j, rows.getvalue()
 
 
 def _write_trace(path: str, runs: Callable[[TextIO], None]) -> None:
@@ -130,16 +134,15 @@ def _run_tasks(
                 for policy_name, _ in tasks:
                     final_j, rows = next(outcomes)
                     results.setdefault(policy_name, []).append(final_j)
-                    handle.writelines(rows)
+                    handle.write(rows.decode())
             except BaseException:
                 # An error or a stop signal: start no more runs.  Leaving the
                 # block waits only for the runs already in progress.
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
     else:
-        cost_memo: dict[int, tuple[float, str]] = {}
         for policy_name, replication in tasks:
-            sink = _rows(handle.write, cost_memo, policy_name, replication)
+            sink = _rows(handle.write, policy_name, replication)
             final_j = _run_one(config, policy_name, replication, sink).final_j
             results.setdefault(policy_name, []).append(final_j)
 

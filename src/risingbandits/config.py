@@ -42,10 +42,10 @@ MAX_REPLICATIONS = 10_000
 # run's time only where a pull costs the same at any history length: a
 # density_estimator hpo arm's propose is linear in its trials (0.4 ms at
 # 1,000, 7.4 ms at 16,000), so one such arm at the cap would run for days.
-# With --jobs > 1 a worker returns its run's trace rows as a list: 100,000
-# pulls of one noisy arm peaked at about 126 bytes a pull (tracemalloc), and
-# at about 280 while pickling the list for the parent, so there the cap also
-# bounds a worker's list to about 130 MB, and its peak to about 280 MB.
+# With --jobs > 1 a worker returns its run's trace rows as one bytes block:
+# 100,000 pulls of one noisy arm peaked at about 78 bytes a pull
+# (tracemalloc), and at about 172 once the result was pickled for the
+# parent, so there the cap also bounds a worker's peak to about 172 MB.
 MAX_PULLS_PER_RUN = 1_000_000
 # Pulls of one density_estimator arm in one run: its proposes took 65 s of
 # process time in all at 16,000 trials (sphere, dimension 3, 2-CPU VM).
@@ -100,7 +100,7 @@ _PARSERS = {
     "int": lambda key, raw: _parse_scalar(key, raw, int),
     "float": lambda key, raw: _parse_scalar(key, raw, float),
     "str": lambda key, raw: raw,
-    "tuple[float, ...]": lambda key, raw: tuple(_parse_scalar(key, v, float) for v in raw.split(",")),
+    "tuple[float, ...]": lambda key, raw: tuple(_parse_scalar(key, v.strip(), float) for v in raw.split(",")),
 }
 
 
@@ -230,6 +230,8 @@ def parse_experiment(text: str) -> ExperimentConfig:
             f"field 'replications': must lie in [1, {MAX_REPLICATIONS}], got {replications}"
         )
     base_seed = int(_parse_scalar("base_seed", global_block.get("base_seed", "0"), int))
+    if base_seed < 0:
+        raise ConfigurationError(f"field 'base_seed': base seed must be >= 0, got {base_seed}")
 
     instance = InstanceSpec([_build_arm(block, i) for i, block in enumerate(arm_blocks, start=1)])
     _check_horizon(bandit, instance)

@@ -64,7 +64,7 @@ def simulate(
     run_seed = derive_seed(seed, policy.name, replication)
     arms = make_instance(instance, run_seed)
     policy_stream = np.random.SeedSequence(entropy=run_seed.entropy, spawn_key=run_seed.spawn_key + (0,))
-    policy.reset(np.random.Generator(np.random.PCG64(policy_stream)))
+    policy.rng = np.random.Generator(np.random.PCG64(policy_stream))
     return run_policy(policy, arms, config, sink)
 
 
@@ -137,21 +137,16 @@ def corollary1_check(curves: list[RewardCurve], horizon: int, gamma: int) -> tup
     return condition, star_value - avg_j
 
 
-def least_concave_majorant(observed: list[float], limit: float | None = None) -> list[float]:
+def least_concave_majorant(observed: list[float]) -> list[float]:
     """Least concave majorant of an observed sequence (upper concave hull).
 
-    The hull is over the points (n, y(n)); the known curve limit, when given,
-    only validates that no observation exceeds it.  Values are clamped from
-    below by the observations so floating-point chord evaluation never dips
-    under the data.
+    The hull is over the points (n, y(n)).  Values are clamped from below by
+    the observations so floating-point chord evaluation never dips under the
+    data.
     """
     n = len(observed)
     if n == 0:
         raise ValueError("observed sequence is empty")
-    if limit is not None:
-        for i, y in enumerate(observed):
-            if y > limit + 1e-9:
-                raise ValueError(f"observation {y} at pull {i + 1} exceeds the stated limit {limit}")
     # Monotone-chain upper hull over x = 1..n.
     hull: list[tuple[int, float]] = []
     for x, y in enumerate(observed, start=1):
@@ -184,13 +179,14 @@ def theorem2_condition_check(majorant: list[float], observed: list[float], windo
     delta(t) / delta(t - C) <= (T - t) / (T - t + C) for every t in (C, T].
     A bias within ``DEFAULT_EPSILON`` counts as zero, and a ratio may exceed
     its bound by as much.  A zero earlier bias with a positive later bias
-    counts as a violation; both zero counts as satisfied.
+    counts as a violation; both zero counts as satisfied.  A majorant more
+    than ``DEFAULT_EPSILON`` below an observation raises ``ValueError``.
     """
     horizon = len(observed)
     deltas = []
     for n in range(horizon):
         d = majorant[n] - observed[n]
-        if d < -1e-9:
+        if d < -DEFAULT_EPSILON:
             raise ValueError(
                 f"observed value {observed[n]} at pull {n + 1} exceeds the majorant {majorant[n]}"
             )

@@ -75,7 +75,7 @@ class SoftmaxPolicy(Policy):
         # one random(), without its checks of p.
         cdf = np.add.accumulate(probs)
         cdf /= cdf[-1]
-        return int(cdf.searchsorted(self._rng.random(), side="right")) + 1
+        return int(cdf.searchsorted(self.rng.random(), side="right")) + 1
 
     def observe(self, state: ArmState, reward: float, cost: float) -> None:
         i = state.arm_id - 1
@@ -103,7 +103,7 @@ class ThompsonPolicy(Policy):
         self._beta = np.full(len(states), self.prior_beta, dtype=np.float64)
 
     def select(self, states: list[ArmState], t: int) -> int:
-        return int(self._rng.beta(self._alpha, self._beta).argmax()) + 1
+        return int(self.rng.beta(self._alpha, self._beta).argmax()) + 1
 
     def observe(self, state: ArmState, reward: float, cost: float) -> None:
         i = state.arm_id - 1

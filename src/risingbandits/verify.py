@@ -271,7 +271,7 @@ def suite_theorem2(count: int = THEOREM2_COUNT, seed: int = THEOREM2_SEED) -> Su
         curves, horizon, k_star = theorem2_instance(rng)
         for arm_idx, curve in enumerate(curves, start=1):
             observed = [curve.eval(n) for n in range(1, horizon + 1)]
-            majorant = least_concave_majorant(observed, limit=curve.limit)
+            majorant = least_concave_majorant(observed)
             if not theorem2_condition_check(majorant, observed, SMOOTH_WINDOW):
                 raise FixtureError(f"theorem2 instance {i}: arm {arm_idx} fails the bias-ratio condition")
         expected, _ = offline_max_run(curves, horizon)

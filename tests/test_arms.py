@@ -34,9 +34,9 @@ class TestCurveArm:
             assert reward == CURVE.eval(n)
             assert cost == 2.5
 
-    def test_peek_cost_matches_pull_cost(self):
+    def test_next_cost_matches_pull_cost(self):
         arm = CurveArmSpec(CURVE, cost=3.0).build(_rng())
-        assert arm.peek_cost() == 3.0
+        assert arm.next_cost == 3.0
         _, cost = arm.pull()
         assert cost == 3.0
 
@@ -231,11 +231,11 @@ class TestHpoArm:
         arm = HpoArmSpec(objective="sphere", dimension=2).build(_rng(9))
         assert [arm.pull()[0] for _ in range(5)] == [1.0] * 5
 
-    def test_peek_cost_is_exact_and_varies(self):
+    def test_next_cost_is_exact_and_varies(self):
         arm = HpoArmSpec(objective="sphere", dimension=2, mean_cost=5.0).build(_rng(4))
         costs = []
         for _ in range(10):
-            peeked = arm.peek_cost()
+            peeked = arm.next_cost
             _, cost = arm.pull()
             assert cost == peeked
             assert 0.8 * 5.0 <= cost <= 1.2 * 5.0
@@ -250,7 +250,7 @@ class TestHpoArm:
         arm = HpoArmSpec(objective="sphere", dimension=2, mean_cost=mean_cost).build(_rng(seed))
         twin = np.random.Generator(np.random.PCG64(_rng(seed).integers(0, 2**63)))
         for _ in range(12):
-            assert arm.peek_cost() == mean_cost * twin.uniform(0.8, 1.2)
+            assert arm.next_cost == mean_cost * twin.uniform(0.8, 1.2)
             arm.pull()
 
     def test_rejects_bad_configuration(self):

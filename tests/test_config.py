@@ -194,6 +194,24 @@ class TestParseErrors:
     def test_bad_tabulated_value_names_the_field(self, values):
         self._bad(f"horizon_trials = 5\n[arm]\nkind = tabulated\nvalues = {values}\n", "'arm 1.values'")
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [("0.1, nan", "value must be finite, got 'nan'"), ("0.1,  x , 0.5", "cannot parse 'x' as float")],
+    )
+    def test_bad_tabulated_value_is_quoted_without_its_spaces(self, values, message):
+        text = f"horizon_trials = 5\n[arm]\nkind = tabulated\nvalues = {values}\n"
+        with pytest.raises(ConfigurationError) as caught:
+            parse_experiment(text)
+        assert str(caught.value) == f"field 'arm 1.values': {message}"
+
+    def test_negative_base_seed(self):
+        # Refused here, not by the run it would seed: numpy's seed sequence
+        # takes no negative entropy.
+        assert parse_experiment(GOOD.replace("base_seed = 9", "base_seed = 0")).base_seed == 0
+        self._bad(
+            GOOD.replace("base_seed = 9", "base_seed = -1"), "field 'base_seed': base seed must be >= 0, got -1"
+        )
+
     def test_bad_staircase_bounds_name_the_arm(self):
         self._bad(
             "horizon_trials = 5\n[arm]\nkind = staircase\ninitial = 0.9\nlimit = 0.5\n"

@@ -588,7 +588,7 @@ def _reference_run_policy(
             raise ConfigurationError(f"policy {policy.name!r} ended the run before its first pull")
         raise ConfigurationError(
             f"policy {policy.name!r} chose arm {arm_id} for its first pull, at cost "
-            f"{arms[arm_id - 1].peek_cost()}, above the budget {config.budget}"
+            f"{arms[arm_id - 1].next_cost}, above the budget {config.budget}"
         )
     return PolicyTrace(
         horizon=t,
@@ -623,7 +623,7 @@ def settling_cases(draw):
 
 def _run_with(engine, policy, instance, config, seed):
     steps, rng = [], np.random.default_rng(seed)
-    policy.reset(rng)
+    policy.rng = rng
     trace = engine(policy, make_instance(instance, seed), config, list_sink(steps))
     return steps, trace, rng.bit_generator.state
 

@@ -178,11 +178,9 @@ class TestLeastConcaveMajorant:
     def test_single_observation_is_its_own_majorant(self):
         assert least_concave_majorant([0.4]) == [0.4]
 
-    def test_rejects_empty_and_limit_violations(self):
+    def test_rejects_an_empty_sequence(self):
         with pytest.raises(ValueError):
             least_concave_majorant([])
-        with pytest.raises(ValueError):
-            least_concave_majorant([0.5, 0.9], limit=0.6)
 
     @pytest.mark.parametrize(
         "observed",
@@ -239,6 +237,13 @@ class TestTheorem2ConditionCheck:
     def test_rejects_observation_above_majorant(self):
         with pytest.raises(ValueError):
             theorem2_condition_check([0.1, 0.1], [0.5, 0.5], window=1)
+
+    def test_majorant_below_an_observation_by_more_than_epsilon_is_rejected(self):
+        # The package's one tolerance: 1e-10 below the data is refused, and a
+        # gap within DEFAULT_EPSILON counts as no bias.
+        with pytest.raises(ValueError, match="exceeds the majorant"):
+            theorem2_condition_check([0.5 - 1e-10, 0.5], [0.5, 0.5], window=1)
+        assert theorem2_condition_check([0.5 - DEFAULT_EPSILON / 10, 0.5], [0.5, 0.5], window=1)
 
 
 def _enumerate_optimal(curves, horizon):

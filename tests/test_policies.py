@@ -109,7 +109,7 @@ class _FixedDraw(np.random.Generator):
 class TestSoftmaxPolicy:
     def test_forces_initial_pulls(self):
         policy = SoftmaxPolicy()
-        policy.reset(_rng())
+        policy.rng = _rng()
         states = _observed(policy, [0.5], [])
         assert policy.select(states, 2) == 2
 
@@ -122,7 +122,7 @@ class TestSoftmaxPolicy:
     def test_draws_the_arm_generator_choice_draws(self, means, pulls, seed):
         histories = [[mean] * pulls for mean in means]
         policy = SoftmaxPolicy()
-        policy.reset(_rng(seed))
+        policy.rng = _rng(seed)
         states = _observed(policy, *histories)
         reference = _rng(seed)
         # The step that follows the pulls the states record.
@@ -137,7 +137,7 @@ class TestSoftmaxPolicy:
         draw = 0.9974964563848677
         histories = [[0.9], [0.1], [0.1], [0.25], [0.1]]
         policy = SoftmaxPolicy()
-        policy.reset(_FixedDraw(draw))
+        policy.rng = _FixedDraw(draw)
         states = _observed(policy, *histories)
         assert policy.select(states, 6) == _softmax_by_choice(histories, _FixedDraw(draw)) == 2
 
@@ -145,14 +145,14 @@ class TestSoftmaxPolicy:
 class TestThompsonPolicy:
     def test_mostly_picks_clearly_better_arm(self):
         policy = ThompsonPolicy()
-        policy.reset(_rng(3))
+        policy.rng = _rng(3)
         states = _observed(policy, [0.95] * 30, [0.05] * 30)
         draws = [policy.select(states, 61) for _ in range(300)]
         assert draws.count(1) > 280
 
     def test_unpulled_arms_draw_from_prior(self):
         policy = ThompsonPolicy()
-        policy.reset(_rng(4))
+        policy.rng = _rng(4)
         states = _observed(policy, [], [])
         draws = {policy.select(states, 1) for _ in range(50)}
         assert draws == {1, 2}
@@ -249,14 +249,14 @@ class _ReferenceSoftmax(_KeepsEveryReward, SoftmaxPolicy):
         probs /= probs.sum()
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        return int(cdf.searchsorted(self._rng.random(), side="right")) + 1
+        return int(cdf.searchsorted(self.rng.random(), side="right")) + 1
 
 
 class _ReferenceThompson(_KeepsEveryReward, ThompsonPolicy):
     """Thompson sampling with one scalar Beta draw per arm at each select."""
 
     def select(self, states, t):
-        beta, alpha0, beta0 = self._rng.beta, self.prior_alpha, self.prior_beta
+        beta, alpha0, beta0 = self.rng.beta, self.prior_alpha, self.prior_beta
         draws = []
         for st in states:
             successes = self._sum(st)
@@ -314,7 +314,7 @@ def test_baselines_select_what_the_state_reading_reference_selects(case):
         runs = []
         for cls in (POLICIES[name], reference):
             policy, rng, steps = cls(), _rng(seed), []
-            policy.reset(rng)
+            policy.rng = rng
             trace = run_policy(policy, make_instance(instance, seed), config, list_sink(steps))
             runs.append((steps, trace, rng.bit_generator.state))
         assert runs[0] == runs[1], name
