@@ -10,9 +10,10 @@ candidate's next pull fits.
 
 One engine, :func:`run_policy`, runs the elimination algorithm and the
 baselines alike: each is a :class:`Policy` that plans the next arms to pull
-and observes each pull.  An elimination plan is a round of the candidates; a
-baseline's is the one arm it selects.  The engine counts each arm's pulls;
-every other piece of per-arm state is kept by the policy that reads it.
+and observes each pull.  An elimination plan is a round of the candidates
+that fit; a baseline's is the one arm it selects.  The engine ends a plan at
+its first pull that does not fit and counts each arm's pulls; the policy
+that reads any other per-arm state keeps it.
 """
 
 from __future__ import annotations
@@ -200,11 +201,11 @@ class Policy:
 
     ``plan`` returns the next arms to pull, in order; a plan that makes no
     pull ends the run.  By default it is the one arm ``select`` names, or
-    none.  Only a plan made when one candidate is left may be endless: the
-    engine ends it at the first pull that does not fit.  ``rng`` is the
-    run-local RNG stream, which ``simulate`` sets and only the sampling
-    policies draw from.  ``candidates`` is the arm set in force, which only
-    the elimination policy shrinks, and only in ``plan``.
+    none.  Any plan may be endless: the engine ends it at its first pull
+    that does not fit.  ``rng`` is the run-local RNG stream, which
+    ``simulate`` sets and only the sampling policies draw from.
+    ``candidates`` is the arm set in force, which only the elimination
+    policy shrinks, and only in ``plan``.
     """
 
     name = "policy"
@@ -229,31 +230,34 @@ class Policy:
 class RisingBanditPolicy(Policy):
     """The elimination algorithm.
 
-    Each plan is a round: the candidates in id order, of which the engine
-    skips those whose next pull does not fit.  Every plan after the first
+    Each plan is a round: the candidates in id order, less each one whose
+    next pull does not fit when its turn comes.  Every plan after the first
     begins with a sweep.  The engine asks for a plan only while some
     candidate's next pull fits, so no sweep runs once no pull is left.
 
-    Once one candidate is left the set is settled: a sweep would keep it, so
-    none runs, and ``observe`` stops recording the history, bounds and spend
-    that only a sweep reads.  The plan is that arm, repeated until its next
-    pull does not fit.  Sweeps only remove arms, so the sets are nested.
+    Once one candidate is left the set is settled: the plan is that arm,
+    repeated until its next pull does not fit, which ends the run.  No sweep
+    follows, so ``observe`` stops recording the history, bounds and spend
+    that only a sweep reads.  Sweeps only remove arms: the sets are nested.
     """
 
     name = "rising_bandit"
 
     def start(self, states: list[ArmState], config: BanditConfig, horizon: Horizon) -> None:
         super().start(states, config, horizon)
+        self._fits = horizon.fits
         self._upper = horizon.upper
         self._window = config.window
 
     def plan(self, states: list[ArmState], t: int) -> Iterable[int]:
-        if t > 1 and len(self.candidates) > 1:
+        if t > 1:
             self.candidates = eliminate(self.candidates, states)
         candidates = self.candidates
         if len(candidates) == 1:
             return repeat(candidates[0])
-        return candidates
+        # Lazy: a candidate's fit is read when its turn comes, after the
+        # round's earlier pulls have been paid for.
+        return filter(self._fits, candidates)
 
     def observe(self, state: ArmState, reward: float, cost: float) -> None:
         # Only a sweep reads the state, and none follows once one candidate is
@@ -278,10 +282,9 @@ def run_policy(
     """Run ``policy`` on ``arms``: the one loop that pulls arms.
 
     The engine asks ``plan`` for the next arms only while some candidate's
-    next pull fits, and pulls them in order.  It checks each planned pull
-    and skips one that does not fit, or, when one candidate is left, ends
-    the plan there.  It counts each pull in the arm's state, its only write
-    to it, and passes the pull to ``observe`` and to ``sink``, as
+    next pull fits, and pulls them in order; the first planned pull that
+    does not fit ends the plan.  It counts each pull in the arm's state, its
+    only write to it, and passes the pull to ``observe`` and to ``sink``, as
     ``sink(t, arm, reward, cost, candidate_set_size)``.  The run ends when
     no candidate's pull fits, or at a plan that makes no pull.
     """
@@ -300,17 +303,14 @@ def run_policy(
     final_j, best_arm = -math.inf, 0
     while any(map(fits, policy.candidates)):
         plan = policy.plan(states, t + 1)
-        # Read once per plan: only plan changes the candidate set.
+        # For the sink, read once per plan: only plan changes the candidate set.
         size = len(policy.candidates)
         planned_at = t
         for arm_id in plan:
             if not 1 <= arm_id <= k:
                 raise ConfigurationError(f"policy {policy.name!r} planned invalid arm {arm_id}")
             if not fits(arm_id):
-                # A lone candidate's plan may repeat its arm without end.
-                if size == 1:
-                    break
-                continue
+                break
             reward, cost = pulls[arm_id - 1]()
             t += 1
             horizon.t = t
@@ -323,7 +323,7 @@ def run_policy(
                 sink(t, arm_id, reward, cost, size)
             observe(st, reward, cost)
         if t == planned_at:
-            # The plan was empty, or no planned pull fitted: nothing the
+            # The plan was empty, or its first pull did not fit: nothing the
             # next plan would read has changed.
             break
     if t == 0:

@@ -16,12 +16,10 @@ from typing import Sequence
 class RewardCurve:
     """Base class for deterministic reward functions of the pull count.
 
-    Subclasses expose ``eval(n)`` for n >= 1 and a ``limit`` attribute or
-    property giving the supremum the curve saturates towards.
+    Subclasses expose ``eval(n)`` for n >= 1.
     """
 
     __slots__ = ()
-    limit: float
 
     def eval(self, n: int) -> float:
         raise NotImplementedError
@@ -105,10 +103,6 @@ class TabulatedCurve(RewardCurve):
                 raise ValueError(f"tabulated value {v} at position {i} outside [0, 1]")
             if i > 0 and v < self.values[i - 1]:
                 raise ValueError(f"tabulated values must be non-decreasing, dip at position {i}")
-
-    @property
-    def limit(self) -> float:  # type: ignore[override]
-        return self.values[-1]
 
     def eval(self, n: int) -> float:
         if n < 1:

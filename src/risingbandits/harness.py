@@ -180,9 +180,14 @@ def theorem2_condition_check(majorant: list[float], observed: list[float], windo
     A bias within ``DEFAULT_EPSILON`` counts as zero, and a ratio may exceed
     its bound by as much.  A zero earlier bias with a positive later bias
     counts as a violation; both zero counts as satisfied.  A majorant more
-    than ``DEFAULT_EPSILON`` below an observation raises ``ValueError``.
+    than ``DEFAULT_EPSILON`` below an observation, a majorant and data of
+    different lengths, or a window below 1 raises ``ValueError``.
     """
     horizon = len(observed)
+    if len(majorant) != horizon:
+        raise ValueError(f"majorant has {len(majorant)} values, the observed data {horizon}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     deltas = []
     for n in range(horizon):
         d = majorant[n] - observed[n]

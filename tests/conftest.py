@@ -105,8 +105,9 @@ class AlwaysSweeping(Policy):
 
 def record_plans(policy):
     """Wrap ``policy.plan`` and return the list each plan is appended to: a
-    list or tuple as a list, and a repeated arm as ``"repeat(arm)"``, which
-    is not consumed."""
+    repeated arm as ``"repeat(arm)"``, an elimination round (a lazy filter)
+    as the candidate set it filters, and a list or tuple as a list.  Neither
+    lazy plan is consumed."""
     plans = []
     plan = policy.plan
 
@@ -114,6 +115,8 @@ def record_plans(policy):
         arms = plan(states, t)
         if isinstance(arms, repeat):
             plans.append(repr(arms))
+        elif isinstance(arms, filter):
+            plans.append(list(policy.candidates))
         else:
             plans.append(None if arms is None else list(arms))
         return arms

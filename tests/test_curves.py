@@ -95,7 +95,6 @@ class TestTabulatedCurve:
         assert curve.eval(1) == 0.1
         assert curve.eval(3) == 0.6
         assert curve.eval(100) == 0.6
-        assert curve.limit == 0.6
 
     def test_rejects_empty_decreasing_or_out_of_range(self):
         with pytest.raises(ValueError):

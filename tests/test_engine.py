@@ -540,6 +540,48 @@ def test_a_policy_that_quits_when_no_pull_fits_meets_the_budget_message():
         run_policy(_Quits(), arms, BanditConfig(budget=0.5))
 
 
+class _EndlessArmOne(Policy):
+    """Plans arm 1 without end: only the engine's fit check ends the plan.
+    The plan raises after 100 arms, so an engine that never ends it fails
+    rather than hangs."""
+
+    name = "endless_arm_one"
+
+    def plan(self, states, t):
+        for _ in range(100):
+            yield 1
+        raise AssertionError("the engine did not end an endless plan")
+
+
+@pytest.mark.parametrize(
+    "config, pulls, spent",
+    [(BanditConfig(trials=5), [5, 0], 10.0), (BanditConfig(budget=5.0), [2, 0], 4.0)],
+    ids=["trials", "budget"],
+)
+def test_an_endless_plan_ends_at_its_first_pull_that_does_not_fit(config, pulls, spent):
+    # In budget mode arm 2 still fits after arm 1's third pull does not, so
+    # a new plan is asked for; its first pull does not fit and ends the run.
+    arms = make_instance(InstanceSpec([CurveArmSpec(ARM, cost=2.0), CurveArmSpec(ARM, cost=1.0)]), 0)
+    trace = run_policy(_EndlessArmOne(), arms, config)
+    assert trace.pull_counts == pulls
+    assert trace.total_cost == spent
+
+
+def test_an_elimination_round_checks_each_candidate_when_its_turn_comes():
+    # After round 1 (spend 4 of 6), arm 2's pull (cost 2) would fit when the
+    # round is planned but not once arm 1 has been pulled; arm 3 still fits.
+    # A round whose fits were checked when planned would end at arm 2, and
+    # the next would pull arm 1 again.
+    curve = ExponentialCurve(0.9, 0.3, 0.9)
+    arms = make_instance(
+        InstanceSpec([CurveArmSpec(curve, cost=1.0), CurveArmSpec(curve, cost=2.0), CurveArmSpec(curve, cost=1.0)]), 0
+    )
+    steps = []
+    trace = run_policy(RisingBanditPolicy(), arms, BanditConfig(budget=6.0), list_sink(steps))
+    assert [step.arm for step in steps] == [1, 2, 3, 1, 3]
+    assert trace.total_cost == 6.0
+
+
 def _reference_run_policy(
     policy: Policy, arms: list[ArmProcess], config: BanditConfig, sink: StepSink | None = None
 ) -> PolicyTrace:

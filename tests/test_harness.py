@@ -245,6 +245,20 @@ class TestTheorem2ConditionCheck:
             theorem2_condition_check([0.5 - 1e-10, 0.5], [0.5, 0.5], window=1)
         assert theorem2_condition_check([0.5 - DEFAULT_EPSILON / 10, 0.5], [0.5, 0.5], window=1)
 
+    def test_rejects_a_majorant_longer_than_the_data(self):
+        # It was cut to the data's length: this one read as a violation.
+        with pytest.raises(ValueError, match="majorant has 3 values, the observed data 2"):
+            theorem2_condition_check([0.5, 0.6, 0.9], [0.1, 0.2], window=1)
+
+    def test_rejects_a_majorant_shorter_than_the_data(self):
+        with pytest.raises(ValueError, match="majorant has 1 values, the observed data 2"):
+            theorem2_condition_check([0.5], [0.1, 0.2], window=1)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_rejects_a_window_below_one(self, window):
+        with pytest.raises(ValueError, match=f"window must be >= 1, got {window}"):
+            theorem2_condition_check([0.6, 0.6], [0.5, 0.5], window=window)
+
 
 def _enumerate_optimal(curves, horizon):
     """Reference oracle: walk all K^T sequences, keep the best reward observed."""
