@@ -45,12 +45,10 @@ from .harness import (
     brute_force_optimal,
     build_report,
     compute_gamma,
-    corollary1_check,
     least_concave_majorant,
     offline_max_run,
     regret,
     simulate,
-    theorem1_bound,
     theorem2_condition_check,
 )
 from .policies import (

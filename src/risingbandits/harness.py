@@ -22,6 +22,7 @@ from .bandit import (
     Policy,
     PolicyTrace,
     StepSink,
+    growth_rate,
     run_policy,
     upper_bound,
 )
@@ -68,16 +69,21 @@ def simulate(
     return run_policy(policy, arms, config, sink)
 
 
-def compute_gamma(curves: list[RewardCurve], horizon: int) -> tuple[int, ...]:
+def compute_gamma(curves: list[RewardCurve], config: BanditConfig) -> tuple[int, ...]:
     """Separation times gamma_k from lockstep two-arm simulation on ground truth.
 
     For each suboptimal arm k, arm k and the optimal arm are pulled strictly
     alternately (k first) on their true values; gamma_k is the first per-arm
-    pull count at which k's extrapolated upper bound falls to the optimal
-    arm's lower bound.  An arm not separated within the horizon gets
-    gamma_k = horizon, which no separated arm reaches: separation at n needs
-    2n <= horizon.  The optimal arm gets 0.  Theorem 1's gamma is their maximum.
+    pull count at which k's extrapolated upper bound, at the run's growth
+    rate, falls to the optimal arm's lower bound.  An arm not separated
+    within the horizon gets gamma_k = horizon, which no separated arm
+    reaches: separation at n needs 2n <= horizon.  The optimal arm gets 0.
+    Theorem 1's gamma is their maximum.  A budget config raises
+    ``ValueError``: it has no trial-count horizon.
     """
+    horizon, window = config.trials, config.window
+    if horizon is None:
+        raise ValueError("gamma needs a trial-count horizon, not a budget")
     k_star, _ = offline_max_run(curves, horizon)
     star_curve = curves[k_star - 1]
     epsilon = DEFAULT_EPSILON
@@ -87,54 +93,21 @@ def compute_gamma(curves: list[RewardCurve], horizon: int) -> tuple[int, ...]:
             per_arm.append(0)
             continue
         gamma_k = horizon
-        # Each value is evaluated once: this step's is the next step's previous one.
-        previous = curve.eval(1)
+        # Each value is evaluated once, and kept for the growth rate.
+        values = [curve.eval(1)]
         n = 2
         while 2 * n <= horizon:
             value = curve.eval(n)
+            values.append(value)
             # Arm k's upper bound is computed at its own pull moment,
             # global step 2n - 1 in the alternating schedule.
-            u = upper_bound(value, value - previous, horizon - (2 * n - 1))
+            u = upper_bound(value, growth_rate(values, window), horizon - (2 * n - 1))
             if u <= star_curve.eval(n) + epsilon:
                 gamma_k = n
                 break
-            previous = value
             n += 1
         per_arm.append(gamma_k)
     return tuple(per_arm)
-
-
-def theorem1_is_vacuous(k: int, gamma: int, horizon: int) -> bool:
-    return (k - 1) * gamma >= horizon
-
-
-def theorem1_bound(curves: list[RewardCurve], horizon: int, gamma: int) -> float:
-    """Regret bound r*(T) - r*(T - (K-1)*gamma), with K = len(curves); 1.0 when vacuous."""
-    k = len(curves)
-    if theorem1_is_vacuous(k, gamma, horizon):
-        return 1.0
-    k_star, star_value = offline_max_run(curves, horizon)
-    return star_value - curves[k_star - 1].eval(horizon - (k - 1) * gamma)
-
-
-def corollary1_check(curves: list[RewardCurve], horizon: int, gamma: int) -> tuple[bool, float]:
-    """Condition under which elimination beats round-robin, plus the analytic
-    round-robin regret from ground truth, with K = len(curves).
-
-    Uses floor(T/K) pulls per arm when the horizon does not divide evenly.
-    """
-    k = len(curves)
-    k_star, star_value = offline_max_run(curves, horizon)
-    if k == 1:
-        return True, 0.0
-    condition = gamma <= (k * horizon - horizon) / (k * (k - 1))
-    per_arm_pulls = horizon // k
-    if per_arm_pulls >= 1:
-        avg_j = max(curve.eval(per_arm_pulls) for curve in curves)
-    else:
-        # Fewer pulls than arms: round-robin reaches only the first T arms once.
-        avg_j = max(curve.eval(1) for curve in curves[:horizon])
-    return condition, star_value - avg_j
 
 
 def least_concave_majorant(observed: list[float]) -> list[float]:
@@ -314,7 +287,7 @@ def build_report(
         if mean > j_oracle + DEFAULT_EPSILON:
             raise InvariantViolation(f"policy {name!r} mean value {mean} exceeds the oracle {j_oracle}")
         report.regrets[name] = regret(mean, j_oracle)
-    per_arm = compute_gamma(curves, horizon)
+    per_arm = compute_gamma(curves, config)
     gamma = max(per_arm)
     report.gamma, report.gamma_per_arm = gamma, per_arm
     unseparated = [arm for arm, gamma_k in enumerate(per_arm, start=1) if gamma_k == horizon]
@@ -323,15 +296,23 @@ def build_report(
             f"arms {unseparated} not separated within the "
             "horizon; their separation time is reported as the horizon itself"
         )
-    report.theorem1_vacuous = theorem1_is_vacuous(k, gamma, horizon)
-    report.theorem1_bound = theorem1_bound(curves, horizon, gamma)
+    # Theorem 1: regret <= r*(T) - r*(T - (K-1)*gamma), vacuous (1.0) once (K-1)*gamma reaches T.
+    report.theorem1_vacuous = (k - 1) * gamma >= horizon
     if report.theorem1_vacuous:
+        report.theorem1_bound = 1.0
         report.interpretation_notes.append(
             "regret bound vacuous: (K-1)*gamma reaches the horizon; reported as 1.0"
         )
-    condition, avg_regret = corollary1_check(curves, horizon, gamma)
-    report.corollary1_condition_holds = condition
-    report.avg_policy_regret = avg_regret
+    else:
+        report.theorem1_bound = j_oracle - curves[oracle_arm - 1].eval(horizon - (k - 1) * gamma)
+    # Corollary 1: elimination beats round-robin when gamma <= (KT - T) / (K(K-1)).
+    report.corollary1_condition_holds = k == 1 or gamma <= (k * horizon - horizon) / (k * (k - 1))
+    if horizon >= k:
+        avg_j = max(curve.eval(horizon // k) for curve in curves)
+    else:
+        # Fewer pulls than arms: round-robin reaches only the first T arms once.
+        avg_j = max(curve.eval(1) for curve in curves[:horizon])
+    report.avg_policy_regret = j_oracle - avg_j
     if horizon % k != 0:
         report.interpretation_notes.append(
             "horizon not divisible by the arm count; round-robin regret uses floor(T/K) pulls"

@@ -19,18 +19,17 @@ from risingbandits import (
     brute_force_optimal,
     build_report,
     compute_gamma,
-    corollary1_check,
     least_concave_majorant,
     list_sink,
     offline_max_run,
     regret,
+    rising_bandit_run,
     simulate,
-    theorem1_bound,
     theorem2_condition_check,
     upper_bound,
 )
 from risingbandits.bandit import DEFAULT_EPSILON
-from risingbandits.harness import InvariantViolation, derive_seed, theorem1_is_vacuous
+from risingbandits.harness import InvariantViolation, derive_seed
 from risingbandits import verify
 from risingbandits.verify import LEMMA1_COUNT, LEMMA1_SEED, random_small_instance
 
@@ -83,54 +82,90 @@ class TestSimulate:
         assert trace.best_arm == next(s.arm for s in steps if s.reward == trace.final_j)
 
 
+def _report(curves, horizon, **growth):
+    """The report of an exact-curve instance, with no policy results."""
+    instance = InstanceSpec([CurveArmSpec(curve) for curve in curves])
+    return build_report(instance, BanditConfig(trials=horizon, **growth), {})
+
+
 class TestComputeGamma:
     def test_two_arm_example_golden(self):
         # Frozen from the first oracle run on the enumeration example.
-        assert compute_gamma([ARM1, ARM2], 5) == (0, 2)
+        assert compute_gamma([ARM1, ARM2], BanditConfig(trials=5)) == (0, 2)
 
     def test_optimal_arm_gets_zero(self):
         curves = [ARM2, ARM1]
         oracle_arm, _ = offline_max_run(curves, 5)
-        assert compute_gamma(curves, 5)[oracle_arm - 1] == 0
+        assert compute_gamma(curves, BanditConfig(trials=5))[oracle_arm - 1] == 0
 
     def test_unseparated_arm_flagged(self):
         # Identical curves never separate; the suboptimal copy gets the horizon.
-        assert compute_gamma([ARM1, ARM1], 10) == (0, 10)
+        assert compute_gamma([ARM1, ARM1], BanditConfig(trials=10)) == (0, 10)
+
+    def test_rejects_a_budget_config(self):
+        with pytest.raises(ValueError, match="^gamma needs a trial-count horizon, not a budget$"):
+            compute_gamma([ARM1, ARM2], BanditConfig(budget=5.0))
+
+    def test_smooth_bound_holds_on_the_battery(self):
+        # Gamma models the run's own growth rule: a last-increment gamma put
+        # battery instance 1's smooth bound (2.2e-7) below its regret (1.2e-6).
+        rng = np.random.default_rng(verify.CONCAVE_BATTERY_SEED)
+        for _ in range(30):
+            curves, horizon, _ = verify.random_dominant_instance(rng)
+            instance = InstanceSpec([CurveArmSpec(c) for c in curves])
+            config = BanditConfig(trials=horizon, growth="smooth", smooth_window=7)
+            trace = rising_bandit_run([spec.build(None) for spec in instance.arms], config)
+            report = build_report(instance, config, {"rising_bandit": [trace.final_j]})
+            assert report.regrets["rising_bandit"] <= report.theorem1_bound + DEFAULT_EPSILON
 
 
 class TestTheorem1Bound:
     def test_two_arm_example(self):
         want = ARM1.eval(5) - ARM1.eval(5 - 2)
-        assert theorem1_bound([ARM1, ARM2], 5, gamma=2) == pytest.approx(want, abs=1e-12)
+        report = _report([ARM1, ARM2], 5)
+        assert report.gamma == 2
+        assert report.theorem1_bound == pytest.approx(want, abs=1e-12)
 
     def test_vacuous_bound_is_one(self):
-        assert theorem1_is_vacuous(k=3, gamma=5, horizon=10)
-        assert theorem1_bound([ARM1, ARM2, ARM1], 10, gamma=5) == 1.0
+        # gamma = T, so (K - 1) * gamma reaches T exactly.
+        report = _report([ARM1, ARM1], 10)
+        assert report.gamma == 10
+        assert report.theorem1_vacuous
+        assert report.theorem1_bound == 1.0
 
     def test_nonvacuous_bound_below_one(self):
-        assert not theorem1_is_vacuous(k=2, gamma=2, horizon=5)
-        assert theorem1_bound([ARM1, ARM2], 5, gamma=2) < 1.0
+        report = _report([ARM1, ARM2], 5)
+        assert not report.theorem1_vacuous
+        assert report.theorem1_bound < 1.0
 
 
 class TestCorollary1Check:
     def test_spec_condition_example(self):
-        condition, _ = corollary1_check([ARM1, ARM2], 100, gamma=10)
-        assert condition  # 10 <= (2*100 - 100) / (2*1) = 50
+        report = _report([ARM1, ARM2], 100)
+        assert report.gamma <= (2 * 100 - 100) / (2 * 1)
+        assert report.corollary1_condition_holds
 
     def test_condition_fails_for_large_gamma(self):
-        condition, _ = corollary1_check([ARM1, ARM2], 100, gamma=60)
-        assert not condition
+        # gamma = 10 > (2*10 - 10) / (2*1) = 5
+        assert not _report([ARM1, ARM1], 10).corollary1_condition_holds
 
     def test_round_robin_regret_value(self):
-        _, avg_regret = corollary1_check([ARM1, ARM2], 10, gamma=2)
+        report = _report([ARM1, ARM2], 10)
         want = offline_max_run([ARM1, ARM2], 10)[1] - max(ARM1.eval(5), ARM2.eval(5))
-        assert avg_regret == pytest.approx(want, abs=1e-12)
+        assert report.avg_policy_regret == pytest.approx(want, abs=1e-12)
 
     def test_round_robin_short_of_the_arms_reaches_only_the_first_t(self):
         # T = 2 < K = 3: round-robin pulls arms 1 and 2 once each, never arm 3.
         curves = [TabulatedCurve([0.1, 0.2]), TabulatedCurve([0.2, 0.3]), TabulatedCurve([0.5, 0.6])]
-        _, avg_regret = corollary1_check(curves, 2, gamma=1)
-        assert avg_regret == pytest.approx(0.6 - 0.2, abs=1e-12)
+        assert _report(curves, 2).avg_policy_regret == pytest.approx(0.6 - 0.2, abs=1e-12)
+
+    def test_one_arm_report(self):
+        report = _report([ARM1], 10)
+        assert report.gamma_per_arm == (0,)
+        assert report.theorem1_bound == 0.0
+        assert report.theorem1_vacuous is False
+        assert report.corollary1_condition_holds is True
+        assert report.avg_policy_regret == 0.0
 
 
 # A few shared values make equal neighbours, and so flat runs, likely.
@@ -385,7 +420,7 @@ class TestComputeGammaReference:
     def test_matches_the_four_eval_loop(self, case):
         curves, horizon = case
         per_arm, unseparated = _reference_gamma(curves, horizon, DEFAULT_EPSILON)
-        assert compute_gamma(curves, horizon) == per_arm
+        assert compute_gamma(curves, BanditConfig(trials=horizon)) == per_arm
         # build_report names the unseparated arms as those whose time is the horizon.
         assert unseparated == [arm for arm, gamma_k in enumerate(per_arm, start=1) if gamma_k == horizon]
 

@@ -2,6 +2,7 @@
 runner refuses a tree it cannot list, and it leaves nothing running or on
 disk when stopped."""
 
+import ast
 import json
 import os
 import shutil
@@ -27,9 +28,24 @@ def test_every_catalogue_entry_applies():
         if entry["new"] == entry["old"]:
             problems.append(f"{entry['name']}: new text equals old text")
         for test in entry["tests"]:
-            if not os.path.isfile(os.path.join(ROOT, test.split("::")[0])):
+            path, *names = test.split("[")[0].split("::")
+            if not os.path.isfile(os.path.join(ROOT, path)):
                 problems.append(f"{entry['name']}: no file for test {test}")
+            elif not _defines(os.path.join(ROOT, path), names):
+                problems.append(f"{entry['name']}: no test {test}")
     assert problems == []
+
+
+def _defines(path, names):
+    """Whether the file defines the test that ``names`` gives, outermost class first."""
+    with open(path, encoding="utf-8") as handle:
+        scope = ast.parse(handle.read()).body
+    for name in names:
+        found = [node for node in scope if getattr(node, "name", None) == name]
+        if not found:
+            return False
+        scope = found[0].body
+    return True
 
 
 def test_mutants_outside_a_git_checkout_exits_with_one_line(tmp_path):
